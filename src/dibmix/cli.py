@@ -257,7 +257,6 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    _resolve_threads(args.threads)
     outdir = _ensure_outdir(args.output_dir)
     ds = _load_dataset(args)
     ds, idx = _maybe_subsample(ds, args)
@@ -494,9 +493,12 @@ def _add_run_flags(parser, restarts_default):
                         help="number of random restarts")
     parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                         help="iteration cap per restart")
+    parser.add_argument("--output-dir", default=".", help="directory for output files")
+
+
+def _add_threads_flag(parser):
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads (default: DIBMIX_THREADS or 1)")
-    parser.add_argument("--output-dir", default=".", help="directory for output files")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,6 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     _add_bandwidth_flags(p)
     _add_run_flags(p, DEFAULT_RESTARTS)
+    _add_threads_flag(p)
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--beta", type=float, default=100.0, help="relevance weight")
     p.add_argument("--dump-density", action="store_true",
@@ -556,12 +559,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip running; aggregate an existing results CSV")
     p.add_argument("--progress", action="store_true", help="report progress on stderr")
     _add_run_flags(p, DEFAULT_RESTARTS)
+    _add_threads_flag(p)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("sweep-beta", help="trace the relevance-compression curve")
     _add_io_flags(p)
     _add_bandwidth_flags(p)
     _add_run_flags(p, DEFAULT_RESTARTS)
+    _add_threads_flag(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--betas", required=True, help="comma-separated beta grid")
     p.set_defaults(func=cmd_sweep_beta)

@@ -57,7 +57,7 @@ class VariableSchema:
 class MixedDataset:
     """Immutable mixed-type dataset.
 
-    ``continuous`` is (n, p_cont) float, ``categorical`` is (n, p_cat) int
+    ``continuous`` is (n, p_cont) finite float, ``categorical`` is (n, p_cat) int
     (level indices), ``weights`` is length n, strictly positive, summing to 1.
     Arrays are marked read-only; instances are safe to share across workers.
     """
@@ -90,6 +90,8 @@ class MixedDataset:
                 f"data shapes {cont.shape}/{cat.shape} inconsistent with schema "
                 f"({p_cont} continuous, {p_cat} categorical, n={n})"
             )
+        if not np.all(np.isfinite(cont)):
+            raise SchemaError("continuous values must be finite (no nan or inf)")
         for j, var in enumerate(v for v in schema if v.kind == CATEGORICAL):
             col = cat[:, j]
             if col.min(initial=0) < 0 or col.max(initial=0) >= var.n_levels:
@@ -160,8 +162,8 @@ def read_csv(path, categorical=()) -> MixedDataset:
         are parsed as continuous.  Categorical levels are inferred as the
         sorted distinct observed values.
 
-    Rows with blank or non-numeric continuous cells are rejected; the error
-    names every offending line and column.
+    Rows with blank, non-numeric or non-finite (nan, inf) continuous cells
+    are rejected; the error names every offending line and column.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"input file not found: {path}")
@@ -210,7 +212,9 @@ def read_csv(path, categorical=()) -> MixedDataset:
                 except ValueError:
                     why = "missing value" if cell == "" else f"not a number: {cell!r}"
                     bad.append((line_no, name, why))
-                    vals[i] = np.nan
+                    continue
+                if not np.isfinite(vals[i]):
+                    bad.append((line_no, name, f"not finite: {cell!r}"))
             cont_cols[name] = vals
     if bad:
         listing = "; ".join(f"line {ln}, column {col!r}: {why}" for ln, col, why in bad[:20])

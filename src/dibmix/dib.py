@@ -17,12 +17,20 @@ synchronous: every score in iteration m uses the iteration m-1 quantities.
 Empty clusters score -inf and therefore stay empty, which is what lets the
 method prune clusters (reported as ``effective_k``).
 
+Restarts advance in lock-step: the decoders of every chain in a block are
+stacked, so each iteration reads p(y | x) once for the scores of all chains
+and once for all their decoder refreshes.  A chain leaves the block when it
+converges, cycles or reaches its iteration cap.  ``threads > 1`` splits the
+restarts into contiguous blocks run on a thread pool.  Each chain's
+arithmetic does not depend on the block it runs in, so results are
+bit-identical for any thread count.
+
 Reference: Strouse, DJ and Schwab, D.J. (2017). The deterministic
 information bottleneck. Neural Computation 29.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +44,13 @@ DEFAULT_RESTARTS = 100
 DEFAULT_MAX_ITER = 100
 
 _TRACE_RISE_TOL = 1e-12
+
+# Each stacked per-block array (the weighted one-hot matrix, the
+# log-decoders, the scores) holds n x C*k doubles for C chains.  A block is
+# sized so that each stays within 1/16 of the n x n density, or within 256 KiB
+# where the density is so small that per-call overhead would dominate.
+_BLOCK_SHARE = 16
+_BLOCK_FLOOR = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -76,22 +91,29 @@ class Encoder:
     def from_assignment(cls, assign, k: int, density: ConditionalDensity, weights) -> "Encoder":
         assign = np.asarray(assign, dtype=np.int64)
         weights = np.asarray(weights, dtype=float)
-        masses, decoder = _masses_and_decoder(assign, k, density.matrix, weights)
-        return cls(assign=assign, masses=masses, decoder=decoder)
+        masses, decoder = _refresh(assign[None, :], k, density.matrix, weights)
+        return cls(assign=assign, masses=masses[0], decoder=decoder[0])
 
 
-def _masses_and_decoder(assign, k, p_matrix, weights):
-    """q(t) = sum_x w(x) [t(x)=t];  q(y|t) = sum_x w(x) p(y|x) [t(x)=t] / q(t)."""
-    masses = np.bincount(assign, weights=weights, minlength=k)
-    decoder = np.zeros((k, p_matrix.shape[0]))
-    for t in range(k):
-        members = assign == t
-        if masses[t] > 0:
-            # einsum, not @: fixed summation order keeps results bit-identical
-            # whatever BLAS threading is in effect.
-            decoder[t] = np.einsum("x,xy->y", weights[members], p_matrix[members])
-            decoder[t] /= masses[t]
-    return masses, decoder
+def _refresh(assign, k, p_matrix, weights):
+    """Masses and decoders of a stack of C hard encoders, ``assign`` (C, n).
+
+    q_r(t) = sum_x w(x) [t_r(x)=t];  q_r(y|t) = sum_x w(x) p(y|x) [t_r(x)=t] / q_r(t).
+    Column r*k + t of the weighted one-hot matrix holds w(x) where
+    t_r(x) = t, so one einsum yields every decoder row.  Returns masses
+    (C, k) and decoders (C, k, n).
+    """
+    chains, n = assign.shape
+    cols = assign + k * np.arange(chains)[:, None]
+    # bincount adds each bin's weights in x order, as a per-chain bincount does.
+    masses = np.bincount(cols.ravel(), weights=np.tile(weights, chains), minlength=chains * k)
+    onehot = np.zeros((n, chains * k))
+    onehot[np.arange(n), cols] = weights
+    # einsum, not @: a fixed summation order over x keeps every row
+    # bit-identical whatever the stack height or BLAS threading.
+    decoder = np.einsum("xc,xy->cy", onehot, p_matrix)
+    np.divide(decoder, masses[:, None], out=decoder, where=(masses > 0)[:, None])
+    return masses.reshape(chains, k), decoder.reshape(chains, k, n)
 
 
 def init_random(n: int, k: int, rng_seed: int) -> Encoder:
@@ -105,38 +127,42 @@ def init_random(n: int, k: int, rng_seed: int) -> Encoder:
     return Encoder(assign=assign, masses=masses)
 
 
-def _score_step(masses, decoder, p_matrix, row_neg_entropy, beta, has_zeros):
-    """One synchronous scoring pass; returns the new assignment vector.
+def _score_step(masses, decoder, density, beta):
+    """One synchronous scoring pass for a stack of C chains.
 
-    score[x, t] = log q(t) - beta * KL(p(.|x) || q(.|t)).  Uses einsum rather
-    than BLAS so results are bit-identical regardless of ambient threading.
+    ``masses`` is (C, k) and ``decoder`` (C, k, n); returns the new
+    assignments, (C, n).  score[x, t] = log q(t) - beta * KL(p(.|x) || q(.|t)).
+    Uses einsum rather than BLAS so results are bit-identical regardless of
+    ambient threading.
     """
+    chains, k, n = decoder.shape
+    masses = masses.reshape(chains * k)
+    decoder = decoder.reshape(chains * k, n)
     with np.errstate(divide="ignore"):
         log_masses = np.log(masses)
         log_decoder = np.where(decoder > 0, np.log(np.where(decoder > 0, decoder, 1.0)), 0.0)
     if beta == 0:
         # Pure compression: the KL term drops out entirely (avoids 0 * inf).
-        score = np.broadcast_to(log_masses, (p_matrix.shape[0], masses.shape[0])).copy()
+        score = np.broadcast_to(log_masses, (n, chains * k)).copy()
     else:
-        cross = np.einsum("xy,ty->xt", p_matrix, log_decoder)
-        kl = row_neg_entropy[:, None] - cross
-        if has_zeros:
-            # p(y|x) > 0 meeting q(y|t) = 0 makes the KL infinite for that pair.
-            hits = np.einsum(
-                "xy,ty->xt", (p_matrix > 0).astype(float), (decoder == 0).astype(float)
-            )
-            live = masses > 0
-            infeasible = (hits > 0) & live[None, :]
-            kl[infeasible] = np.inf
+        p = density.matrix
+        cross = np.einsum("xy,ty->xt", p, log_decoder)
+        kl = density.neg_entropy[:, None] - cross
+        if density.has_zeros:
+            # p(y|x) > 0 meeting q(y|t) = 0 makes the KL infinite for that
+            # pair.  A sum of nonnegative terms is positive exactly when one
+            # term is, so p itself serves as the support indicator.
+            hits = np.einsum("xy,ty->xt", p, (decoder == 0).astype(float))
+            kl[(hits > 0) & (masses > 0)[None, :]] = np.inf
         score = log_masses[None, :] - beta * kl
     score[:, masses == 0] = -np.inf
-    row_best = score.max(axis=1)
-    if np.any(np.isneginf(row_best)):
+    score = score.reshape(n, chains, k)
+    if np.any(np.isneginf(score.max(axis=2))):
         raise DegenerateSmoothingError(
             "some observation has no cluster with finite score; categorical "
             "support is disconnected under zero-lambda smoothing"
         )
-    return np.argmax(score, axis=1)  # ties resolve to the smallest cluster index
+    return np.argmax(score, axis=2).T  # ties resolve to the smallest cluster index
 
 
 def dib_step(enc: Encoder, density: ConditionalDensity, beta: float, weights) -> Encoder:
@@ -146,17 +172,8 @@ def dib_step(enc: Encoder, density: ConditionalDensity, beta: float, weights) ->
         raise ValueError("encoder and density dimensions differ")
     if enc.decoder is None:
         enc = Encoder.from_assignment(enc.assign, enc.k, density, weights)
-    p = density.matrix
-    row_neg_entropy = _row_neg_entropy(p)
-    assign = _score_step(
-        enc.masses, enc.decoder, p, row_neg_entropy, beta, has_zeros=bool(np.any(p == 0))
-    )
-    return Encoder.from_assignment(assign, enc.k, density, weights)
-
-
-def _row_neg_entropy(p_matrix):
-    safe = np.where(p_matrix > 0, p_matrix, 1.0)
-    return np.einsum("xy,xy->x", p_matrix, np.log(safe))
+    assign = _score_step(enc.masses[None], enc.decoder[None], density, beta)
+    return Encoder.from_assignment(assign[0], enc.k, density, weights)
 
 
 def objective(enc: Encoder, density: ConditionalDensity, beta: float):
@@ -234,55 +251,84 @@ class DibResult:
         }
 
 
-def _run_chain(density, weights, k, beta, max_iter, seed, restart_index):
-    """Iterate one restart to convergence; returns a DibResult for the chain.
+class _Chain:
+    """Bookkeeping of one restart while it runs in a block."""
 
-    Convergence is detected on the assignment vector.  The objective trace is
-    recorded after every iteration; a strict increase aborts the chain (a
-    cycle) and the best encoder seen so far is kept.
-    """
-    p = density.matrix
-    has_zeros = bool(np.any(p == 0))
-    row_neg_entropy = _row_neg_entropy(p)
-    enc = init_random(p.shape[0], k, seed)
-    enc = Encoder.from_assignment(enc.assign, k, density, weights)
-    trace = []
-    best = None
-    converged = False
-    cycle = False
-    iterations = 0
-    prev_obj = np.inf
-    for _ in range(max_iter):
-        new_assign = _score_step(enc.masses, enc.decoder, p, row_neg_entropy, beta, has_zeros)
-        unchanged = bool(np.array_equal(new_assign, enc.assign))
-        enc = Encoder.from_assignment(new_assign, k, density, weights)
-        obj, h, i = objective(enc, density, beta)
-        iterations += 1
-        trace.append(obj)
-        if best is None or obj < best[0]:
-            best = (obj, h, i, enc, iterations)
+    def __init__(self, restart_index, seed):
+        self.restart_index = restart_index
+        self.seed = seed
+        self.trace = []
+        self.best = None
+        self.prev_obj = np.inf
+        self.converged = False
+        self.cycle = False
+
+    def record(self, enc, obj, h, i, unchanged) -> bool:
+        """Log one iteration's encoder; return whether the chain goes on.
+
+        Convergence is detected on the assignment vector.  A rise of the
+        objective beyond the tolerance aborts the chain (a cycle); the best
+        encoder seen so far is kept either way.
+        """
+        self.trace.append(obj)
+        if self.best is None or obj < self.best[0]:
+            self.best = (obj, h, i, enc)
         if unchanged:
-            converged = True
+            self.converged = True
+        elif obj > self.prev_obj + _TRACE_RISE_TOL:
+            self.cycle = True
+        self.prev_obj = obj
+        return not (self.converged or self.cycle)
+
+    def result(self, beta) -> DibResult:
+        obj, h, i, enc = self.best
+        return DibResult(
+            encoder=enc,
+            beta=beta,
+            objective=obj,
+            compression=h,
+            relevance=i,
+            iterations=len(self.trace),
+            objective_trace=np.array(self.trace),
+            effective_k=enc.effective_k,
+            restart_index=self.restart_index,
+            seed=self.seed,
+            converged=self.converged,
+            cycle_detected=self.cycle,
+        )
+
+
+def _run_block(density, weights, k, beta, max_iter, chains):
+    """Iterate a block of chains in lock-step; one DibResult per chain."""
+    p = density.matrix
+    live = chains
+    assign = np.stack([init_random(density.n, k, c.seed).assign for c in live])
+    masses, decoder = _refresh(assign, k, p, weights)
+    for _ in range(max_iter):
+        new_assign = _score_step(masses, decoder, density, beta)
+        masses, decoder = _refresh(new_assign, k, p, weights)
+        going = []
+        for row, chain in enumerate(live):
+            enc = Encoder(
+                assign=new_assign[row], masses=masses[row], decoder=decoder[row].copy()
+            )
+            obj, h, i = objective(enc, density, beta)
+            unchanged = bool(np.array_equal(new_assign[row], assign[row]))
+            if chain.record(enc, obj, h, i, unchanged):
+                going.append(row)
+        if not going:
             break
-        if obj > prev_obj + _TRACE_RISE_TOL:
-            cycle = True
-            break
-        prev_obj = obj
-    obj, h, i, enc, _ = best
-    return DibResult(
-        encoder=enc,
-        beta=beta,
-        objective=obj,
-        compression=h,
-        relevance=i,
-        iterations=iterations,
-        objective_trace=np.array(trace),
-        effective_k=enc.effective_k,
-        restart_index=restart_index,
-        seed=seed,
-        converged=converged,
-        cycle_detected=cycle,
-    )
+        live = [live[row] for row in going]
+        assign, masses, decoder = new_assign[going], masses[going], decoder[going]
+    return [c.result(beta) for c in chains]
+
+
+def _block_bounds(restarts, n, k, threads):
+    """Contiguous restart ranges, at least ``threads`` of them, each small
+    enough for the stacked-array budget above."""
+    per_block = max(1, max(n * n // _BLOCK_SHARE, _BLOCK_FLOOR) // (n * k))
+    count = max(-(-restarts // per_block), min(threads, restarts))
+    return [(b * restarts // count, (b + 1) * restarts // count) for b in range(count)]
 
 
 def dib_fit_density(
@@ -309,16 +355,18 @@ def dib_fit_density(
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     weights = np.asarray(weights, dtype=float)
-    seeds = [derive_seed(rng_seed, STREAM_RESTART, r) for r in range(restarts)]
 
-    def run(r):
-        return _run_chain(density, weights, k, beta, max_iter, seeds[r], r)
+    def run(bounds):
+        chains = [_Chain(r, derive_seed(rng_seed, STREAM_RESTART, r)) for r in range(*bounds)]
+        return _run_block(density, weights, k, beta, max_iter, chains)
 
-    if threads > 1 and restarts > 1:
+    blocks = _block_bounds(restarts, n, k, threads)
+    if len(blocks) > 1 and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(restarts)))
+            parts = list(pool.map(run, blocks))
     else:
-        results = [run(r) for r in range(restarts)]
+        parts = [run(b) for b in blocks]
+    results = [r for part in parts for r in part]
     best = min(results, key=lambda r: (r.objective, r.restart_index))
     summary = tuple(
         RestartSummary(
@@ -334,21 +382,7 @@ def dib_fit_density(
         )
         for r in results
     )
-    return DibResult(
-        encoder=best.encoder,
-        beta=best.beta,
-        objective=best.objective,
-        compression=best.compression,
-        relevance=best.relevance,
-        iterations=best.iterations,
-        objective_trace=best.objective_trace,
-        effective_k=best.effective_k,
-        restart_index=best.restart_index,
-        seed=best.seed,
-        converged=best.converged,
-        cycle_detected=best.cycle_detected,
-        restart_summary=summary,
-    )
+    return replace(best, restart_summary=summary)
 
 
 def dib_fit(

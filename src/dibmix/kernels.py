@@ -15,6 +15,7 @@ Li, Q. and Racine, J. (2003). Nonparametric estimation of distributions
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,6 +138,19 @@ class ConditionalDensity:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def neg_entropy(self) -> np.ndarray:
+        """Row-wise sum_y p(y|x) log p(y|x), computed once per density."""
+        p = self.matrix
+        out = np.einsum("xy,xy->x", p, np.log(np.where(p > 0, p, 1.0)))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def has_zeros(self) -> bool:
+        """Whether some p(y|x) is exactly zero, which makes KL terms infinite."""
+        return bool(np.any(self.matrix == 0))
 
 
 def _factor_matrices(ds: MixedDataset, bw: Bandwidths):

@@ -13,6 +13,15 @@ import numpy as np
 import pytest
 
 from dibmix import CATEGORICAL, CONTINUOUS, MixedDataset, VariableSchema
+from dibmix.dib import (
+    _TRACE_RISE_TOL,
+    DegenerateSmoothingError,
+    Encoder,
+    RestartSummary,
+    init_random,
+    objective,
+)
+from dibmix.seeding import STREAM_RESTART, derive_seed
 
 
 def make_dataset(continuous=None, categorical=None, levels=(), weights=None):
@@ -178,6 +187,92 @@ def dib_objective_oracle(assign, density_matrix, weights, beta, k):
             if joint[t, y] > 0:
                 i += joint[t, y] * np.log(joint[t, y] / (q_t[t] * p_y[y]))
     return h - beta * i, h, i
+
+
+def _masses_and_decoder_oracle(assign, k, p_matrix, weights):
+    """Per-cluster decoder refresh over the member rows of p."""
+    masses = np.bincount(assign, weights=weights, minlength=k)
+    decoder = np.zeros((k, p_matrix.shape[0]))
+    for t in range(k):
+        members = assign == t
+        if masses[t] > 0:
+            decoder[t] = np.einsum("x,xy->y", weights[members], p_matrix[members])
+            decoder[t] /= masses[t]
+    return masses, decoder
+
+
+def _score_step_oracle(masses, decoder, p_matrix, row_neg_entropy, beta, has_zeros):
+    """Scores of one chain's k clusters; returns the argmax assignment."""
+    with np.errstate(divide="ignore"):
+        log_masses = np.log(masses)
+        log_decoder = np.where(decoder > 0, np.log(np.where(decoder > 0, decoder, 1.0)), 0.0)
+    if beta == 0:
+        score = np.broadcast_to(log_masses, (p_matrix.shape[0], masses.shape[0])).copy()
+    else:
+        cross = np.einsum("xy,ty->xt", p_matrix, log_decoder)
+        kl = row_neg_entropy[:, None] - cross
+        if has_zeros:
+            hits = np.einsum(
+                "xy,ty->xt", (p_matrix > 0).astype(float), (decoder == 0).astype(float)
+            )
+            kl[(hits > 0) & (masses > 0)[None, :]] = np.inf
+        score = log_masses[None, :] - beta * kl
+    score[:, masses == 0] = -np.inf
+    if np.any(np.isneginf(score.max(axis=1))):
+        raise DegenerateSmoothingError("no cluster with finite score")
+    return np.argmax(score, axis=1)
+
+
+def _run_chain_oracle(density, weights, k, beta, max_iter, seed, restart_index):
+    """One restart iterated alone to convergence, a cycle or ``max_iter``."""
+    p = density.matrix
+    has_zeros = bool(np.any(p == 0))
+    row_neg_entropy = np.einsum("xy,xy->x", p, np.log(np.where(p > 0, p, 1.0)))
+    assign = init_random(p.shape[0], k, seed).assign
+    masses, decoder = _masses_and_decoder_oracle(assign, k, p, weights)
+    trace = []
+    best = None
+    converged = cycle = False
+    prev_obj = np.inf
+    for _ in range(max_iter):
+        new_assign = _score_step_oracle(masses, decoder, p, row_neg_entropy, beta, has_zeros)
+        unchanged = bool(np.array_equal(new_assign, assign))
+        assign = new_assign
+        masses, decoder = _masses_and_decoder_oracle(assign, k, p, weights)
+        enc = Encoder(assign=assign, masses=masses, decoder=decoder)
+        obj, h, i = objective(enc, density, beta)
+        trace.append(obj)
+        if best is None or obj < best[0]:
+            best = (obj, h, i, enc)
+        if unchanged:
+            converged = True
+            break
+        if obj > prev_obj + _TRACE_RISE_TOL:
+            cycle = True
+            break
+        prev_obj = obj
+    obj, h, i, enc = best
+    summary = RestartSummary(
+        restart_index=restart_index, seed=seed, objective=obj, compression=h,
+        relevance=i, iterations=len(trace), effective_k=enc.effective_k,
+        converged=converged, cycle_detected=cycle,
+    )
+    return summary, enc.assign, np.array(trace)
+
+
+def dib_fit_density_oracle(density, weights, k, beta, restarts, max_iter, rng_seed):
+    """Restarts run one after another, each chain on its own; returns the
+    restart summaries and the winner's assignment and objective trace."""
+    weights = np.asarray(weights, dtype=float)
+    chains = [
+        _run_chain_oracle(
+            density, weights, k, beta, max_iter,
+            derive_seed(rng_seed, STREAM_RESTART, r), r,
+        )
+        for r in range(restarts)
+    ]
+    best = min(chains, key=lambda c: (c[0].objective, c[0].restart_index))
+    return tuple(c[0] for c in chains), best[1], best[2]
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dibmix import read_csv
-from dibmix.cli import main
+from dibmix.cli import build_parser, main
 
 
 def _err(capsys):
@@ -200,6 +200,19 @@ def test_parse_error(tmp_path, capsys):
     assert err["code"] == "parse_error"
 
 
+def test_non_finite_cell_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x1,c1\n1.0,a\nnan,b\n2.0,a\n")
+    code = main([
+        "cluster", "--input", str(bad), "--categorical", "c1", "--k", "2",
+        "--output-dir", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "parse_error"
+    assert "not finite: 'nan'" in err["message"]
+
+
 def test_schema_error(tmp_path, separated_csv, capsys):
     data, _, _ = separated_csv
     code = main([
@@ -294,6 +307,17 @@ def test_baseline_kproto_and_pam(tmp_path, separated_csv, capsys):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "baseline"
         assert manifest["parameters"]["method"] == method
+
+
+def test_threads_flag_only_on_subcommands_that_use_it():
+    parser = build_parser()
+    for argv in (["cluster", "--input", "d.csv", "--k", "2"],
+                 ["benchmark"],
+                 ["sweep-beta", "--input", "d.csv", "--k", "2", "--betas", "1"]):
+        assert parser.parse_args(argv + ["--threads", "2"]).threads == 2
+    with pytest.raises(SystemExit):
+        parser.parse_args(["baseline", "--input", "d.csv", "--method", "pam", "--k", "2",
+                           "--threads", "2"])
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,16 @@ def test_dataset_rejects_bad_weights_and_levels():
         )
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_continuous(value):
+    with pytest.raises(SchemaError, match="finite"):
+        MixedDataset(
+            schema=(VariableSchema("x", CONTINUOUS),),
+            continuous=np.array([[1.0], [value], [3.0]]),
+            categorical=np.empty((3, 0)),
+        )
+
+
 def test_subsample_renormalizes_weights():
     ds = _small_ds(weights=np.array([0.1, 0.2, 0.3, 0.4]))
     sub = ds.subsample([1, 3])
@@ -110,6 +120,18 @@ def test_read_csv_collects_all_bad_cells(tmp_path):
         read_csv(path)
     cells = {(ln, col) for ln, col, _ in info.value.cells}
     assert cells == {(3, "a"), (4, "b")}
+
+
+def test_read_csv_rejects_non_finite_cells(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n1,2\nnan,3\n4,-inf\n1e999,5\n")
+    with pytest.raises(ParseError) as info:
+        read_csv(path)
+    assert info.value.cells == [
+        (3, "a", "not finite: 'nan'"),
+        (5, "a", "not finite: '1e999'"),
+        (4, "b", "not finite: '-inf'"),
+    ]
 
 
 def test_read_csv_errors(tmp_path):

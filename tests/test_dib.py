@@ -5,6 +5,8 @@ log q(t) - beta * KL(p(.|x) || q(.|t)) via explicit loops; objectives are
 compared against direct joint summation (conftest.dib_objective_oracle).
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from dibmix import (
     objective,
 )
 
-from conftest import dib_objective_oracle
+from conftest import dib_fit_density_oracle, dib_objective_oracle
 
 
 def _mixed(continuous, categorical=None, levels=()):
@@ -331,6 +333,69 @@ def test_dib_fit_thread_determinism():
     assert serial.objective == threaded.objective
     assert serial.restart_index == threaded.restart_index
     np.testing.assert_array_equal(serial.objective_trace, threaded.objective_trace)
+
+
+def _equivalence_density(lam):
+    """Mixed data on 48 points with non-uniform weights; a zero lambda puts
+    exact zeros into p(y|x)."""
+    rng = np.random.default_rng(31)
+    n = 48
+    ds = _mixed(rng.standard_normal((n, 2)), rng.integers(0, 3, size=(n, 2)), levels=(3, 3))
+    weights = rng.uniform(0.2, 1.0, size=n)
+    ds = MixedDataset(schema=ds.schema, continuous=ds.continuous,
+                      categorical=ds.categorical, weights=weights / weights.sum())
+    return estimate_conditional(ds, Bandwidths(s=0.8, lam=lam)), ds.weights
+
+
+@pytest.mark.parametrize("beta", [0.0, 5.0, 100.0])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("lam, max_iter", [([0.3, 0.2], 100), ([0.0, 0.2], 100), ([0.3, 0.2], 1)])
+def test_dib_fit_density_matches_per_chain_oracle(lam, max_iter, k, beta):
+    """Lock-step blocks reproduce chains run one at a time, bit for bit."""
+    density, weights = _equivalence_density(lam)
+    assert density.has_zeros == (lam[0] == 0.0)
+    for restarts in (1, 2, 7):
+        summary, assign, trace = dib_fit_density_oracle(
+            density, weights, k, beta, restarts, max_iter, rng_seed=7
+        )
+        for threads in (1, 3):
+            got = dib_fit_density(density, weights, k, beta, restarts=restarts,
+                                  max_iter=max_iter, rng_seed=7, threads=threads)
+            assert [repr(astuple(r)) for r in got.restart_summary] == [
+                repr(astuple(r)) for r in summary
+            ]
+            assert got.assign.tobytes() == assign.tobytes()
+            assert got.objective_trace.tobytes() == trace.tobytes()
+
+
+def test_chain_rise_beyond_tolerance_is_a_cycle():
+    """Seeded data never makes the objective rise, so the cycle rule is
+    driven directly: a rise within the tolerance goes on, a larger one
+    stops the chain, and the best encoder so far is kept."""
+    from dibmix.dib import _TRACE_RISE_TOL, _Chain
+
+    chain = _Chain(restart_index=0, seed=0)
+    assert chain.record("a", 3.0, 0.0, 0.0, unchanged=False)
+    assert chain.record("b", 2.0, 0.0, 0.0, unchanged=False)
+    assert chain.record("c", 2.0 + _TRACE_RISE_TOL / 2, 0.0, 0.0, unchanged=False)
+    assert not chain.record("d", 2.5, 0.0, 0.0, unchanged=False)
+    assert chain.cycle and not chain.converged
+    assert chain.best[3] == "b"
+    assert chain.trace == [3.0, 2.0, 2.0 + _TRACE_RISE_TOL / 2, 2.5]
+
+
+def test_block_bounds_cover_restarts_within_budget():
+    from dibmix.dib import _BLOCK_FLOOR, _BLOCK_SHARE, _block_bounds
+
+    for restarts, n, k, threads in [(100, 2000, 2, 1), (20, 2000, 2, 3), (3, 4000, 2, 8),
+                                    (100, 200, 5, 1), (1, 10, 1, 4), (50, 50000, 3, 1)]:
+        bounds = _block_bounds(restarts, n, k, threads)
+        assert bounds[0][0] == 0 and bounds[-1][1] == restarts
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert len(bounds) >= min(threads, restarts)
+        for lo, hi in bounds:
+            assert hi > lo
+            assert hi - lo == 1 or n * (hi - lo) * k <= max(n * n // _BLOCK_SHARE, _BLOCK_FLOOR)
 
 
 def test_dib_fit_weight_scale_invariance():
