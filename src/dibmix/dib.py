@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 
 from .dataset import MixedDataset
 from .errors import DegenerateSmoothingError
@@ -45,8 +46,8 @@ DEFAULT_MAX_ITER = 100
 
 _TRACE_RISE_TOL = 1e-12
 
-# Each stacked per-block array (the weighted one-hot matrix, the
-# log-decoders, the scores) holds n x C*k doubles for C chains.  A block is
+# Each stacked per-block array (the decoders, the log-decoders, the scores)
+# holds n x C*k doubles for C chains.  A block is
 # sized so that each stays within 1/16 of the n x n density, or within 256 KiB
 # where the density is so small that per-call overhead would dominate.
 _BLOCK_SHARE = 16
@@ -99,19 +100,24 @@ def _refresh(assign, k, p_matrix, weights):
     """Masses and decoders of a stack of C hard encoders, ``assign`` (C, n).
 
     q_r(t) = sum_x w(x) [t_r(x)=t];  q_r(y|t) = sum_x w(x) p(y|x) [t_r(x)=t] / q_r(t).
-    Column r*k + t of the weighted one-hot matrix holds w(x) where
-    t_r(x) = t, so one einsum yields every decoder row.  Returns masses
-    (C, k) and decoders (C, k, n).
+    Row r*k + t of the sparse (C*k, n) one-hot matrix holds w(x) where
+    t_r(x) = t, one entry per chain in each column x, so one product yields
+    every decoder row from C*n^2 multiply-adds.  Returns masses (C, k) and
+    decoders (C, k, n).
     """
     chains, n = assign.shape
     cols = assign + k * np.arange(chains)[:, None]
     # bincount adds each bin's weights in x order, as a per-chain bincount does.
     masses = np.bincount(cols.ravel(), weights=np.tile(weights, chains), minlength=chains * k)
-    onehot = np.zeros((n, chains * k))
-    onehot[np.arange(n), cols] = weights
-    # einsum, not @: a fixed summation order over x keeps every row
-    # bit-identical whatever the stack height or BLAS threading.
-    decoder = np.einsum("xc,xy->cy", onehot, p_matrix)
+    onehot = sparse.csc_matrix(
+        (np.repeat(weights, chains), cols.T.ravel(), np.arange(0, n * chains + 1, chains)),
+        shape=(chains * k, n),
+    )
+    # CSC times dense walks the columns x in ascending order and adds
+    # w(x) p(x, .) to each chain's row of t_r(x), so every decoder row is
+    # summed in x order, bit-identical whatever the stack height; BLAS is
+    # not involved.
+    decoder = onehot @ p_matrix
     np.divide(decoder, masses[:, None], out=decoder, where=(masses > 0)[:, None])
     return masses.reshape(chains, k), decoder.reshape(chains, k, n)
 

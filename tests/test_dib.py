@@ -335,11 +335,10 @@ def test_dib_fit_thread_determinism():
     np.testing.assert_array_equal(serial.objective_trace, threaded.objective_trace)
 
 
-def _equivalence_density(lam):
-    """Mixed data on 48 points with non-uniform weights; a zero lambda puts
+def _equivalence_density(lam, n=48):
+    """Mixed data on n points with non-uniform weights; a zero lambda puts
     exact zeros into p(y|x)."""
     rng = np.random.default_rng(31)
-    n = 48
     ds = _mixed(rng.standard_normal((n, 2)), rng.integers(0, 3, size=(n, 2)), levels=(3, 3))
     weights = rng.uniform(0.2, 1.0, size=n)
     ds = MixedDataset(schema=ds.schema, continuous=ds.continuous,
@@ -350,9 +349,12 @@ def _equivalence_density(lam):
 @pytest.mark.parametrize("beta", [0.0, 5.0, 100.0])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("lam, max_iter", [([0.3, 0.2], 100), ([0.0, 0.2], 100), ([0.3, 0.2], 1)])
-def test_dib_fit_density_matches_per_chain_oracle(lam, max_iter, k, beta):
-    """Lock-step blocks reproduce chains run one at a time, bit for bit."""
-    density, weights = _equivalence_density(lam)
+@pytest.mark.parametrize("n", [48, 257])
+def test_dib_fit_density_matches_per_chain_oracle(n, lam, max_iter, k, beta):
+    """Lock-step blocks reproduce chains run one at a time, bit for bit.  At
+    the odd n the rows of p and of the stacked decoders sit at other memory
+    alignments, which every stack height must sum the same way."""
+    density, weights = _equivalence_density(lam, n)
     assert density.has_zeros == (lam[0] == 0.0)
     for restarts in (1, 2, 7):
         summary, assign, trace = dib_fit_density_oracle(
