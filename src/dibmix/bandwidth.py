@@ -20,30 +20,25 @@ from .kernels import Bandwidths, aitchison_aitken, gaussian_kernel
 DEFAULT_S_MULTIPLIER = 3.0
 
 _BISECT_ITER = 100
-_BALANCE_RTOL = 1e-6
+_FALLBACK_LAMBDA_OFFSET = 0.2
 
 
 @dataclass(frozen=True)
 class BalanceSpec:
-    """How to pick bandwidths: categorical-to-continuous weight and s rule.
+    """How to pick bandwidths: categorical-to-continuous weight and s.
 
     ``categorical_weight`` scales the target categorical kernel variance
     relative to the continuous one (1 = equal influence).  ``s_value`` pins
-    s directly; otherwise s follows the scaled default rate.
+    s directly; when it is None, s = ``s_multiplier`` * n^(-1/(4+p_cont)).
     """
 
     categorical_weight: float = 1.0
-    s_rule: str = "scaled-default"
     s_value: float = None
     s_multiplier: float = DEFAULT_S_MULTIPLIER
 
     def __post_init__(self):
         if self.categorical_weight <= 0:
             raise ValueError("categorical weight must be positive")
-        if self.s_rule not in ("scaled-default", "user-supplied"):
-            raise ValueError(f"unknown s rule {self.s_rule!r}")
-        if self.s_rule == "user-supplied" and self.s_value is None:
-            raise ValueError("user-supplied s rule needs s_value")
         if self.s_value is not None and self.s_value <= 0:
             raise ValueError("s must be positive")
 
@@ -109,6 +104,18 @@ def kernel_factor_variance_categorical(ds: MixedDataset, lam) -> float:
     return float(variances.mean())
 
 
+def _max_lambda(ds: MixedDataset) -> np.ndarray:
+    """Per categorical variable, the largest lambda: (levels - 1) / levels."""
+    return np.array([(l - 1) / l for l in ds.n_levels])
+
+
+def offset_lambda(ds: MixedDataset, offset: float) -> np.ndarray:
+    """Categorical bandwidths a fixed offset below their maximum:
+    lambda_j = clip((levels_j - 1)/levels_j - offset, 0, (levels_j - 1)/levels_j)."""
+    upper = _max_lambda(ds)
+    return np.clip(upper - offset, 0.0, upper)
+
+
 def select_lambda(ds: MixedDataset, s, categorical_weight: float = 1.0) -> np.ndarray:
     """Pick the categorical bandwidth vector by variance matching.
 
@@ -121,15 +128,15 @@ def select_lambda(ds: MixedDataset, s, categorical_weight: float = 1.0) -> np.nd
     in which case alpha clamps to 0 with a warning.
 
     With no continuous variables the matching target is undefined and the
-    fallback lambda_j = max(0, (levels_j - 1)/levels_j - 0.2) is returned.
+    fallback ``offset_lambda(ds, 0.2)`` is returned.
     """
     if ds.p_cat < 1:
         raise SchemaError("select_lambda needs at least one categorical variable")
     if categorical_weight <= 0:
         raise ValueError("categorical weight must be positive")
-    upper = np.array([(l - 1) / l for l in ds.n_levels])
     if ds.p_cont == 0:
-        return np.maximum(0.0, upper - 0.2)
+        return offset_lambda(ds, _FALLBACK_LAMBDA_OFFSET)
+    upper = _max_lambda(ds)
 
     def variance_at(alpha: float) -> float:
         return kernel_factor_variance_categorical(ds, alpha * upper)
@@ -165,12 +172,17 @@ def select_lambda(ds: MixedDataset, s, categorical_weight: float = 1.0) -> np.nd
     return alpha * upper
 
 
+def choose_s(ds: MixedDataset, spec: BalanceSpec) -> float:
+    """The continuous bandwidth a BalanceSpec gives: ``s_value`` if pinned,
+    else ``default_s``; 1.0 (unused) without continuous variables."""
+    if ds.p_cont < 1:
+        return 1.0
+    return spec.s_value if spec.s_value is not None else default_s(ds, spec.s_multiplier)
+
+
 def choose_bandwidths(ds: MixedDataset, spec: BalanceSpec = BalanceSpec()) -> Bandwidths:
     """Resolve a BalanceSpec into concrete bandwidths for a dataset."""
-    if ds.p_cont >= 1:
-        s = spec.s_value if spec.s_value is not None else default_s(ds, spec.s_multiplier)
-    else:
-        s = 1.0  # unused without continuous variables
+    s = choose_s(ds, spec)
     lam = (
         select_lambda(ds, s, spec.categorical_weight) if ds.p_cat >= 1 else np.empty(0)
     )

@@ -125,13 +125,6 @@ def _pam_swap(d, medoids, max_iter):
     return medoids
 
 
-def pam_labels(d, medoids):
-    """Assign each point to its nearest medoid (ties toward the medoid
-    earliest in sorted order); labels index the sorted medoid list."""
-    medoids = sorted(medoids)
-    return np.argmin(d[:, medoids], axis=1), medoids
-
-
 def pam_fit(
     gm: GowerMatrix,
     k: int,
@@ -141,7 +134,9 @@ def pam_fit(
 ) -> np.ndarray:
     """PAM: restart 0 initializes with BUILD (deterministic); further
     restarts draw random initial medoid sets.  Best final total
-    dissimilarity wins, ties to the lower restart index."""
+    dissimilarity wins, ties to the lower restart index.  Each point is
+    labelled by its nearest medoid (ties toward the medoid earliest in sorted
+    order); labels index the sorted medoid list."""
     d = gm.matrix
     n = d.shape[0]
     if not 1 <= k <= n:
@@ -158,8 +153,7 @@ def pam_fit(
         cost = float(d1.sum())
         if best is None or cost < best[0] - 1e-12:
             best = (cost, medoids)
-    labels, _ = pam_labels(d, best[1])
-    return labels
+    return np.argmin(d[:, sorted(best[1])], axis=1)
 
 
 def _kproto_costs(ds, centers, modes, gamma):

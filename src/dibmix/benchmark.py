@@ -10,7 +10,7 @@ is emitted per (cell, replicate, method) whether the run succeeded or not.
 import csv
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import product
 from statistics import mean, median
 
@@ -28,24 +28,6 @@ METHOD_DIBMIX = "dibmix"
 METHOD_KPROTOTYPES = "kprototypes"
 METHOD_GOWER_PAM = "gower_pam"
 METHOD_NAMES = (METHOD_DIBMIX, METHOD_KPROTOTYPES, METHOD_GOWER_PAM)
-
-RESULT_COLUMNS = (
-    "cell",
-    "n",
-    "p_c",
-    "p_d",
-    "levels",
-    "overlap_cont",
-    "overlap_cat",
-    "balance",
-    "replicate",
-    "method",
-    "status",
-    "ari",
-    "effective_k",
-    "runtime_s",
-    "error",
-)
 
 FACTOR_COLUMNS = ("n", "p_c", "p_d", "levels", "overlap_cont", "overlap_cat", "balance")
 
@@ -116,23 +98,15 @@ class ResultRow:
     error: str = ""
 
     def as_record(self) -> dict:
-        return {
-            "cell": self.cell,
-            "n": self.n,
-            "p_c": self.p_c,
-            "p_d": self.p_d,
-            "levels": self.levels,
-            "overlap_cont": repr(self.overlap_cont),
-            "overlap_cat": repr(self.overlap_cat),
-            "balance": self.balance,
-            "replicate": self.replicate,
-            "method": self.method,
-            "status": self.status,
-            "ari": "" if self.ari is None else repr(self.ari),
-            "effective_k": "" if self.effective_k is None else self.effective_k,
-            "runtime_s": "" if self.runtime_s is None else f"{self.runtime_s:.6f}",
-            "error": self.error,
-        }
+        """The row as a results.csv record: empty cells for missing values,
+        runtime to the microsecond."""
+        record = {k: "" if v is None else v for k, v in asdict(self).items()}
+        if self.runtime_s is not None:
+            record["runtime_s"] = f"{self.runtime_s:.6f}"
+        return record
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _run_method(method, labeled, plan, method_seed):

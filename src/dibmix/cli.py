@@ -14,6 +14,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 import scipy
@@ -22,8 +23,9 @@ from . import __version__
 from .bandwidth import (
     DEFAULT_S_MULTIPLIER,
     BalanceSpec,
-    default_s,
-    select_lambda,
+    choose_bandwidths,
+    choose_s,
+    offset_lambda,
 )
 from .baselines import (
     KPROTO_DEFAULT_RESTARTS,
@@ -50,7 +52,13 @@ from .dataset import (
     standardize,
     write_csv,
 )
-from .dib import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, beta_sweep, dib_fit_density
+from .dib import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_RESTARTS,
+    BetaSweepRow,
+    beta_sweep,
+    dib_fit_density,
+)
 from .errors import (
     DegenerateSmoothingError,
     DibmixError,
@@ -147,27 +155,25 @@ def _maybe_subsample(ds, args):
 
 
 def _resolve_bandwidths(ds, args) -> Bandwidths:
-    """CLI overrides take precedence over the balancing heuristic."""
-    if args.s is not None:
-        s = args.s
+    """``choose_bandwidths`` under the --s, --s-multiplier and
+    --categorical-weight flags; --lambda or --lambda-offset replace its lambda."""
+    spec = BalanceSpec(
+        categorical_weight=args.categorical_weight,
+        s_value=args.s,
+        s_multiplier=args.s_multiplier,
+    )
+    if args.lam is None and args.lambda_offset is None:
+        bw = choose_bandwidths(ds, spec)
     else:
-        s = default_s(ds, args.s_multiplier) if ds.p_cont else 1.0
-    if args.lam is not None:
-        values = _parse_list(args.lam, float)
-        if len(values) == 1:
-            lam = np.full(ds.p_cat, values[0])
-        elif len(values) == ds.p_cat:
-            lam = np.array(values)
+        if args.lam is not None:
+            lam = np.array(_parse_list(args.lam, float))
+            if lam.size == 1:
+                lam = np.full(ds.p_cat, lam[0])
+            elif lam.size != ds.p_cat:
+                raise ValueError(f"--lambda needs 1 or {ds.p_cat} values, got {lam.size}")
         else:
-            raise ValueError(
-                f"--lambda needs 1 or {ds.p_cat} values, got {len(values)}"
-            )
-    elif args.lambda_offset is not None:
-        upper = np.array([(l - 1) / l for l in ds.n_levels])
-        lam = np.clip(upper - args.lambda_offset, 0.0, upper)
-    else:
-        lam = select_lambda(ds, s, categorical_weight=args.categorical_weight)
-    bw = Bandwidths(s=s, lam=lam)
+            lam = offset_lambda(ds, args.lambda_offset)
+        bw = Bandwidths(s=choose_s(ds, spec), lam=lam)
     bw.validate_for(ds)
     return bw
 
@@ -324,12 +330,7 @@ def cmd_datagen(args) -> int:
         for label in labeled.truth:
             writer.writerow([int(label)])
     sidecar = {
-        "spec": {
-            "n": spec.n, "p_c": spec.p_c, "p_d": spec.p_d,
-            "levels": list(spec.levels),
-            "overlap_cont": spec.overlap_cont, "overlap_cat": spec.overlap_cat,
-            "balance": spec.balance, "seed": spec.seed,
-        },
+        "spec": asdict(spec),
         "delta": labeled.delta,
         "categorical_masses": [
             {"pi1": pi1.tolist(), "pi2": pi2.tolist()} for pi1, pi2 in labeled.cat_masses
@@ -387,16 +388,7 @@ def cmd_benchmark(args) -> int:
     rows = run_benchmark(plan, threads=threads, progress=progress)
     write_results_csv(results_path, rows)
     write_aggregates_csv(medians_path, means_path, rows)
-    _write_manifest(outdir, "benchmark", {
-        "ns": list(plan.ns), "p_cs": list(plan.p_cs), "p_ds": list(plan.p_ds),
-        "levels": list(plan.levels),
-        "overlaps_cont": list(plan.overlaps_cont),
-        "overlaps_cat": list(plan.overlaps_cat),
-        "balances": list(plan.balances), "replicates": plan.replicates,
-        "methods": list(plan.methods), "seed": plan.seed, "k": plan.k,
-        "beta": plan.beta, "restarts": plan.restarts, "max_iter": plan.max_iter,
-        "categorical_weight": plan.categorical_weight,
-    })
+    _write_manifest(outdir, "benchmark", asdict(plan))
     n_failed = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {results_path} ({len(rows)} rows, {n_failed} failed)")
     print(f"wrote {medians_path}")
@@ -416,14 +408,8 @@ def cmd_sweep_beta(args) -> int:
     curve_path = os.path.join(outdir, "curve.csv")
     with open(curve_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["beta", "compression", "relevance", "objective", "effective_k", "iterations"]
-        )
-        for row in sweep.rows:
-            writer.writerow([
-                repr(row.beta), repr(row.compression), repr(row.relevance),
-                repr(row.objective), row.effective_k, row.iterations,
-            ])
+        writer.writerow(f.name for f in fields(BetaSweepRow))
+        writer.writerows(astuple(row) for row in sweep.rows)
     payload = {
         "curve": sweep.as_columns(),
         "suggested_beta": sweep.suggested_beta,
@@ -465,6 +451,9 @@ def _add_io_flags(parser):
                         help="seeded uniform row subsample to this size")
     parser.add_argument("--no-standardize", action="store_true",
                         help="skip standardizing continuous columns")
+
+
+def _add_truth_flags(parser):
     parser.add_argument("--truth", default=None, help="CSV of true labels for ARI")
     parser.add_argument("--truth-column", default=None,
                         help="column name in the truth CSV")
@@ -510,6 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="fit DIB clusters to a CSV dataset")
     _add_io_flags(p)
+    _add_truth_flags(p)
     _add_bandwidth_flags(p)
     _add_run_flags(p, DEFAULT_RESTARTS)
     _add_threads_flag(p)
@@ -523,6 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="run a comparison method")
     _add_io_flags(p)
+    _add_truth_flags(p)
     _add_run_flags(p, None)
     p.add_argument("--method", choices=("kproto", "pam"), required=True)
     p.add_argument("--k", type=int, required=True, help="number of clusters")

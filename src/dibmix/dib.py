@@ -30,7 +30,7 @@ information bottleneck. Neural Computation 29.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy import sparse
@@ -228,33 +228,29 @@ class DibResult:
         return self.encoder.assign
 
     def to_dict(self) -> dict:
-        return {
-            "assignment": self.encoder.assign.tolist(),
-            "masses": self.encoder.masses.tolist(),
-            "beta": self.beta,
-            "compression": self.compression,
-            "relevance": self.relevance,
-            "objective": self.objective,
-            "effective_k": self.effective_k,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "cycle_detected": self.cycle_detected,
-            "restart_index": self.restart_index,
-            "seed": self.seed,
-            "objective_trace": [float(v) for v in self.objective_trace],
-            "restart_summary": [
-                {
-                    "restart": r.restart_index,
-                    "seed": r.seed,
-                    "objective": r.objective,
-                    "iterations": r.iterations,
-                    "effective_k": r.effective_k,
-                    "converged": r.converged,
-                    "cycle_detected": r.cycle_detected,
-                }
+        record = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("encoder", "objective_trace", "restart_summary")
+        }
+        record.update(
+            assignment=self.encoder.assign.tolist(),
+            masses=self.encoder.masses.tolist(),
+            objective_trace=[float(v) for v in self.objective_trace],
+            # per restart, the record keeps neither H(T) nor I(T, Y)
+            restart_summary=[
+                {"restart": r.restart_index,
+                 **{f.name: getattr(r, f.name) for f in fields(r)
+                    if f.name not in ("restart_index", "compression", "relevance")}}
                 for r in self.restart_summary
             ],
-        }
+        )
+        return record
+
+
+def _project(cls, source):
+    """An instance of dataclass ``cls`` holding the same-named fields of ``source``."""
+    return cls(**{f.name: getattr(source, f.name) for f in fields(cls)})
 
 
 class _Chain:
@@ -374,20 +370,7 @@ def dib_fit_density(
         parts = [run(b) for b in blocks]
     results = [r for part in parts for r in part]
     best = min(results, key=lambda r: (r.objective, r.restart_index))
-    summary = tuple(
-        RestartSummary(
-            restart_index=r.restart_index,
-            seed=r.seed,
-            objective=r.objective,
-            compression=r.compression,
-            relevance=r.relevance,
-            iterations=r.iterations,
-            effective_k=r.effective_k,
-            converged=r.converged,
-            cycle_detected=r.cycle_detected,
-        )
-        for r in results
-    )
+    summary = tuple(_project(RestartSummary, r) for r in results)
     return replace(best, restart_summary=summary)
 
 
@@ -433,14 +416,7 @@ class BetaSweepResult:
     suggested_beta: float = None
 
     def as_columns(self) -> dict:
-        return {
-            "beta": [r.beta for r in self.rows],
-            "compression": [r.compression for r in self.rows],
-            "relevance": [r.relevance for r in self.rows],
-            "objective": [r.objective for r in self.rows],
-            "effective_k": [r.effective_k for r in self.rows],
-            "iterations": [r.iterations for r in self.rows],
-        }
+        return {f.name: [getattr(r, f.name) for r in self.rows] for f in fields(BetaSweepRow)}
 
 
 def beta_sweep(
@@ -468,16 +444,7 @@ def beta_sweep(
             density, ds.weights, k, beta, restarts=restarts, max_iter=max_iter,
             rng_seed=rng_seed, threads=threads,
         )
-        rows.append(
-            BetaSweepRow(
-                beta=beta,
-                compression=res.compression,
-                relevance=res.relevance,
-                objective=res.objective,
-                effective_k=res.effective_k,
-                iterations=res.iterations,
-            )
-        )
+        rows.append(_project(BetaSweepRow, res))
     suggested = None
     if len(rows) >= 3:
         b = np.array([r.beta for r in rows])

@@ -23,6 +23,7 @@ from dibmix import (
     kernel_factor_variance_continuous,
     select_lambda,
 )
+from dibmix.bandwidth import offset_lambda
 
 from conftest import random_mixed_dataset
 
@@ -266,11 +267,7 @@ def test_balance_spec_validation():
     with pytest.raises(ValueError):
         BalanceSpec(categorical_weight=0.0)
     with pytest.raises(ValueError):
-        BalanceSpec(s_rule="nope")
-    with pytest.raises(ValueError):
-        BalanceSpec(s_rule="user-supplied")
-    with pytest.raises(ValueError):
-        BalanceSpec(s_rule="user-supplied", s_value=-1.0)
+        BalanceSpec(s_value=-1.0)
 
 
 def test_choose_bandwidths_default_and_override():
@@ -279,7 +276,7 @@ def test_choose_bandwidths_default_and_override():
     bw = choose_bandwidths(ds)
     assert bw.s == pytest.approx(default_s(ds), rel=1e-15)
     assert bw.lam.shape == (1,)
-    pinned = choose_bandwidths(ds, BalanceSpec(s_rule="user-supplied", s_value=2.5))
+    pinned = choose_bandwidths(ds, BalanceSpec(s_value=2.5))
     assert pinned.s == 2.5
 
 
@@ -290,3 +287,11 @@ def test_choose_bandwidths_pure_continuous_and_pure_categorical():
     cat_only = _dataset(categorical=np.tile([0, 1, 2], 4), levels=(3,))
     bw2 = choose_bandwidths(cat_only)
     np.testing.assert_allclose(bw2.lam, [2.0 / 3.0 - 0.2])
+
+
+def test_offset_lambda_clips_to_range():
+    ds = _dataset(categorical=np.column_stack([np.tile([0, 1], 6), np.arange(12) % 5]),
+                  levels=(2, 5))
+    np.testing.assert_allclose(offset_lambda(ds, 0.2), [0.3, 0.6])
+    np.testing.assert_allclose(offset_lambda(ds, 0.7), [0.0, 0.1])
+    np.testing.assert_array_equal(offset_lambda(ds, -0.1), [0.5, 0.8])

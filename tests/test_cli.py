@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from dibmix import read_csv
+from dibmix import BalanceSpec, choose_bandwidths, read_csv, standardize
 from dibmix.cli import build_parser, main
 
 
@@ -26,6 +26,26 @@ def _write_labels(path, labels, column="truth"):
         writer.writerow([column])
         for v in labels:
             writer.writerow([v])
+
+
+def _write_table(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@pytest.fixture()
+def mixed_csv(tmp_path):
+    """Two continuous columns and two categorical ones (2 and 5 levels)."""
+    rng = np.random.default_rng(5)
+    n = 40
+    cont = rng.standard_normal((n, 2))
+    cat = np.column_stack([rng.integers(0, 2, n), rng.integers(0, 5, n)])
+    path = tmp_path / "mixed.csv"
+    _write_table(path, ["x1", "x2", "c1", "c2"],
+                 [[a, b, f"u{c}", f"v{d}"] for (a, b), (c, d) in zip(cont.tolist(), cat)])
+    return path
 
 
 @pytest.fixture()
@@ -173,6 +193,56 @@ def test_cluster_lambda_offset(tmp_path, separated_csv, capsys):
     assert result["bandwidths"]["lambda"] == [pytest.approx(0.4)]
 
 
+@pytest.mark.parametrize("flags, spec", [
+    ([], BalanceSpec()),
+    (["--s", "1.5", "--categorical-weight", "2"],
+     BalanceSpec(s_value=1.5, categorical_weight=2.0)),
+])
+def test_cluster_bandwidths_are_choose_bandwidths(tmp_path, mixed_csv, flags, spec, capsys):
+    out = tmp_path / "bw"
+    code = main([
+        "cluster", "--input", str(mixed_csv), "--categorical", "c1,c2",
+        "--k", "2", "--restarts", "2", *flags, "--output-dir", str(out),
+    ])
+    assert code == 0
+    capsys.readouterr()
+    bw = choose_bandwidths(standardize(read_csv(mixed_csv, categorical=["c1", "c2"])), spec)
+    result = json.loads((out / "result.json").read_text())
+    assert result["bandwidths"] == {"s": bw.s, "lambda": bw.lam.tolist()}
+
+
+def test_lambda_offset_matches_categorical_only_fallback(tmp_path, mixed_csv, capsys):
+    cat_only = tmp_path / "cat_only.csv"
+    with open(mixed_csv, newline="") as fh:
+        _write_table(cat_only, ["c1", "c2"], [row[2:] for row in list(csv.reader(fh))[1:]])
+    lams = []
+    for data, flags in ((mixed_csv, ["--lambda-offset", "0.2"]), (cat_only, [])):
+        out = tmp_path / data.stem
+        assert main([
+            "cluster", "--input", str(data), "--categorical", "c1,c2",
+            "--k", "2", "--restarts", "2", *flags, "--output-dir", str(out),
+        ]) == 0
+        lams.append(json.loads((out / "result.json").read_text())["bandwidths"]["lambda"])
+    capsys.readouterr()
+    # max(0, (l - 1)/l - 0.2) for 2 and 5 levels
+    assert lams[0] == lams[1] == pytest.approx([0.3, 0.6])
+
+
+def test_continuous_only_csv(tmp_path, capsys):
+    data = tmp_path / "cont.csv"
+    _write_table(data, ["x1", "x2"], np.random.default_rng(2).standard_normal((30, 2)).tolist())
+    common = ["--input", str(data), "--k", "2", "--restarts", "2"]
+    assert main(["cluster", *common, "--output-dir", str(tmp_path / "cl")]) == 0
+    assert main(["sweep-beta", *common, "--betas", "1,10,100",
+                 "--output-dir", str(tmp_path / "sw")]) == 0
+    capsys.readouterr()
+    result = json.loads((tmp_path / "cl" / "result.json").read_text())
+    assert result["bandwidths"] == {
+        "s": choose_bandwidths(standardize(read_csv(data))).s, "lambda": [],
+    }
+    assert len((tmp_path / "sw" / "curve.csv").read_text().splitlines()) == 4
+
+
 # ---------------------------------------------------------------------------
 # error envelope / exit codes
 
@@ -318,6 +388,18 @@ def test_threads_flag_only_on_subcommands_that_use_it():
     with pytest.raises(SystemExit):
         parser.parse_args(["baseline", "--input", "d.csv", "--method", "pam", "--k", "2",
                            "--threads", "2"])
+
+
+def test_truth_flags_only_on_cluster_and_baseline():
+    parser = build_parser()
+    for argv in (["cluster", "--input", "d.csv", "--k", "2"],
+                 ["baseline", "--input", "d.csv", "--method", "pam", "--k", "2"]):
+        args = parser.parse_args(argv + ["--truth", "x.csv", "--truth-column", "t"])
+        assert (args.truth, args.truth_column) == ("x.csv", "t")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-beta", "--input", "d.csv", "--k", "2", "--betas", "1",
+              "--truth", "x.csv"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,21 @@ non-uniform weights:
 - p(y|x) is row-stochastic and the marginal is the weighted mixture of rows;
 - the DIB objective is a function of the assignment alone, equal to
   H(T) - beta * I(T, Y) summed from the joint q(t, y);
-- relabelling clusters leaves the objective unchanged.
+- relabelling clusters leaves the objective unchanged;
+- for beta > 0, every observation has a finite score under its emitted
+  cluster.
 """
 
 import numpy as np
 import pytest
 
-from dibmix import Encoder, MixedDataset, estimate_conditional, objective
+from dibmix import (
+    Encoder,
+    MixedDataset,
+    dib_fit_density,
+    estimate_conditional,
+    objective,
+)
 
 from conftest import dib_objective_oracle, random_bandwidths, random_mixed_dataset
 
@@ -65,3 +73,20 @@ def test_objective_invariant_under_label_permutation(seed, k):
     b = objective(Encoder.from_assignment(perm[assign], k, density, ds.weights), density, beta)
     for x, y in zip(a, b):
         assert x == pytest.approx(y, abs=1e-12 * (1 + beta))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_emitted_assignment_has_finite_score(seed):
+    rng, ds, density = _weighted_case(seed)
+    k = int(rng.integers(1, min(5, ds.n) + 1))
+    beta = float(rng.uniform(0.1, 100))
+    enc = dib_fit_density(density, ds.weights, k, beta, restarts=3, rng_seed=seed).encoder
+    p = density.matrix
+    for x, t in enumerate(enc.assign):
+        # score(x, t) = log q(t) - beta * KL(p(.|x) || q(.|t)), summed over
+        # the support of p(.|x); a zero q(y|t) there makes it -inf.
+        support = p[x] > 0
+        with np.errstate(divide="ignore"):
+            log_ratio = np.log(p[x, support]) - np.log(enc.decoder[t, support])
+            score = np.log(enc.masses[t]) - beta * np.sum(p[x, support] * log_ratio)
+        assert np.isfinite(score), (x, t)
