@@ -6,6 +6,11 @@ conditional density p(y | x): the categorical lambdas are scaled so that the
 mean variance of pairwise categorical kernel values matches the mean variance
 of pairwise continuous kernel values, optionally reweighted by the user.
 A Silverman-type n^(-1/(4+p)) rate supplies the continuous default.
+
+The continuous variance is taken over all n^2 pairs in one pass over row
+blocks, as in the density (``kernels``), but without keeping any n x n array:
+values are measured from the diagonal value, so the constant 1/sqrt(2 pi)
+enters only as a final factor, and block moments are merged pairwise.
 """
 
 import warnings
@@ -15,7 +20,7 @@ import numpy as np
 
 from .dataset import MixedDataset
 from .errors import SchemaError
-from .kernels import Bandwidths, aitchison_aitken, gaussian_kernel
+from .kernels import Bandwidths, _block_rows, aitchison_aitken
 
 DEFAULT_S_MULTIPLIER = 3.0
 
@@ -60,18 +65,59 @@ def default_s(ds: MixedDataset, multiplier: float = DEFAULT_S_MULTIPLIER) -> flo
     return float(multiplier * ds.n ** (-1.0 / (4 + ds.p_cont)))
 
 
+def _merge_moments(a, b):
+    """Chan et al.'s pairwise update: (count, mean, M2) of two disjoint
+    samples merged into those of their union."""
+    count_a, mean_a, m2_a = a
+    count_b, mean_b, m2_b = b
+    count = count_a + count_b
+    delta = mean_b - mean_a
+    return (
+        count,
+        mean_a + delta * (count_b / count),
+        m2_a + m2_b + delta * delta * (count_a * count_b / count),
+    )
+
+
 def kernel_factor_variance_continuous(ds: MixedDataset, s) -> float:
     """Mean over continuous variables of the variance of pairwise Gaussian
-    kernel values, all n^2 ordered pairs (diagonal included)."""
+    kernel values, all n^2 ordered pairs (diagonal included).
+
+    No n x n array is built.  A pair's value is taken relative to the
+    diagonal value 1/sqrt(2 pi), as expm1(-d^2 / (2 s^2)) / sqrt(2 pi): the
+    variance is the same, and a near-constant kernel (large s) keeps its
+    small spread instead of losing it to rounding next to 1/sqrt(2 pi).  The
+    values are symmetric, so each block of rows is computed from its
+    diagonal block rightwards only, once per unordered pair: the diagonal
+    block weighs 1 and the part right of it 2, for its mirror image.  Block
+    means and sums of squared deviations are merged with Chan et al.'s
+    pairwise update, so a constant column gives exactly 0.
+    """
     if ds.p_cont < 1:
         raise SchemaError("no continuous variables")
     s = Bandwidths(s=s).s_per_variable(ds.p_cont)
+    n = ds.n
+    cols = np.ascontiguousarray((ds.continuous / (s * np.sqrt(2.0))).T)
+    rows = _block_rows(n)
+    tmp = np.empty(min(n, rows) * n)
     variances = np.empty(ds.p_cont)
-    for c in range(ds.p_cont):
-        col = ds.continuous[:, c]
-        values = gaussian_kernel(col[:, None] - col[None, :], s[c])
-        variances[c] = values.var()
-    return float(variances.mean())
+    for c, col in enumerate(cols):
+        total = (0.0, 0.0, 0.0)
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            block = tmp[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+            np.subtract(col[lo:hi, None], col[lo:], out=block)
+            np.square(block, out=block)
+            np.negative(block, out=block)
+            np.expm1(block, out=block)
+            diag, right = block[:, : hi - lo], block[:, hi - lo :]
+            count = diag.size + 2.0 * right.size
+            mean = (diag.sum() + 2.0 * right.sum()) / count
+            block -= mean
+            m2 = np.einsum("ij,ij->", diag, diag) + 2.0 * np.einsum("ij,ij->", right, right)
+            total = _merge_moments(total, (count, mean, m2))
+        variances[c] = total[2] / total[0]
+    return float(variances.mean() / (2.0 * np.pi))  # the 1/sqrt(2 pi) factor, squared
 
 
 def _match_fractions(ds: MixedDataset) -> np.ndarray:

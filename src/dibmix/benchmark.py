@@ -11,6 +11,7 @@ import csv
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from itertools import product
 from statistics import mean, median
 
@@ -109,21 +110,32 @@ class ResultRow:
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
-def _run_method(method, labeled, plan, method_seed):
-    data = labeled.data
+class _ReplicateData:
+    """One replicate's data, standardized at most once for the methods that
+    use it.  A failed standardization is not cached, so each such method
+    fails with the same error."""
+
+    def __init__(self, data):
+        self.data = data
+
+    @cached_property
+    def standardized(self):
+        return standardize(self.data)
+
+
+def _run_method(method, replicate, plan, method_seed):
     if method == METHOD_DIBMIX:
-        std = standardize(data)
+        std = replicate.standardized
         bw = choose_bandwidths(std, BalanceSpec(categorical_weight=plan.categorical_weight))
         res = dib_fit(std, plan.k, plan.beta, bw, restarts=plan.restarts,
                       max_iter=plan.max_iter, rng_seed=method_seed)
         return res.assign, res.effective_k
     if method == METHOD_KPROTOTYPES:
-        std = standardize(data)
-        labels = kprototypes_fit(std, plan.k, restarts=plan.restarts,
+        labels = kprototypes_fit(replicate.standardized, plan.k, restarts=plan.restarts,
                                  max_iter=plan.max_iter, rng_seed=method_seed)
         return labels, int(np.unique(labels).size)
     if method == METHOD_GOWER_PAM:
-        labels = pam_fit(gower(data), plan.k, restarts=plan.restarts,
+        labels = pam_fit(gower(replicate.data), plan.k, restarts=plan.restarts,
                          max_iter=plan.max_iter, rng_seed=method_seed)
         return labels, int(np.unique(labels).size)
     raise ValueError(f"unknown method {method!r}")
@@ -138,6 +150,7 @@ def _run_replicate(plan, cell_index, factors, rep):
         balance=factors["balance"], seed=data_seed,
     )
     labeled = generate(spec)
+    replicate = _ReplicateData(labeled.data)
     rows = []
     for method in plan.methods:
         method_seed = derive_seed(
@@ -145,7 +158,7 @@ def _run_replicate(plan, cell_index, factors, rep):
         )
         start = time.perf_counter()
         try:
-            labels, effective_k = _run_method(method, labeled, plan, method_seed)
+            labels, effective_k = _run_method(method, replicate, plan, method_seed)
             row = ResultRow(
                 cell=cell_index, replicate=rep, method=method, status="ok",
                 ari=float(ari(labeled.truth, labels)), effective_k=effective_k,
@@ -192,25 +205,21 @@ def write_results_csv(path, rows) -> None:
             writer.writerow(row.as_record())
 
 
+def _parse_cell(kind, text):
+    """A results.csv cell as its field's type; an empty cell is None unless
+    the field is a string."""
+    if kind is str:
+        return text
+    return None if text == "" else kind(text)
+
+
 def read_results_csv(path) -> tuple:
-    rows = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                ResultRow(
-                    cell=int(rec["cell"]), n=int(rec["n"]), p_c=int(rec["p_c"]),
-                    p_d=int(rec["p_d"]), levels=int(rec["levels"]),
-                    overlap_cont=float(rec["overlap_cont"]),
-                    overlap_cat=float(rec["overlap_cat"]), balance=rec["balance"],
-                    replicate=int(rec["replicate"]), method=rec["method"],
-                    status=rec["status"],
-                    ari=float(rec["ari"]) if rec["ari"] else None,
-                    effective_k=int(rec["effective_k"]) if rec["effective_k"] else None,
-                    runtime_s=float(rec["runtime_s"]) if rec["runtime_s"] else None,
-                    error=rec.get("error", ""),
-                )
-            )
-    return tuple(rows)
+        return tuple(
+            ResultRow(**{f.name: _parse_cell(f.type, rec[f.name])
+                         for f in fields(ResultRow) if f.name in rec})
+            for rec in csv.DictReader(fh)
+        )
 
 
 def method_medians(rows) -> dict:

@@ -27,7 +27,7 @@ class ZeroVarianceError(DibmixError):
 
 class DegenerateSmoothingError(DibmixError):
     """Smoothing parameters leave some observation with no admissible cluster
-    or an all-zero kernel row (only possible with zero categorical bandwidths)."""
+    (only possible with zero categorical bandwidths)."""
 
 
 class SizeCapError(DibmixError):

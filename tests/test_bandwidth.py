@@ -5,6 +5,7 @@ every pairwise kernel value with explicit loops and takes plain population
 variances.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,11 +20,13 @@ from dibmix import (
     VariableSchema,
     choose_bandwidths,
     default_s,
+    gaussian_kernel,
     kernel_factor_variance_categorical,
     kernel_factor_variance_continuous,
     select_lambda,
 )
 from dibmix.bandwidth import offset_lambda
+from dibmix.kernels import _block_rows
 
 from conftest import random_mixed_dataset
 
@@ -133,6 +136,58 @@ def test_variance_functions_match_brute_force():
         assert kernel_factor_variance_categorical(ds, lam) == pytest.approx(
             _brute_variance_categorical(ds, lam), rel=1e-10, abs=1e-15
         )
+
+
+def _stable_variance_continuous(ds, s):
+    """Population variance of all n^2 pairwise Gaussian kernel values from
+    the whole n x n array, averaged over continuous variables.  Values are
+    taken relative to the diagonal value 1/sqrt(2 pi) (the same variance), so
+    that at huge s the spread is not lost to rounding next to it."""
+    s = np.broadcast_to(np.asarray(s, dtype=float), (ds.p_cont,))
+    variances = []
+    for c in range(ds.p_cont):
+        d = ds.continuous[:, c, None] - ds.continuous[None, :, c]
+        vals = np.expm1(-(d * d) / (2 * s[c] * s[c])) / np.sqrt(2 * np.pi)
+        variances.append(((vals - vals.mean()) ** 2).mean())
+    return float(np.mean(variances))
+
+
+def test_variance_continuous_across_blocks_matches_brute_force():
+    n = 301  # odd, and more than two blocks of rows with a partial last block
+    rows = _block_rows(n)
+    assert 2 * rows < n and n % rows, "the case must span several blocks"
+    rng = np.random.default_rng(17)
+    cont = rng.standard_normal((n, 3)) * [1.0, 4.0, 1.0]
+    cont[:, 2] = 0.7  # a constant column
+    ds = _dataset(continuous=cont)
+    for s in (0.3, 1.0, np.array([0.5, 2.0, 1.0])):
+        got = kernel_factor_variance_continuous(ds, s)
+        assert got == pytest.approx(_stable_variance_continuous(ds, s), rel=1e-12, abs=0)
+        plain = np.mean([
+            gaussian_kernel(ds.continuous[:, c, None] - ds.continuous[None, :, c],
+                            np.broadcast_to(s, (3,))[c]).var()
+            for c in range(3)
+        ])
+        assert got == pytest.approx(plain, rel=1e-12, abs=0)
+    # At s = 1e6 the values spread by ~1e-13 around 1/sqrt(2 pi), where their
+    # own rounding is ~1e-17: only the shifted brute force resolves them.
+    huge = kernel_factor_variance_continuous(ds, 1e6)
+    assert 0 < huge == pytest.approx(_stable_variance_continuous(ds, 1e6), rel=1e-12, abs=0)
+    constant = _dataset(continuous=np.full((n, 2), -1.25))
+    assert abs(kernel_factor_variance_continuous(constant, 0.8)) <= 1e-30
+
+
+def test_variance_continuous_peak_memory():
+    # The pass allocates no n x n array.
+    n = 1200
+    ds = _dataset(continuous=np.random.default_rng(6).standard_normal((n, 3)))
+    tracemalloc.start()
+    try:
+        kernel_factor_variance_continuous(ds, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n * 8
 
 
 def test_variance_errors():

@@ -148,6 +148,37 @@ def test_results_csv_round_trip(tmp_path):
         )
 
 
+def test_results_csv_round_trip_missing_values_and_quoted_error(tmp_path):
+    common = dict(n=40, p_c=2, p_d=1, levels=3, overlap_cont=0.3, overlap_cat=0.6,
+                  balance=BALANCE_IMBALANCED, replicate=1)
+    rows = (
+        ResultRow(cell=0, method="dibmix", status="ok", ari=0.8125, effective_k=2,
+                  runtime_s=1.25, **common),
+        ResultRow(cell=0, method="kprototypes", status="error",
+                  error='ValueError: bad "x", and a comma', **common),
+        ResultRow(cell=3, method="gower_pam", status="error", runtime_s=0.5,
+                  error="", **common),
+    )
+    path = tmp_path / "results.csv"
+    write_results_csv(path, rows)
+    assert '"ValueError: bad ""x"", and a comma"' in path.read_text()
+    assert read_results_csv(path) == rows
+
+
+def test_replicate_standardized_once(monkeypatch):
+    calls = []
+    real = bench.standardize
+
+    def counting(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(bench, "standardize", counting)
+    rows = run_benchmark(_tiny_plan(methods=METHOD_NAMES, replicates=1, restarts=2))
+    assert all(r.status == "ok" for r in rows)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 

@@ -4,6 +4,8 @@ Expected numbers are either closed-form constants (1/sqrt(2*pi), indicator
 limits) or values recomputed here through the scalar oracle in conftest.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from dibmix import (
     CATEGORICAL,
     CONTINUOUS,
     Bandwidths,
-    DegenerateSmoothingError,
     MixedDataset,
     SchemaError,
     SizeCapError,
@@ -22,6 +23,7 @@ from dibmix import (
     kernel_matrix,
     product_kernel,
 )
+from dibmix.kernels import _block_rows
 
 from conftest import product_kernel_oracle, random_bandwidths, random_mixed_dataset
 
@@ -252,9 +254,64 @@ def test_estimate_conditional_size_cap():
     estimate_conditional(ds, Bandwidths(s=1.0), max_n=5)  # boundary admits n == max_n
 
 
-def test_estimate_conditional_degenerate_underflow():
-    # With 900 continuous variables the self term (1/sqrt(2*pi))^900
-    # underflows to exactly zero, so every row sum vanishes.
+def test_estimate_conditional_no_underflow_with_900_variables():
+    # The self term (1/sqrt(2*pi))^900 underflows to zero as a product, but
+    # the log-space pass divides it out before exp: identical points share
+    # their mass equally.
     ds = _dataset(continuous=np.zeros((2, 900)))
-    with pytest.raises(DegenerateSmoothingError):
-        estimate_conditional(ds, Bandwidths(s=1.0))
+    density = estimate_conditional(ds, Bandwidths(s=1.0))
+    np.testing.assert_array_equal(density.matrix, [[0.5, 0.5], [0.5, 0.5]])
+    np.testing.assert_array_equal(density.marginal_y, [0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# several row blocks
+
+def _multi_block_case():
+    n = 301  # odd, and more than two blocks of rows with a partial last block
+    rows = _block_rows(n)
+    assert 2 * rows < n and n % rows, "the case must span several blocks"
+    rng = np.random.default_rng(41)
+    ds = _dataset(
+        continuous=rng.standard_normal((n, 2)) * [1.0, 3.0],
+        categorical=np.column_stack([rng.integers(0, 3, n), rng.integers(0, 5, n)]),
+        levels=(3, 5),
+    )
+    bw = Bandwidths(s=np.array([0.4, 1.5]), lam=[0.0, 0.5])  # lambda 0: exact zeros
+    check_rows = [0, rows - 1, rows, 2 * rows + 5, n - 1]
+    return ds, bw, check_rows
+
+
+def test_estimate_conditional_matches_product_kernel_across_blocks():
+    ds, bw, check_rows = _multi_block_case()
+    density = estimate_conditional(ds, bw)
+    for i in check_rows:
+        kernel = np.array([product_kernel(ds, i, j, bw) for j in range(ds.n)])
+        assert np.any(kernel == 0.0)
+        np.testing.assert_allclose(density.matrix[i], kernel / kernel.sum(), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(density.matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert density.has_zeros
+
+
+def test_kernel_matrix_across_blocks_is_symmetric_product_kernel():
+    ds, bw, check_rows = _multi_block_case()
+    matrix = kernel_matrix(ds, bw)
+    np.testing.assert_array_equal(matrix, matrix.T)
+    for i in check_rows:
+        kernel = [product_kernel(ds, i, j, bw) for j in range(ds.n)]
+        np.testing.assert_allclose(matrix[i], kernel, rtol=1e-12, atol=0)
+
+
+def test_estimate_conditional_peak_memory():
+    # The output is the only n x n array the pass allocates.
+    n = 1200
+    rng = np.random.default_rng(5)
+    ds = random_mixed_dataset(rng, n=n, p_cont=3, p_cat=3)
+    bw = random_bandwidths(rng, ds)
+    tracemalloc.start()
+    try:
+        estimate_conditional(ds, bw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * 8
