@@ -7,6 +7,10 @@ mean variance of pairwise categorical kernel values matches the mean variance
 of pairwise continuous kernel values, optionally reweighted by the user.
 A Silverman-type n^(-1/(4+p)) rate supplies the continuous default.
 
+The balance is solved in closed form: on the lambdas' shared scale alpha,
+match and mismatch kernel values differ by exactly 1 - alpha, so the mean
+categorical variance is (1 - alpha)^2 times its alpha = 0 value.
+
 The continuous variance is taken over all n^2 pairs in one pass over row
 blocks, as in the density (``kernels``), but without keeping any n x n array:
 values are measured from the diagonal value, so the constant 1/sqrt(2 pi)
@@ -24,7 +28,6 @@ from .kernels import Bandwidths, _block_rows, aitchison_aitken
 
 DEFAULT_S_MULTIPLIER = 3.0
 
-_BISECT_ITER = 100
 _FALLBACK_LAMBDA_OFFSET = 0.2
 
 
@@ -42,7 +45,7 @@ class BalanceSpec:
     s_multiplier: float = DEFAULT_S_MULTIPLIER
 
     def __post_init__(self):
-        if self.categorical_weight <= 0:
+        if not self.categorical_weight > 0:
             raise ValueError("categorical weight must be positive")
         if self.s_value is not None and self.s_value <= 0:
             raise ValueError("s must be positive")
@@ -120,33 +123,24 @@ def kernel_factor_variance_continuous(ds: MixedDataset, s) -> float:
     return float(variances.mean() / (2.0 * np.pi))  # the 1/sqrt(2 pi) factor, squared
 
 
-def _match_fractions(ds: MixedDataset) -> np.ndarray:
-    """Per categorical variable: fraction of the n^2 ordered pairs that agree."""
-    out = np.empty(ds.p_cat)
-    for d in range(ds.p_cat):
-        col = ds.categorical[:, d]
-        counts = np.bincount(col, minlength=ds.categorical_vars[d].n_levels)
-        out[d] = (counts.astype(float) ** 2).sum() / ds.n**2
-    return out
-
-
 def kernel_factor_variance_categorical(ds: MixedDataset, lam) -> float:
     """Mean over categorical variables of the variance of pairwise
     Aitchison-Aitken kernel values (same pair convention as the continuous
-    counterpart)."""
+    counterpart).  A variable whose n^2 ordered pairs agree with fraction m
+    takes the match value a on m of them and the mismatch value b on the
+    rest, so its variance is m (1 - m) (a - b)^2."""
     if ds.p_cat < 1:
         raise SchemaError("no categorical variables")
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if lam.shape != (ds.p_cat,):
         raise SchemaError(f"lambda vector must have length {ds.p_cat}")
-    match = _match_fractions(ds)
     variances = np.empty(ds.p_cat)
     for d, var in enumerate(ds.categorical_vars):
+        counts = np.bincount(ds.categorical[:, d], minlength=var.n_levels)
+        m = (counts.astype(float) ** 2).sum() / ds.n**2
         a = aitchison_aitken(True, lam[d], var.n_levels)
         b = aitchison_aitken(False, lam[d], var.n_levels)
-        m = match[d]
-        mean = m * a + (1 - m) * b
-        variances[d] = m * (a - mean) ** 2 + (1 - m) * (b - mean) ** 2
+        variances[d] = m * (1 - m) * (a - b) ** 2
     return float(variances.mean())
 
 
@@ -166,28 +160,26 @@ def select_lambda(ds: MixedDataset, s, categorical_weight: float = 1.0) -> np.nd
     """Pick the categorical bandwidth vector by variance matching.
 
     All lambdas share one scale alpha in [0, 1] via
-    lambda_j = alpha * (levels_j - 1) / levels_j.  Alpha is bisected until the
-    mean pairwise categorical kernel variance equals
-    ``categorical_weight`` x the continuous one.  The variance is continuous
-    and strictly decreasing in alpha (zero at alpha = 1, the constant kernel),
-    so the target is always reachable unless it exceeds the alpha = 0 maximum,
-    in which case alpha clamps to 0 with a warning.
+    lambda_j = alpha * (levels_j - 1) / levels_j, and the mean pairwise
+    categorical kernel variance is then (1 - alpha)^2 * V_cat(0).  Setting it
+    equal to ``categorical_weight`` x the continuous one, target, gives
+    alpha = 1 - sqrt(target / V_cat(0)) in closed form; a zero target gives
+    the constant kernel, alpha = 1.  The formula's domain has two edges: all
+    categorical columns constant (V_cat(0) = 0, every lambda balances) returns
+    mid-range lambdas with a warning, and a target above V_cat(0) clamps alpha
+    to 0 with a warning.
 
     With no continuous variables the matching target is undefined and the
     fallback ``offset_lambda(ds, 0.2)`` is returned.
     """
     if ds.p_cat < 1:
         raise SchemaError("select_lambda needs at least one categorical variable")
-    if categorical_weight <= 0:
+    if not categorical_weight > 0:
         raise ValueError("categorical weight must be positive")
     if ds.p_cont == 0:
         return offset_lambda(ds, _FALLBACK_LAMBDA_OFFSET)
     upper = _max_lambda(ds)
-
-    def variance_at(alpha: float) -> float:
-        return kernel_factor_variance_categorical(ds, alpha * upper)
-
-    max_var = variance_at(0.0)
+    max_var = kernel_factor_variance_categorical(ds, np.zeros(ds.p_cat))
     if max_var == 0.0:
         warnings.warn(
             "all categorical columns are constant; kernel variance is zero for "
@@ -197,8 +189,6 @@ def select_lambda(ds: MixedDataset, s, categorical_weight: float = 1.0) -> np.nd
         return 0.5 * upper
 
     target = categorical_weight * kernel_factor_variance_continuous(ds, s)
-    if target == 0.0:
-        return upper.copy()
     if target > max_var:
         warnings.warn(
             f"balance target {target:.3e} exceeds the maximum categorical kernel "
@@ -206,16 +196,7 @@ def select_lambda(ds: MixedDataset, s, categorical_weight: float = 1.0) -> np.nd
             stacklevel=2,
         )
         return np.zeros(ds.p_cat)
-
-    lo, hi = 0.0, 1.0  # variance_at(lo) >= target >= variance_at(hi)
-    for _ in range(_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        if variance_at(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
-    return alpha * upper
+    return (1.0 - np.sqrt(target / max_var)) * upper
 
 
 def choose_s(ds: MixedDataset, spec: BalanceSpec) -> float:

@@ -67,6 +67,8 @@ class BenchmarkPlan:
         unknown = set(self.methods) - set(METHOD_NAMES)
         if unknown or not self.methods:
             raise ValueError(f"methods must be a non-empty subset of {METHOD_NAMES}")
+        # a bad weight is a usage error, not an error row for every replicate
+        BalanceSpec(categorical_weight=self.categorical_weight)
 
     def cells(self) -> tuple:
         """Factor combinations in canonical order; the position is the cell id."""

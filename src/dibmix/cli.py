@@ -559,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p, DEFAULT_RESTARTS)
     _add_threads_flag(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--betas", required=True, help="comma-separated beta grid")
+    p.add_argument("--betas", required=True,
+                   help="comma-separated, strictly increasing beta grid")
     p.set_defaults(func=cmd_sweep_beta)
 
     p = sub.add_parser("score", help="Adjusted Rand Index between two label files")

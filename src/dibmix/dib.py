@@ -431,12 +431,15 @@ def beta_sweep(
     max_n: int = DEFAULT_MAX_N,
 ) -> BetaSweepResult:
     """Fit once per beta (same seed, so initializations are shared) and
-    tabulate H(T), I(T, Y) and the effective cluster count."""
+    tabulate H(T), I(T, Y) and the effective cluster count.  ``betas`` must
+    be strictly increasing, so that grid neighbours are curve neighbours."""
     betas = [float(b) for b in betas]
     if not betas:
         raise ValueError("betas must be non-empty")
     if any(b < 0 for b in betas):
         raise ValueError("betas must be nonnegative")
+    if not all(lo < hi for lo, hi in zip(betas, betas[1:])):
+        raise ValueError("betas must be strictly increasing")
     density = estimate_conditional(ds, bw, max_n=max_n)
     rows = []
     for beta in betas:

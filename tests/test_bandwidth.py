@@ -190,6 +190,22 @@ def test_variance_continuous_peak_memory():
     assert peak <= n * n * 8
 
 
+def test_variance_categorical_scales_as_one_minus_alpha_squared():
+    # On lambda = alpha * (levels - 1) / levels, match and mismatch values
+    # differ by 1 - alpha, which is the law select_lambda solves in closed form.
+    # Rounded, they differ by 1 - alpha within a few ulps of 1; that shows only
+    # at alpha = 1, where the squared difference is ~1e-32 instead of 0.
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        ds = random_mixed_dataset(rng, p_cat=int(rng.integers(2, 5)), max_levels=7)
+        upper = np.array([(l - 1) / l for l in ds.n_levels])
+        at_zero = kernel_factor_variance_categorical(ds, np.zeros(ds.p_cat))
+        for alpha in np.linspace(0.0, 1.0, 11):
+            assert kernel_factor_variance_categorical(ds, alpha * upper) == pytest.approx(
+                (1 - alpha) ** 2 * at_zero, rel=1e-12, abs=1e-30
+            )
+
+
 def test_variance_errors():
     with pytest.raises(SchemaError):
         kernel_factor_variance_continuous(_dataset(categorical=[0, 1], levels=(2,)), 1.0)
@@ -259,7 +275,7 @@ def test_select_lambda_hits_target_variance():
     lam = select_lambda(ds, s=1.0, categorical_weight=w)
     achieved = _brute_variance_categorical(ds, lam)
     target = 0.5 * max_var
-    assert abs(achieved - target) <= 1e-6 * (1.0 + target)
+    assert abs(achieved - target) <= 1e-12 * target
 
 
 def test_select_lambda_balance_residual_random():
@@ -279,7 +295,7 @@ def test_select_lambda_balance_residual_random():
         if np.all(lam == 0.0) or target > _brute_variance_categorical(ds, np.zeros(ds.p_cat)):
             continue  # clamped at the boundary: residual contract does not apply
         achieved = _brute_variance_categorical(ds, lam)
-        assert abs(achieved - target) <= 1e-6 * (1.0 + target)
+        assert abs(achieved - target) <= 1e-12 * target
         hits += 1
     assert hits >= 5  # the residual contract must actually have been exercised
 
@@ -310,8 +326,9 @@ def test_select_lambda_errors():
     with pytest.raises(SchemaError):
         select_lambda(ds, s=1.0)
     ds2 = _dataset(continuous=[0.0, 1.0], categorical=[0, 1], levels=(2,))
-    with pytest.raises(ValueError):
-        select_lambda(ds2, s=1.0, categorical_weight=0.0)
+    for weight in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            select_lambda(ds2, s=1.0, categorical_weight=weight)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +336,9 @@ def test_select_lambda_errors():
 
 
 def test_balance_spec_validation():
-    with pytest.raises(ValueError):
-        BalanceSpec(categorical_weight=0.0)
+    for weight in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            BalanceSpec(categorical_weight=weight)
     with pytest.raises(ValueError):
         BalanceSpec(s_value=-1.0)
 

@@ -60,6 +60,8 @@ def test_plan_validation():
         BenchmarkPlan(methods=("nope",))
     with pytest.raises(ValueError):
         BenchmarkPlan(methods=())
+    with pytest.raises(ValueError, match="categorical weight"):
+        BenchmarkPlan(categorical_weight=float("nan"))
 
 
 # ---------------------------------------------------------------------------

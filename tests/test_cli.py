@@ -332,6 +332,21 @@ def test_invalid_argument_error(tmp_path, separated_csv, capsys):
     assert err["code"] == "invalid_argument"
 
 
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--categorical-weight", "nan"],
+    ["sweep-beta", "--betas", "0,5,5,100"],
+])
+def test_invalid_balance_weight_and_beta_grid(tmp_path, separated_csv, argv, capsys):
+    data, _, _ = separated_csv
+    code = main([
+        *argv, "--input", str(data), "--categorical", "c1", "--k", "2",
+        "--restarts", "2", "--output-dir", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "invalid_argument"
+
+
 def test_threads_env_fallback(tmp_path, separated_csv, capsys, monkeypatch):
     data, _, _ = separated_csv
     monkeypatch.setenv("DIBMIX_THREADS", "2")

@@ -512,3 +512,8 @@ def test_beta_sweep_errors():
         beta_sweep(ds, k=2, bw=Bandwidths(s=1.0), betas=())
     with pytest.raises(ValueError):
         beta_sweep(ds, k=2, bw=Bandwidths(s=1.0), betas=(1.0, -2.0))
+    # a repeated beta divides by zero in the curvature; an unsorted grid
+    # takes it across points that are not neighbours
+    for betas in ((0.0, 5.0, 5.0, 100.0), (100.0, 5.0, 20.0, 0.0)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            beta_sweep(ds, k=2, bw=Bandwidths(s=1.0), betas=betas)
