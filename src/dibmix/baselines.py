@@ -19,6 +19,10 @@ from .seeding import STREAM_RESTART, derive_seed
 PAM_DEFAULT_RESTARTS = 1
 KPROTO_DEFAULT_RESTARTS = 100
 DEFAULT_MAX_ITER = 100
+# K-Prototypes chains per lock-step block are capped so that one cost
+# evaluation's (chains, n, k, variables) temporaries hold about this many
+# elements.
+_KPROTO_BLOCK_ELEMS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ def gower(ds: MixedDataset) -> GowerMatrix:
 def _nearest_two(d, medoids):
     """Distance to the nearest and second-nearest medoid, plus the nearest
     medoid's position in the ``medoids`` list."""
-    sub = d[:, medoids]
+    sub = d[:, list(medoids)]
     order = np.argsort(sub, axis=1, kind="stable")
     nearest_pos = order[:, 0]
     d1 = sub[np.arange(sub.shape[0]), nearest_pos]
@@ -92,37 +96,70 @@ def _pam_build(d, k):
     return medoids
 
 
-def _pam_swap(d, medoids, max_iter):
-    """Repeat the best strictly-improving (medoid, candidate) swap until
-    none exists or max_iter passes run out."""
+def _swap_pass(d, medoids):
+    """One SWAP pass: the best strictly-improving (medoid, candidate) swap
+    applied to the ordered medoid tuple, or None when no swap improves."""
     n = d.shape[0]
-    medoids = list(medoids)
-    for _ in range(max_iter):
-        d1, d2, nearest_pos = _nearest_two(d, medoids)
-        current = float(d1.sum())
-        is_medoid = np.zeros(n, dtype=bool)
-        is_medoid[medoids] = True
-        best_cost = current
-        best_swap = None
-        for pos in range(len(medoids)):
-            in_cluster = nearest_pos == pos
-            # Cost after swapping medoids[pos] for each candidate h, all h at
-            # once: points of the removed medoid fall back to min(d2, d(:,h)),
-            # everyone else to min(d1, d(:,h)).
-            after = (
-                np.minimum(d2[in_cluster, None], d[in_cluster]).sum(axis=0)
-                + np.minimum(d1[~in_cluster, None], d[~in_cluster]).sum(axis=0)
-            )
-            after[is_medoid] = np.inf
-            h = int(np.argmin(after))
-            if after[h] < best_cost - 1e-12:
-                best_cost = float(after[h])
-                best_swap = (pos, h)
-        if best_swap is None:
+    d1, d2, nearest_pos = _nearest_two(d, medoids)
+    is_medoid = np.zeros(n, dtype=bool)
+    is_medoid[list(medoids)] = True
+    best_cost = float(d1.sum())
+    best_swap = None
+    k = len(medoids)
+    members = [nearest_pos == pos for pos in range(k)]
+    rows = [d[in_cluster] for in_cluster in members]
+    for pos, in_cluster in enumerate(members):
+        # With two medoids, the points outside one cluster are the other's.
+        rest = rows[1 - pos] if k == 2 else d[~in_cluster]
+        # Cost after swapping medoids[pos] for each candidate h, all h at
+        # once: points of the removed medoid fall back to min(d2, d(:,h)),
+        # everyone else to min(d1, d(:,h)).
+        after = (
+            np.minimum(d2[in_cluster, None], rows[pos]).sum(axis=0)
+            + np.minimum(d1[~in_cluster, None], rest).sum(axis=0)
+        )
+        after[is_medoid] = np.inf
+        h = int(np.argmin(after))
+        if after[h] < best_cost - 1e-12:
+            best_cost = float(after[h])
+            best_swap = (pos, h)
+    if best_swap is None:
+        return None
+    pos, h = best_swap
+    return medoids[:pos] + (h,) + medoids[pos + 1:]
+
+
+def _pam_swap(d, medoids, max_iter, memo=None):
+    """Repeat the best strictly-improving swap until none exists or max_iter
+    passes run out.
+
+    SWAP is a pure function of ``d``, the ordered medoid list and the pass
+    budget.  ``memo`` maps each ordered list that an earlier call on the same
+    ``d`` carried to convergence to (final list, swaps it took from there).
+    A trajectory that reaches such a list with at least that many passes
+    left ends where the earlier one ended, so it stops there.  A trajectory
+    that runs out of budget records nothing.
+    """
+    memo = {} if memo is None else memo
+    state = tuple(int(m) for m in medoids)
+    path = []
+    while True:
+        hit = memo.get(state)
+        if hit is not None and hit[1] <= max_iter - len(path):
+            final, swaps = hit
             break
-        pos, h = best_swap
-        medoids[pos] = h
-    return medoids
+        if len(path) >= max_iter:
+            return list(state)
+        after = _swap_pass(d, state)
+        if after is None:
+            final, swaps = state, 0
+            memo[state] = (final, swaps)
+            break
+        path.append(state)
+        state = after
+    for back, visited in enumerate(reversed(path), start=1):
+        memo[visited] = (final, swaps + back)
+    return list(final)
 
 
 def pam_fit(
@@ -136,11 +173,19 @@ def pam_fit(
     restarts draw random initial medoid sets.  Best final total
     dissimilarity wins, ties to the lower restart index.  Each point is
     labelled by its nearest medoid (ties toward the medoid earliest in sorted
-    order); labels index the sorted medoid list."""
+    order); labels index the sorted medoid list.
+
+    The restarts share one SWAP memo (see ``_pam_swap``), so a restart that
+    joins a trajectory an earlier restart carried to convergence stops
+    there.  The answer is exactly that of running every restart alone.
+    """
     d = gm.matrix
     n = d.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    memo = {}
     best = None
     for r in range(restarts):
         if r == 0:
@@ -148,7 +193,7 @@ def pam_fit(
         else:
             rng = np.random.default_rng(derive_seed(rng_seed, STREAM_RESTART, r))
             medoids = list(rng.choice(n, size=k, replace=False))
-        medoids = _pam_swap(d, medoids, max_iter)
+        medoids = _pam_swap(d, medoids, max_iter, memo)
         d1, _, _ = _nearest_two(d, medoids)
         cost = float(d1.sum())
         if best is None or cost < best[0] - 1e-12:
@@ -157,15 +202,14 @@ def pam_fit(
 
 
 def _kproto_costs(ds, centers, modes, gamma):
-    """cost[i, t] = squared Euclidean to center t + gamma * mismatch count."""
-    n = ds.n
-    k = centers.shape[0]
-    cost = np.zeros((n, k))
+    """cost[c, i, t] = squared Euclidean distance from point i to chain c's
+    centre t + gamma * point i's mismatch count against chain c's mode t."""
+    cost = np.zeros((centers.shape[0], ds.n, centers.shape[1]))
     if ds.p_cont:
-        diff = ds.continuous[:, None, :] - centers[None, :, :]
-        cost += np.einsum("itj,itj->it", diff, diff)
+        diff = ds.continuous[None, :, None, :] - centers[:, None, :, :]
+        cost += np.einsum("citj,citj->cit", diff, diff)
     if ds.p_cat:
-        cost += gamma * (ds.categorical[:, None, :] != modes[None, :, :]).sum(axis=2)
+        cost += gamma * (ds.categorical[None, :, None, :] != modes[:, None, :, :]).sum(axis=3)
     return cost
 
 
@@ -189,21 +233,37 @@ def kprototypes_fit(
     """Huang's alternating algorithm: assign to the cheapest prototype, then
     refresh prototypes with per-cluster means and modes.  Empty clusters are
     reseeded with the point currently farthest from its own prototype.  Best
-    objective over restarts wins, ties to the lower restart index."""
+    objective over restarts wins, ties to the lower restart index.
+
+    The restarts advance in lock-step blocks (see ``_kproto_chains``); each
+    chain's labels and objective are bit-identical to running it alone.
+    """
     n = ds.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     if gamma is None:
         gamma = default_gamma(ds)
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng(derive_seed(rng_seed, STREAM_RESTART, r))
-        labels, obj = _kproto_chain(ds, k, gamma, max_iter, rng)
-        if best is None or obj < best[0] - 1e-12:
-            best = (obj, labels)
-    return best[1]
+    starts = np.array([
+        np.random.default_rng(derive_seed(rng_seed, STREAM_RESTART, r)).choice(
+            n, size=k, replace=False)
+        for r in range(restarts)
+    ])
+    per_block = max(1, _KPROTO_BLOCK_ELEMS // (n * k * max(1, ds.p_cont, ds.p_cat)))
+    labels, objectives = [], []
+    for lo in range(0, restarts, per_block):
+        block_labels, block_objectives = _kproto_chains(
+            ds, k, gamma, max_iter, starts[lo:lo + per_block])
+        labels.extend(block_labels)
+        objectives.extend(block_objectives)
+    best = 0
+    for r, obj in enumerate(objectives):
+        if obj < objectives[best] - 1e-12:
+            best = r
+    return labels[best]
 
 
 def kprototypes_chain(
@@ -218,49 +278,88 @@ def kprototypes_chain(
     non-increasing."""
     if gamma is None:
         gamma = default_gamma(ds)
+    start = np.random.default_rng(rng_seed).choice(ds.n, size=k, replace=False)
     trace = []
-    labels, obj = _kproto_chain(
-        ds, k, gamma, max_iter, np.random.default_rng(rng_seed), trace=trace
-    )
-    return labels, obj, tuple(trace)
+    labels, objectives = _kproto_chains(ds, k, gamma, max_iter, start[None], trace=trace)
+    return labels[0], objectives[0], tuple(trace)
 
 
-def _kproto_chain(ds, k, gamma, max_iter, rng, trace=None):
-    n = ds.n
-    start = rng.choice(n, size=k, replace=False)
-    centers = ds.continuous[start].astype(float)
-    modes = ds.categorical[start].copy()
+def _kproto_refresh(ds, labels, centers, modes):
+    """Set every chain's centres and modes, in place, to the means and modes
+    of its clusters under ``labels`` (chains, n); an empty cluster keeps its
+    prototype.  Returns which (chain, cluster) pairs have members."""
+    chains, k = centers.shape[:2]
+    group = (np.arange(chains)[:, None] * k + labels).ravel()
+    counts = np.bincount(group, minlength=chains * k).reshape(chains, k)
+    filled = counts > 0
+    if ds.p_cont == 1:
+        # The mean of one column is summed pairwise, which bincount cannot
+        # reproduce, so each cluster's mean is taken on its own.
+        for c, t in zip(*np.nonzero(filled)):
+            centers[c, t] = ds.continuous[labels[c] == t].mean(axis=0)
+    elif ds.p_cont:
+        # bincount adds a cluster's points one at a time in point order, as
+        # mean(axis=0) does over two or more columns.
+        sums = np.stack([
+            np.bincount(group, weights=np.tile(col, chains), minlength=chains * k)
+            for col in ds.continuous.T
+        ], axis=1).reshape(chains, k, ds.p_cont)
+        centers[filled] = sums[filled] / counts[filled][:, None]
+    if ds.p_cat:
+        levels = int(ds.categorical.max()) + 1
+        code = (group[:, None] * ds.p_cat + np.arange(ds.p_cat)) * levels + np.tile(
+            ds.categorical, (chains, 1))
+        tally = np.bincount(code.ravel(), minlength=chains * k * ds.p_cat * levels)
+        modes[filled] = tally.reshape(chains, k, ds.p_cat, levels).argmax(axis=3)[filled]
+    return filled
+
+
+def _kproto_chains(ds, k, gamma, max_iter, starts, trace=None):
+    """Iterate one chain per row of ``starts`` (the k points each chain's
+    prototypes start on) in lock-step, each until its labels stop changing
+    or ``max_iter`` assignments ran; return the chains' labels and
+    objectives.  ``trace`` collects a single chain's objective after every
+    prototype refresh."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    chains = len(starts)
+    labels_out, objectives = [None] * chains, [None] * chains
+    ids = np.arange(chains)
+    centers = ds.continuous[starts]
+    modes = ds.categorical[starts]
     labels = None
+
+    def finish(rows, cost):
+        fit = np.take_along_axis(cost, labels[:, :, None], axis=2)[:, :, 0]
+        if trace is not None:
+            trace.append(float(fit[0].sum()))
+        for row in rows:
+            labels_out[ids[row]] = labels[row].copy()
+            objectives[ids[row]] = float(fit[row].sum())
+
     for _ in range(max_iter):
         cost = _kproto_costs(ds, centers, modes, gamma)
-        new_labels = np.argmin(cost, axis=1)
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
+        new_labels = np.argmin(cost, axis=2)
+        if labels is not None:
+            done = (new_labels == labels).all(axis=1)
+            finish(np.flatnonzero(done), cost)
+            going = ~done
+            if not going.any():
+                return labels_out, objectives
+            ids, cost, new_labels = ids[going], cost[going], new_labels[going]
+            centers, modes = centers[going], modes[going]
         labels = new_labels
-        point_cost = cost[np.arange(n), labels]
-        for t in range(k):
-            members = labels == t
-            if not np.any(members):
-                continue
-            if ds.p_cont:
-                centers[t] = ds.continuous[members].mean(axis=0)
-            for j in range(ds.p_cat):
-                counts = np.bincount(ds.categorical[members, j])
-                modes[t, j] = int(np.argmax(counts))
+        filled = _kproto_refresh(ds, labels, centers, modes)
         # Empty clusters: move their prototype onto the worst-fit point
         # (farthest from its own prototype).  Labels are untouched, so the
         # empty cluster still contributes nothing and the objective stays
         # non-increasing; the point captures the cluster next assignment.
-        for t in range(k):
-            if not np.any(labels == t):
+        for row in np.flatnonzero(~filled.all(axis=1)):
+            point_cost = cost[row, np.arange(ds.n), labels[row]]
+            for t in np.flatnonzero(~filled[row]):
                 worst = int(np.argmax(point_cost))
-                if ds.p_cont:
-                    centers[t] = ds.continuous[worst]
-                modes[t] = ds.categorical[worst]
+                centers[row, t] = ds.continuous[worst]
+                modes[row, t] = ds.categorical[worst]
                 point_cost[worst] = -np.inf
-        if trace is not None:
-            step_cost = _kproto_costs(ds, centers, modes, gamma)
-            trace.append(float(step_cost[np.arange(n), labels].sum()))
-    cost = _kproto_costs(ds, centers, modes, gamma)
-    final = cost[np.arange(n), labels]
-    return labels, float(final.sum())
+    finish(range(len(ids)), _kproto_costs(ds, centers, modes, gamma))
+    return labels_out, objectives

@@ -22,6 +22,7 @@ from .baselines import gower, kprototypes_fit, pam_fit
 from .datagen import BALANCE_EQUAL, BALANCE_IMBALANCED, GenSpec, generate
 from .dataset import standardize
 from .dib import dib_fit
+from .errors import DibmixError
 from .metrics import ari
 from .seeding import STREAM_DATAGEN, STREAM_METHOD, derive_seed
 
@@ -58,8 +59,9 @@ class BenchmarkPlan:
         for name in ("ns", "p_cs", "p_ds", "levels", "overlaps_cont", "overlaps_cat",
                      "balances", "methods"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        # like a bad weight below: usage errors, not an error row per replicate
+        if min(self.replicates, self.restarts, self.max_iter) < 1:
+            raise ValueError("replicates, restarts and max_iter must be >= 1")
         grid_axes = (self.ns, self.p_cs, self.p_ds, self.levels,
                      self.overlaps_cont, self.overlaps_cat, self.balances)
         if any(len(axis) == 0 for axis in grid_axes):
@@ -166,7 +168,9 @@ def _run_replicate(plan, cell_index, factors, rep):
                 ari=float(ari(labeled.truth, labels)), effective_k=effective_k,
                 runtime_s=time.perf_counter() - start, **factors,
             )
-        except Exception as exc:  # noqa: BLE001 - failed runs become rows
+        # A method that rejects its data fails on this dataset and becomes a
+        # row; any other exception is a fault of the program and propagates.
+        except (DibmixError, ValueError) as exc:
             row = ResultRow(
                 cell=cell_index, replicate=rep, method=method, status="error",
                 runtime_s=time.perf_counter() - start,

@@ -107,9 +107,15 @@ def _ensure_outdir(path: str) -> str:
 
 
 def _write_json(path, payload) -> None:
+    """Write strict JSON.  The text is built before the file is opened, so a
+    NaN or infinity in the payload, which is a program fault, leaves no file
+    behind."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise RuntimeError(f"{os.path.basename(path)}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_manifest(outdir, command, parameters) -> None:

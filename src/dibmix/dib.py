@@ -29,6 +29,7 @@ Reference: Strouse, DJ and Schwab, D.J. (2017). The deterministic
 information bottleneck. Neural Computation 29.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -351,8 +352,8 @@ def dib_fit_density(
     """
     if restarts < 1 or max_iter < 1:
         raise ValueError("restarts and max_iter must be >= 1")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not 0 <= beta < math.inf:  # NaN fails too
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     n = density.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -436,8 +437,8 @@ def beta_sweep(
     betas = [float(b) for b in betas]
     if not betas:
         raise ValueError("betas must be non-empty")
-    if any(b < 0 for b in betas):
-        raise ValueError("betas must be nonnegative")
+    if not all(0 <= b < math.inf for b in betas):  # NaN fails too
+        raise ValueError("betas must be finite and nonnegative")
     if not all(lo < hi for lo, hi in zip(betas, betas[1:])):
         raise ValueError("betas must be strictly increasing")
     density = estimate_conditional(ds, bw, max_n=max_n)

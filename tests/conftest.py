@@ -12,7 +12,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dibmix import CATEGORICAL, CONTINUOUS, MixedDataset, VariableSchema
+from dibmix import CATEGORICAL, CONTINUOUS, MixedDataset, VariableSchema, default_gamma
+from dibmix.baselines import _pam_build
 from dibmix.dib import (
     _TRACE_RISE_TOL,
     DegenerateSmoothingError,
@@ -273,6 +274,122 @@ def dib_fit_density_oracle(density, weights, k, beta, restarts, max_iter, rng_se
     ]
     best = min(chains, key=lambda c: (c[0].objective, c[0].restart_index))
     return tuple(c[0] for c in chains), best[1], best[2]
+
+
+def _nearest_two_oracle(d, medoids):
+    sub = d[:, list(medoids)]
+    order = np.argsort(sub, axis=1, kind="stable")
+    rows = np.arange(sub.shape[0])
+    d2 = sub[rows, order[:, 1]] if len(medoids) > 1 else np.full(sub.shape[0], np.inf)
+    return sub[rows, order[:, 0]], d2, order[:, 0]
+
+
+def pam_swap_oracle(d, medoids, max_iter):
+    """SWAP from one start alone, with no memo: the best strictly-improving
+    swap per pass until none exists or ``max_iter`` passes ran."""
+    n = d.shape[0]
+    medoids = list(medoids)
+    for _ in range(max_iter):
+        d1, d2, nearest_pos = _nearest_two_oracle(d, medoids)
+        is_medoid = np.zeros(n, dtype=bool)
+        is_medoid[medoids] = True
+        best_cost, best_swap = float(d1.sum()), None
+        for pos in range(len(medoids)):
+            in_cluster = nearest_pos == pos
+            after = (
+                np.minimum(d2[in_cluster, None], d[in_cluster]).sum(axis=0)
+                + np.minimum(d1[~in_cluster, None], d[~in_cluster]).sum(axis=0)
+            )
+            after[is_medoid] = np.inf
+            h = int(np.argmin(after))
+            if after[h] < best_cost - 1e-12:
+                best_cost, best_swap = float(after[h]), (pos, h)
+        if best_swap is None:
+            break
+        medoids[best_swap[0]] = best_swap[1]
+    return medoids
+
+
+def pam_fit_oracle(gm, k, restarts, max_iter, rng_seed):
+    """PAM with every restart's SWAP run from scratch."""
+    d = gm.matrix
+    best = None
+    for r in range(restarts):
+        if r == 0:
+            medoids = _pam_build(d, k)
+        else:
+            rng = np.random.default_rng(derive_seed(rng_seed, STREAM_RESTART, r))
+            medoids = list(rng.choice(d.shape[0], size=k, replace=False))
+        medoids = pam_swap_oracle(d, medoids, max_iter)
+        cost = float(_nearest_two_oracle(d, medoids)[0].sum())
+        if best is None or cost < best[0] - 1e-12:
+            best = (cost, medoids)
+    return np.argmin(d[:, sorted(best[1])], axis=1)
+
+
+def _kproto_costs_oracle(ds, centers, modes, gamma):
+    cost = np.zeros((ds.n, centers.shape[0]))
+    if ds.p_cont:
+        diff = ds.continuous[:, None, :] - centers[None, :, :]
+        cost += np.einsum("itj,itj->it", diff, diff)
+    if ds.p_cat:
+        cost += gamma * (ds.categorical[:, None, :] != modes[None, :, :]).sum(axis=2)
+    return cost
+
+
+def kproto_chain_oracle(ds, k, gamma, max_iter, start):
+    """One K-Prototypes chain alone, from prototypes on the points ``start``,
+    with per-cluster means and modes; returns (labels, objective, trace)."""
+    n = ds.n
+    centers = ds.continuous[start].astype(float)
+    modes = ds.categorical[start].copy()
+    labels = None
+    trace = []
+    for _ in range(max_iter):
+        cost = _kproto_costs_oracle(ds, centers, modes, gamma)
+        new_labels = np.argmin(cost, axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        point_cost = cost[np.arange(n), labels]
+        for t in range(k):
+            members = labels == t
+            if not np.any(members):
+                continue
+            if ds.p_cont:
+                centers[t] = ds.continuous[members].mean(axis=0)
+            for j in range(ds.p_cat):
+                modes[t, j] = int(np.argmax(np.bincount(ds.categorical[members, j])))
+        for t in range(k):
+            if not np.any(labels == t):
+                worst = int(np.argmax(point_cost))
+                centers[t] = ds.continuous[worst]
+                modes[t] = ds.categorical[worst]
+                point_cost[worst] = -np.inf
+        step_cost = _kproto_costs_oracle(ds, centers, modes, gamma)
+        trace.append(float(step_cost[np.arange(n), labels].sum()))
+    cost = _kproto_costs_oracle(ds, centers, modes, gamma)
+    return labels, float(cost[np.arange(n), labels].sum()), tuple(trace)
+
+
+def kproto_starts(n, k, restarts, rng_seed):
+    """The points each K-Prototypes restart's prototypes start on."""
+    return np.array([
+        np.random.default_rng(derive_seed(rng_seed, STREAM_RESTART, r)).choice(
+            n, size=k, replace=False)
+        for r in range(restarts)
+    ])
+
+
+def kprototypes_fit_oracle(ds, k, gamma=None, restarts=100, max_iter=100, rng_seed=0):
+    """K-Prototypes with every restart run alone."""
+    gamma = default_gamma(ds) if gamma is None else gamma
+    best = None
+    for start in kproto_starts(ds.n, k, restarts, rng_seed):
+        labels, obj, _ = kproto_chain_oracle(ds, k, gamma, max_iter, start)
+        if best is None or obj < best[0] - 1e-12:
+            best = (obj, labels)
+    return best[1]
 
 
 @pytest.fixture(scope="session")

@@ -19,9 +19,18 @@ from dibmix import (
     pam_fit,
     standardize,
 )
-from dibmix.baselines import _pam_build, _pam_swap
+from dibmix import baselines
+from dibmix.baselines import _kproto_chains, _pam_build, _pam_swap
 
-from conftest import make_dataset, random_mixed_dataset
+from conftest import (
+    kproto_chain_oracle,
+    kproto_starts,
+    kprototypes_fit_oracle,
+    make_dataset,
+    pam_fit_oracle,
+    pam_swap_oracle,
+    random_mixed_dataset,
+)
 
 
 def _kproto_objective_from_labels(ds, labels, gamma, k):
@@ -270,3 +279,110 @@ def test_kproto_errors():
         kprototypes_fit(ds, k=3)
     with pytest.raises(ValueError):
         kprototypes_fit(ds, k=1, gamma=-0.5)
+
+
+# ---------------------------------------------------------------------------
+# exactness against the per-restart oracles in conftest
+
+
+def _repeated_rows(base, copies):
+    return make_dataset(
+        continuous=np.tile(base.continuous, (copies, 1)) if base.p_cont else None,
+        categorical=np.tile(base.categorical, (copies, 1)),
+        levels=base.n_levels,
+    )
+
+
+def _exactness_cases():
+    rng = np.random.default_rng(2024)
+    cases = [(f"random{i}", random_mixed_dataset(rng, n=int(rng.integers(20, 80))))
+             for i in range(5)]
+    cases.append(("one_continuous", random_mixed_dataset(rng, n=60, p_cont=1, p_cat=2)))
+    cases.append(("wide_continuous", random_mixed_dataset(rng, n=50, p_cont=6, p_cat=0)))
+    # Gower on categoricals alone takes few distinct values: many ties.
+    cases.append(("categorical_only",
+                  make_dataset(categorical=rng.integers(0, 2, size=(40, 2)), levels=(2, 2))))
+    cases.append(("duplicated_rows",
+                  _repeated_rows(random_mixed_dataset(rng, n=8, p_cont=2, p_cat=2), 4)))
+    # Three distinct points: with k > 3 some cluster is always empty, so
+    # K-Prototypes reseeds on every chain.
+    cases.append(("three_points",
+                  _repeated_rows(random_mixed_dataset(rng, n=3, p_cont=1, p_cat=1), 4)))
+    return cases
+
+
+EXACTNESS_CASES = _exactness_cases()
+
+
+@pytest.fixture(params=EXACTNESS_CASES, ids=[name for name, _ in EXACTNESS_CASES])
+def exactness_ds(request):
+    return request.param[1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("max_iter", [1, 2, 100])
+def test_pam_fit_matches_per_restart_oracle(exactness_ds, k, max_iter):
+    gm = gower(exactness_ds)
+    labels = pam_fit(gm, k, restarts=25, max_iter=max_iter, rng_seed=k)
+    expected = pam_fit_oracle(gm, k, restarts=25, max_iter=max_iter, rng_seed=k)
+    assert labels.dtype == expected.dtype
+    assert labels.tobytes() == expected.tobytes()
+
+
+def test_pam_swap_memo_budget_rule(exactness_ds):
+    # One memo across many starts with mixed budgets: a start that joins a
+    # recorded trajectory with too few passes left must run on by itself.
+    d = gower(exactness_ds).matrix
+    n = d.shape[0]
+    rng = np.random.default_rng(n)
+    memo = {}
+    for _ in range(60):
+        k = int(rng.integers(1, min(n, 4) + 1))
+        start = [int(v) for v in rng.choice(n, size=k, replace=False)]
+        budget = int(rng.choice([0, 1, 2, 3, 100]))
+        assert _pam_swap(d, start, budget, memo) == pam_swap_oracle(d, start, budget)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("max_iter", [1, 2, 100])
+def test_kproto_chains_match_oracle(exactness_ds, k, max_iter):
+    gamma = default_gamma(exactness_ds)
+    starts = kproto_starts(exactness_ds.n, k, restarts=20, rng_seed=k)
+    labels, objectives = _kproto_chains(exactness_ds, k, gamma, max_iter, starts)
+    for chain, start in enumerate(starts):
+        expected, obj, _ = kproto_chain_oracle(exactness_ds, k, gamma, max_iter, start)
+        assert labels[chain].dtype == expected.dtype
+        assert labels[chain].tobytes() == expected.tobytes()
+        assert objectives[chain] == obj
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_kprototypes_fit_matches_oracle_across_blocks(exactness_ds, k, monkeypatch):
+    expected = kprototypes_fit_oracle(exactness_ds, k, restarts=12, max_iter=100, rng_seed=3)
+    one_block = kprototypes_fit(exactness_ds, k, restarts=12, rng_seed=3)
+    # one chain's worth of elements per block: every restart in its own block
+    monkeypatch.setattr(baselines, "_KPROTO_BLOCK_ELEMS", 1)
+    many_blocks = kprototypes_fit(exactness_ds, k, restarts=12, rng_seed=3)
+    assert one_block.tobytes() == expected.tobytes()
+    assert many_blocks.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 100])
+def test_kprototypes_chain_trace_matches_oracle(exactness_ds, max_iter):
+    k = min(3, exactness_ds.n)
+    gamma = default_gamma(exactness_ds)
+    start = np.random.default_rng(7).choice(exactness_ds.n, size=k, replace=False)
+    labels, obj, trace = kprototypes_chain(exactness_ds, k, max_iter=max_iter, rng_seed=7)
+    expected = kproto_chain_oracle(exactness_ds, k, gamma, max_iter, start)
+    assert labels.tobytes() == expected[0].tobytes()
+    assert (obj, trace) == expected[1:]
+
+
+def test_baseline_restart_and_iteration_errors():
+    ds = make_dataset(continuous=[0.0, 1.0, 3.0])
+    with pytest.raises(ValueError):
+        pam_fit(gower(ds), k=1, restarts=0)
+    with pytest.raises(ValueError):
+        kprototypes_fit(ds, k=1, restarts=0)
+    with pytest.raises(ValueError):
+        kprototypes_fit(ds, k=1, max_iter=0)

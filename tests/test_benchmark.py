@@ -1,6 +1,8 @@
 """Benchmark-harness tests: grid construction, row contracts, aggregation,
 and scheduling-independence."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,9 @@ from dibmix import (
     write_aggregates_csv,
     write_results_csv,
 )
+from dibmix.errors import DegenerateSmoothingError
+
+from conftest import kprototypes_fit_oracle, pam_fit_oracle
 
 
 def _tiny_plan(**kw):
@@ -54,6 +59,10 @@ def test_plan_default_grid_has_288_cells():
 def test_plan_validation():
     with pytest.raises(ValueError):
         BenchmarkPlan(replicates=0)
+    with pytest.raises(ValueError, match="restarts"):
+        BenchmarkPlan(restarts=0)
+    with pytest.raises(ValueError, match="max_iter"):
+        BenchmarkPlan(max_iter=0)
     with pytest.raises(ValueError):
         BenchmarkPlan(ns=())
     with pytest.raises(ValueError):
@@ -99,7 +108,7 @@ def test_failed_runs_become_error_rows(monkeypatch):
 
     def flaky(method, labeled, plan, method_seed):
         if method == "gower_pam":
-            raise RuntimeError("synthetic failure")
+            raise DegenerateSmoothingError("synthetic failure")
         return real(method, labeled, plan, method_seed)
 
     monkeypatch.setattr(bench, "_run_method", flaky)
@@ -108,8 +117,49 @@ def test_failed_runs_become_error_rows(monkeypatch):
     failed = [r for r in rows if r.method == "gower_pam"]
     assert all(r.status == "error" for r in failed)
     assert all(r.ari is None and r.effective_k is None for r in failed)
-    assert all("RuntimeError: synthetic failure" in r.error for r in failed)
+    assert all("DegenerateSmoothingError: synthetic failure" in r.error for r in failed)
     assert all(r.status == "ok" for r in rows if r.method == "kprototypes")
+
+
+def test_value_error_becomes_error_row(monkeypatch):
+    def bad_k(*args, **kwargs):
+        raise ValueError("need 1 <= k <= n")
+
+    monkeypatch.setattr(bench, "pam_fit", bad_k)
+    rows = run_benchmark(_tiny_plan())
+    assert [r.status for r in rows] == ["ok", "error"] * 2
+    assert all(r.error == "ValueError: need 1 <= k <= n"
+               for r in rows if r.method == "gower_pam")
+
+
+def test_programming_error_propagates(monkeypatch):
+    # A TypeError is a bug in the program, not a method failing on a
+    # dataset, so no error row may hide it.
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(bench, "kprototypes_fit", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_benchmark(_tiny_plan())
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_benchmark(_tiny_plan(), threads=2)
+
+
+def test_baselines_match_per_restart_oracles(monkeypatch):
+    # The whole benchmark row set, all three methods, is the same whether
+    # the baselines come from the library or from the per-restart oracles.
+    plan = _tiny_plan(ns=(30, 45), p_cs=(1, 2), levels=(2, 4), methods=METHOD_NAMES,
+                      replicates=2, restarts=6, max_iter=100)
+
+    def stable(rows):  # runtime_s is wall-clock and legitimately varies
+        return [{k: v for k, v in asdict(r).items() if k != "runtime_s"} for r in rows]
+
+    library = run_benchmark(plan)
+    monkeypatch.setattr(bench, "pam_fit", pam_fit_oracle)
+    monkeypatch.setattr(bench, "kprototypes_fit", kprototypes_fit_oracle)
+    oracle = run_benchmark(plan)
+    assert all(r.status == "ok" for r in library)
+    assert stable(library) == stable(oracle)
 
 
 def test_benchmark_deterministic_and_thread_independent():

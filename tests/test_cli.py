@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dibmix import BalanceSpec, choose_bandwidths, read_csv, standardize
-from dibmix.cli import build_parser, main
+from dibmix.cli import _write_json, build_parser, main
 
 
 def _err(capsys):
@@ -345,6 +345,38 @@ def test_invalid_balance_weight_and_beta_grid(tmp_path, separated_csv, argv, cap
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "invalid_argument"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--beta", "nan"],
+    ["cluster", "--beta", "inf"],
+    ["sweep-beta", "--betas", "0,nan"],
+    ["sweep-beta", "--betas", "0,inf"],
+])
+def test_non_finite_beta_is_invalid_argument(tmp_path, separated_csv, argv, capsys):
+    data, _, _ = separated_csv
+    out = tmp_path / "o"
+    code = main([
+        *argv, "--input", str(data), "--categorical", "c1", "--k", "2",
+        "--restarts", "2", "--output-dir", str(out),
+    ])
+    assert code == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "invalid_argument"
+    assert "beta" in err["message"]
+    assert not (out / "result.json").exists()
+
+
+def test_write_json_rejects_nan_and_leaves_no_file(tmp_path):
+    path = tmp_path / "result.json"
+    with pytest.raises(RuntimeError, match="result.json"):
+        _write_json(path, {"objective": float("nan")})
+    assert not path.exists()
+    with pytest.raises(RuntimeError):
+        _write_json(path, {"trace": [1.0, float("inf")]})
+    assert not path.exists()
+    _write_json(path, {"objective": 1.5})
+    assert json.loads(path.read_text()) == {"objective": 1.5}
 
 
 def test_threads_env_fallback(tmp_path, separated_csv, capsys, monkeypatch):

@@ -454,8 +454,9 @@ def test_dib_fit_validation_errors():
         dib_fit(ds, k=11, beta=1.0, bw=bw)
     with pytest.raises(ValueError):
         dib_fit(ds, k=0, beta=1.0, bw=bw)
-    with pytest.raises(ValueError):
-        dib_fit(ds, k=2, beta=-1.0, bw=bw)
+    for beta in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta"):
+            dib_fit(ds, k=2, beta=beta, bw=bw)
     with pytest.raises(ValueError):
         dib_fit(ds, k=2, beta=1.0, bw=bw, restarts=0)
     with pytest.raises(ValueError):
@@ -512,6 +513,10 @@ def test_beta_sweep_errors():
         beta_sweep(ds, k=2, bw=Bandwidths(s=1.0), betas=())
     with pytest.raises(ValueError):
         beta_sweep(ds, k=2, bw=Bandwidths(s=1.0), betas=(1.0, -2.0))
+    # a one-point grid has no ordering to fail
+    for betas in ((float("nan"),), (float("inf"),), (0.0, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            beta_sweep(ds, k=2, bw=Bandwidths(s=1.0), betas=betas)
     # a repeated beta divides by zero in the curvature; an unsorted grid
     # takes it across points that are not neighbours
     for betas in ((0.0, 5.0, 5.0, 100.0), (100.0, 5.0, 20.0, 0.0)):
