@@ -23,7 +23,9 @@ and once for all their decoder refreshes.  A chain leaves the block when it
 converges, cycles or reaches its iteration cap.  ``threads > 1`` splits the
 restarts into contiguous blocks run on a thread pool.  Each chain's
 arithmetic does not depend on the block it runs in, so results are
-bit-identical for any thread count.
+bit-identical for any thread count.  The objective is summed per cluster
+in sorted order, so restarts that reach one partition under different
+labels tie exactly and the lowest restart index wins.
 
 Reference: Strouse, DJ and Schwab, D.J. (2017). The deterministic
 information bottleneck. Neural Computation 29.
@@ -38,7 +40,7 @@ from scipy import sparse
 
 from .dataset import MixedDataset
 from .errors import DegenerateSmoothingError
-from .infotheory import entropy, mutual_information
+from .infotheory import _as_distribution
 from .kernels import Bandwidths, ConditionalDensity, DEFAULT_MAX_N, estimate_conditional
 from .seeding import STREAM_RESTART, derive_seed
 
@@ -134,13 +136,24 @@ def init_random(n: int, k: int, rng_seed: int) -> Encoder:
     return Encoder(assign=assign, masses=masses)
 
 
+def _row_dots(a, b):
+    """out[x, t] = sum_y a[x, y] b[t, y] for ``a`` (m, n) and ``b`` (r, n).
+
+    Each entry is one BLAS ddot over two contiguous rows, so a chain's
+    column does not depend on how many chains ``b`` stacks, and OpenBLAS
+    runs ddot on one thread for n <= 10,000 (the default density cap).  A
+    BLAS matrix product is several times faster, but its output changes
+    with the BLAS thread count.
+    """
+    return np.vecdot(a[:, None, :], b[None])
+
+
 def _score_step(masses, decoder, density, beta):
     """One synchronous scoring pass for a stack of C chains.
 
     ``masses`` is (C, k) and ``decoder`` (C, k, n); returns the new
-    assignments, (C, n).  score[x, t] = log q(t) - beta * KL(p(.|x) || q(.|t)).
-    Uses einsum rather than BLAS so results are bit-identical regardless of
-    ambient threading.
+    assignments, (C, n).  score[x, t] = log q(t) - beta * KL(p(.|x) || q(.|t)),
+    with the cross term from ``_row_dots``.
     """
     chains, k, n = decoder.shape
     masses = masses.reshape(chains * k)
@@ -153,13 +166,12 @@ def _score_step(masses, decoder, density, beta):
         score = np.broadcast_to(log_masses, (n, chains * k)).copy()
     else:
         p = density.matrix
-        cross = np.einsum("xy,ty->xt", p, log_decoder)
-        kl = density.neg_entropy[:, None] - cross
+        kl = density.neg_entropy[:, None] - _row_dots(p, log_decoder)
         if density.has_zeros:
             # p(y|x) > 0 meeting q(y|t) = 0 makes the KL infinite for that
             # pair.  A sum of nonnegative terms is positive exactly when one
             # term is, so p itself serves as the support indicator.
-            hits = np.einsum("xy,ty->xt", p, (decoder == 0).astype(float))
+            hits = _row_dots(p, (decoder == 0).astype(float))
             kl[(hits > 0) & (masses > 0)[None, :]] = np.inf
         score = log_masses[None, :] - beta * kl
     score[:, masses == 0] = -np.inf
@@ -172,25 +184,61 @@ def _score_step(masses, decoder, density, beta):
     return np.argmax(score, axis=2).T  # ties resolve to the smallest cluster index
 
 
+def _check_weights(weights, n):
+    """``weights`` as floats: n finite, nonnegative values summing to 1."""
+    weights = _as_distribution(weights, "weights")
+    if weights.shape != (n,):
+        raise ValueError(f"weights have length {weights.shape[0]}, expected {n}")
+    return weights
+
+
 def dib_step(enc: Encoder, density: ConditionalDensity, beta: float, weights) -> Encoder:
     """One synchronous update of the encoder against a fixed density."""
-    weights = np.asarray(weights, dtype=float)
     if enc.assign.shape[0] != density.n:
         raise ValueError("encoder and density dimensions differ")
+    weights = _check_weights(weights, density.n)
     if enc.decoder is None:
         enc = Encoder.from_assignment(enc.assign, enc.k, density, weights)
     assign = _score_step(enc.masses[None], enc.decoder[None], density, beta)
     return Encoder.from_assignment(assign[0], enc.k, density, weights)
 
 
-def objective(enc: Encoder, density: ConditionalDensity, beta: float):
-    """Return (H(T) - beta * I(T, Y), H(T), I(T, Y)) for an encoder."""
+def _marginal(p_matrix, weights):
+    """p(y) = sum_x w(x) p(y | x), summed in x order: the decoder of the
+    one-cluster encoder."""
+    one_cluster = np.zeros((1, p_matrix.shape[0]), dtype=np.int64)
+    return _refresh(one_cluster, 1, p_matrix, weights)[1][0, 0]
+
+
+def _objectives(masses, decoder, p_y, beta):
+    """H(T) - beta * I(T, Y), H(T) and I(T, Y) of a stack of C chains.
+
+    ``masses`` is (C, k), ``decoder`` (C, k, n) and ``p_y`` (n,); returns
+    three (C,) arrays.  I(T, Y) = sum_t q(t) D_t with
+    D_t = sum_y q(y|t) log(q(y|t) / p(y)), one ddot along each decoder row.
+    A cluster's mass, decoder row and so its terms depend only on its member
+    set, and each chain's terms are sorted before they are added, so a
+    relabelled partition scores exactly the same.
+    """
+    live = decoder > 0
+    log_ratio = np.log(np.divide(decoder, p_y, out=np.ones_like(decoder), where=live))
+    divergence = np.vecdot(decoder, log_ratio)
+    q_log_q = masses * np.log(np.where(masses > 0, masses, 1.0))
+    h = -np.sort(q_log_q, axis=1).sum(axis=1)
+    i = np.sort(masses * divergence, axis=1).sum(axis=1)
+    return h - beta * i, h, i
+
+
+def objective(enc: Encoder, density: ConditionalDensity, beta: float, weights):
+    """Return (H(T) - beta * I(T, Y), H(T), I(T, Y)) for an encoder refreshed
+    against ``density`` with observation ``weights``."""
     if enc.decoder is None:
         raise ValueError("encoder has no decoder; refresh it against the density first")
-    h = entropy(enc.masses)
-    joint = enc.masses[:, None] * enc.decoder
-    i = mutual_information(joint)
-    return h - beta * i, h, i
+    weights = _check_weights(weights, density.n)
+    obj, h, i = _objectives(
+        enc.masses[None], enc.decoder[None], _marginal(density.matrix, weights), beta
+    )
+    return float(obj[0]), float(h[0]), float(i[0])
 
 
 @dataclass(frozen=True)
@@ -266,16 +314,18 @@ class _Chain:
         self.converged = False
         self.cycle = False
 
-    def record(self, enc, obj, h, i, unchanged) -> bool:
-        """Log one iteration's encoder; return whether the chain goes on.
+    def record(self, obj, h, i, unchanged, encoder) -> bool:
+        """Log one iteration's objective; return whether the chain goes on.
 
-        Convergence is detected on the assignment vector.  A rise of the
-        objective beyond the tolerance aborts the chain (a cycle); the best
-        encoder seen so far is kept either way.
+        ``encoder`` builds the iteration's Encoder; it is called only when
+        the objective improves on the best so far.  Convergence is detected
+        on the assignment vector.  A rise of the objective beyond the
+        tolerance aborts the chain (a cycle); the best encoder seen so far
+        is kept either way.
         """
         self.trace.append(obj)
         if self.best is None or obj < self.best[0]:
-            self.best = (obj, h, i, enc)
+            self.best = (obj, h, i, encoder())
         if unchanged:
             self.converged = True
         elif obj > self.prev_obj + _TRACE_RISE_TOL:
@@ -301,7 +351,7 @@ class _Chain:
         )
 
 
-def _run_block(density, weights, k, beta, max_iter, chains):
+def _run_block(density, weights, p_y, k, beta, max_iter, chains):
     """Iterate a block of chains in lock-step; one DibResult per chain."""
     p = density.matrix
     live = chains
@@ -310,15 +360,16 @@ def _run_block(density, weights, k, beta, max_iter, chains):
     for _ in range(max_iter):
         new_assign = _score_step(masses, decoder, density, beta)
         masses, decoder = _refresh(new_assign, k, p, weights)
-        going = []
-        for row, chain in enumerate(live):
-            enc = Encoder(
-                assign=new_assign[row], masses=masses[row], decoder=decoder[row].copy()
+        obj, h, i = _objectives(masses, decoder, p_y, beta)
+        unchanged = np.all(new_assign == assign, axis=1)
+        going = [
+            row for row, chain in enumerate(live)
+            if chain.record(
+                obj[row].item(), h[row].item(), i[row].item(), bool(unchanged[row]),
+                lambda row=row: Encoder(assign=new_assign[row], masses=masses[row],
+                                        decoder=decoder[row].copy()),
             )
-            obj, h, i = objective(enc, density, beta)
-            unchanged = bool(np.array_equal(new_assign[row], assign[row]))
-            if chain.record(enc, obj, h, i, unchanged):
-                going.append(row)
+        ]
         if not going:
             break
         live = [live[row] for row in going]
@@ -348,7 +399,9 @@ def dib_fit_density(
 
     Restart r draws its seed as ``derive_seed(rng_seed, STREAM_RESTART, r)``
     and chains are reduced by (objective, restart index), so the result is
-    identical for any thread count.
+    identical for any thread count.  Restarts that reach one partition under
+    different labels tie exactly, so the lowest restart index among them
+    wins.  ``weights`` must be n finite, nonnegative values summing to 1.
     """
     if restarts < 1 or max_iter < 1:
         raise ValueError("restarts and max_iter must be >= 1")
@@ -357,11 +410,12 @@ def dib_fit_density(
     n = density.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    weights = np.asarray(weights, dtype=float)
+    weights = _check_weights(weights, n)
+    p_y = _marginal(density.matrix, weights)
 
     def run(bounds):
         chains = [_Chain(r, derive_seed(rng_seed, STREAM_RESTART, r)) for r in range(*bounds)]
-        return _run_block(density, weights, k, beta, max_iter, chains)
+        return _run_block(density, weights, p_y, k, beta, max_iter, chains)
 
     blocks = _block_bounds(restarts, n, k, threads)
     if len(blocks) > 1 and threads > 1:

@@ -11,6 +11,8 @@ _DIST_TOL = 1e-9
 
 def _as_distribution(p, name="distribution"):
     p = np.asarray(p, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"{name} has non-finite entries")
     if np.any(p < 0):
         raise ValueError(f"{name} has negative entries")
     if abs(p.sum() - 1.0) > _DIST_TOL:

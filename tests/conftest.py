@@ -241,7 +241,7 @@ def _run_chain_oracle(density, weights, k, beta, max_iter, seed, restart_index):
         assign = new_assign
         masses, decoder = _masses_and_decoder_oracle(assign, k, p, weights)
         enc = Encoder(assign=assign, masses=masses, decoder=decoder)
-        obj, h, i = objective(enc, density, beta)
+        obj, h, i = objective(enc, density, beta, weights)
         trace.append(obj)
         if best is None or obj < best[0]:
             best = (obj, h, i, enc)

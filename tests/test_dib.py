@@ -5,7 +5,11 @@ log q(t) - beta * KL(p(.|x) || q(.|t)) via explicit loops; objectives are
 compared against direct joint summation (conftest.dib_objective_oracle).
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,7 +221,7 @@ def test_objective_k1_is_zero():
     ds = _mixed(rng.standard_normal(12))
     density = estimate_conditional(ds, Bandwidths(s=1.0))
     enc = Encoder.from_assignment(np.zeros(12, dtype=int), 1, density, ds.weights)
-    obj, h, i = objective(enc, density, beta=37.0)
+    obj, h, i = objective(enc, density, 37.0, ds.weights)
     assert h == 0.0
     assert i == pytest.approx(0.0, abs=1e-12)
     assert obj == pytest.approx(0.0, abs=1e-12)
@@ -229,7 +233,7 @@ def test_objective_singletons_entropy_log_n():
     ds = _mixed(rng.standard_normal(n))
     density = estimate_conditional(ds, Bandwidths(s=1.0))
     enc = Encoder.from_assignment(np.arange(n), n, density, ds.weights)
-    _, h, _ = objective(enc, density, beta=1.0)
+    _, h, _ = objective(enc, density, 1.0, ds.weights)
     assert h == pytest.approx(np.log(n), rel=1e-12)
 
 
@@ -243,7 +247,7 @@ def test_objective_matches_direct_summation_oracle():
         assign = rng.integers(0, k, size=n)
         enc = Encoder.from_assignment(assign, k, density, ds.weights)
         beta = float(rng.uniform(0, 50))
-        obj, h, i = objective(enc, density, beta)
+        obj, h, i = objective(enc, density, beta, ds.weights)
         o_obj, o_h, o_i = dib_objective_oracle(assign, density.matrix, ds.weights, beta, k)
         assert h == pytest.approx(o_h, abs=1e-10)
         assert i == pytest.approx(o_i, abs=1e-10)
@@ -261,17 +265,16 @@ def test_objective_label_permutation_invariance():
     perm = np.array([2, 0, 1])
     permuted = Encoder.from_assignment(perm[assign], 3, density, ds.weights)
     for beta in (0.0, 1.0, 100.0):
-        a = objective(enc, density, beta)
-        b = objective(permuted, density, beta)
-        for x, y in zip(a, b):
-            assert x == pytest.approx(y, abs=1e-12)
+        a = objective(enc, density, beta, ds.weights)
+        b = objective(permuted, density, beta, ds.weights)
+        assert a == b
 
 
 def test_objective_requires_decoder():
     enc = init_random(8, 2, rng_seed=0)
     density = ConditionalDensity(matrix=np.full((8, 8), 1 / 8), marginal_y=np.full(8, 1 / 8))
     with pytest.raises(ValueError):
-        objective(enc, density, beta=1.0)
+        objective(enc, density, 1.0, np.full(8, 1 / 8))
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +373,96 @@ def test_dib_fit_density_matches_per_chain_oracle(n, lam, max_iter, k, beta):
             assert got.objective_trace.tobytes() == trace.tobytes()
 
 
+@pytest.mark.parametrize("lam", [[0.3, 0.2], [0.0, 0.2]])
+def test_score_step_does_not_depend_on_the_stack(lam):
+    """A stack of chains scores each chain as a call on that chain alone
+    does, bit for bit.  At the odd n rows of p and of the stacked decoders
+    sit at other memory alignments."""
+    from dibmix.dib import _refresh, _row_dots, _score_step
+
+    density, weights = _equivalence_density(lam, 257)
+    assert density.has_zeros == (lam[0] == 0.0)
+    rng = np.random.default_rng(5)
+    k, chains = 4, 6
+    assign = rng.integers(0, k, size=(chains, density.n))
+    assign[2][assign[2] == 3] = 0  # one chain with an empty cluster
+    masses, decoder = _refresh(assign, k, density.matrix, weights)
+    stacked = _score_step(masses, decoder, density, 5.0)
+    log_decoder = np.log(np.where(decoder > 0, decoder, 1.0)).reshape(chains * k, -1)
+    cross = _row_dots(density.matrix, log_decoder)
+    for c in range(chains):
+        alone = _score_step(masses[c:c + 1], decoder[c:c + 1], density, 5.0)
+        assert alone[0].tobytes() == stacked[c].tobytes()
+        rows = slice(c * k, (c + 1) * k)
+        single = _row_dots(density.matrix, log_decoder[rows])
+        assert single.tobytes() == np.ascontiguousarray(cross[:, rows]).tobytes()
+
+
+_BLAS_THREADS_FIT = """
+import hashlib
+from dataclasses import astuple
+import numpy as np
+from dibmix import Bandwidths, MixedDataset, VariableSchema, CONTINUOUS, CATEGORICAL
+from dibmix import dib_fit_density, estimate_conditional
+from dibmix.dib import _refresh, _row_dots
+rng = np.random.default_rng(3)
+n = 500
+ds = MixedDataset(
+    schema=(VariableSchema("x", CONTINUOUS), VariableSchema("c", CATEGORICAL, ("a", "b", "c"))),
+    continuous=rng.standard_normal((n, 1)), categorical=rng.integers(0, 3, size=(n, 1)))
+density = estimate_conditional(ds, Bandwidths(s=0.5, lam=[0.2]))
+result = dib_fit_density(density, ds.weights, 3, 20.0, restarts=8, rng_seed=2)
+print(hashlib.sha256(result.assign.tobytes()).hexdigest())
+print([repr(astuple(r)) for r in result.restart_summary])
+_, decoder = _refresh(rng.integers(0, 3, size=(4, n)), 3, density.matrix, ds.weights)
+cross = _row_dots(density.matrix, np.log(decoder.reshape(12, n)))
+print(hashlib.sha256(cross.tobytes()).hexdigest())
+"""
+
+
+def test_dib_fit_density_same_for_any_blas_thread_count():
+    """No product in the fit is threaded by BLAS: one OpenBLAS thread and two
+    give the same assignment, restart summaries and score cross products.
+    With OpenBLAS 0.3.31 on a 2-core host, a BLAS matrix product for the
+    cross term already differs between the two at this size."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=blas_threads)
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_FIT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def _bad_weights(case, n):
+    w = np.full(n, 1.0 / n)
+    if case == "length":
+        return w[1:] / w[1:].sum()
+    if case in ("nan", "inf"):
+        w[0] = float(case)
+    elif case == "negative":
+        w[0] -= 0.5
+        w[1] += 0.5
+    elif case == "sum":
+        w[0] += 2e-9
+    return w
+
+
+@pytest.mark.parametrize("case", ["length", "nan", "inf", "negative", "sum"])
+def test_dib_fit_density_rejects_bad_weights(case):
+    density, _ = _equivalence_density([0.3, 0.2])
+    weights = _bad_weights(case, density.n)
+    with pytest.raises(ValueError, match="weights"):
+        dib_fit_density(density, weights, k=2, beta=5.0, restarts=2)
+    with pytest.raises(ValueError, match="weights"):
+        dib_step(init_random(density.n, 2, 0), density, 5.0, weights)
+    # within the tolerance the sum is accepted
+    dib_fit_density(density, np.full(density.n, (1 + 5e-10) / density.n), k=2, beta=5.0,
+                    restarts=2)
+
+
 def test_chain_rise_beyond_tolerance_is_a_cycle():
     """Seeded data never makes the objective rise, so the cycle rule is
     driven directly: a rise within the tolerance goes on, a larger one
@@ -377,12 +470,18 @@ def test_chain_rise_beyond_tolerance_is_a_cycle():
     from dibmix.dib import _TRACE_RISE_TOL, _Chain
 
     chain = _Chain(restart_index=0, seed=0)
-    assert chain.record("a", 3.0, 0.0, 0.0, unchanged=False)
-    assert chain.record("b", 2.0, 0.0, 0.0, unchanged=False)
-    assert chain.record("c", 2.0 + _TRACE_RISE_TOL / 2, 0.0, 0.0, unchanged=False)
-    assert not chain.record("d", 2.5, 0.0, 0.0, unchanged=False)
+    built = []
+
+    def encoder(name):
+        return lambda: built.append(name) or name
+
+    assert chain.record(3.0, 0.0, 0.0, False, encoder("a"))
+    assert chain.record(2.0, 0.0, 0.0, False, encoder("b"))
+    assert chain.record(2.0 + _TRACE_RISE_TOL / 2, 0.0, 0.0, False, encoder("c"))
+    assert not chain.record(2.5, 0.0, 0.0, False, encoder("d"))
     assert chain.cycle and not chain.converged
     assert chain.best[3] == "b"
+    assert built == ["a", "b"]  # an encoder is built only when the best improves
     assert chain.trace == [3.0, 2.0, 2.0 + _TRACE_RISE_TOL / 2, 2.5]
 
 

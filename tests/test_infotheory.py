@@ -46,6 +46,8 @@ def test_entropy_rejects_bad_input():
         entropy([0.5, 0.6])
     with pytest.raises(ValueError):
         entropy([-0.1, 1.1])
+    with pytest.raises(ValueError, match="non-finite"):
+        entropy([float("nan"), 1.0])  # a NaN sum is not off 1 by more than the tolerance
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ non-uniform weights:
 - p(y|x) is row-stochastic and the marginal is the weighted mixture of rows;
 - the DIB objective is a function of the assignment alone, equal to
   H(T) - beta * I(T, Y) summed from the joint q(t, y);
-- relabelling clusters leaves the objective unchanged;
+- relabelling clusters leaves the objective unchanged, bit for bit, so
+  restarts that reach one partition tie and the lowest restart index wins;
 - for beta > 0, every observation has a finite score under its emitted
   cluster.
 """
@@ -13,14 +14,22 @@ import numpy as np
 import pytest
 
 from dibmix import (
+    Bandwidths,
     Encoder,
     MixedDataset,
     dib_fit_density,
     estimate_conditional,
     objective,
 )
+from dibmix.seeding import STREAM_RESTART, derive_seed
 
-from conftest import dib_objective_oracle, random_bandwidths, random_mixed_dataset
+from conftest import (
+    _run_chain_oracle,
+    dib_objective_oracle,
+    make_dataset,
+    random_bandwidths,
+    random_mixed_dataset,
+)
 
 SEEDS = range(12)
 
@@ -54,7 +63,7 @@ def test_objective_recomputed_from_assignment(seed, k):
     assign = rng.integers(0, k, size=ds.n)
     beta = float(rng.uniform(0, 100))
     enc = Encoder.from_assignment(assign, k, density, ds.weights)
-    obj, h, i = objective(enc, density, beta)
+    obj, h, i = objective(enc, density, beta, ds.weights)
     o_obj, o_h, o_i = dib_objective_oracle(assign, density.matrix, ds.weights, beta, k)
     assert h == pytest.approx(o_h, abs=1e-10)
     assert i == pytest.approx(o_i, abs=1e-10)
@@ -69,10 +78,40 @@ def test_objective_invariant_under_label_permutation(seed, k):
     assign = rng.integers(0, k, size=ds.n)
     perm = rng.permutation(k)
     beta = float(rng.uniform(0, 100))
-    a = objective(Encoder.from_assignment(assign, k, density, ds.weights), density, beta)
-    b = objective(Encoder.from_assignment(perm[assign], k, density, ds.weights), density, beta)
-    for x, y in zip(a, b):
-        assert x == pytest.approx(y, abs=1e-12 * (1 + beta))
+    a = objective(Encoder.from_assignment(assign, k, density, ds.weights), density, beta,
+                  ds.weights)
+    b = objective(Encoder.from_assignment(perm[assign], k, density, ds.weights), density, beta,
+                  ds.weights)
+    # Exact: a cluster's terms depend only on its member set, and they are
+    # added in sorted order, so equal partitions tie bit for bit.
+    assert a == b
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_relabelled_restarts_tie_and_lowest_index_wins(threads):
+    """Restarts 0, 1, 3 and 4 of this seed reach one partition, 0 and 4 under
+    one labelling and 1 and 3 under the other.  They tie exactly, so the
+    fit keeps restart 0 and its labels."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(40) + 5.0 * (np.arange(40) % 2)
+    ds = make_dataset(continuous=x)
+    density = estimate_conditional(ds, Bandwidths(s=0.5))
+    beta, restarts = 50.0, 6
+    result = dib_fit_density(density, ds.weights, 2, beta, restarts=restarts, rng_seed=0,
+                             threads=threads)
+    assigns = [
+        _run_chain_oracle(density, ds.weights, 2, beta, 100,
+                          derive_seed(0, STREAM_RESTART, r), r)[1]
+        for r in range(restarts)
+    ]
+    tied = [0, 1, 3, 4]
+    for r in tied:
+        np.testing.assert_array_equal(assigns[r], assigns[0] if r in (0, 4) else 1 - assigns[0])
+    assert not np.array_equal(assigns[0], assigns[1])
+    objectives = [r.objective for r in result.restart_summary]
+    assert {objectives[r] for r in tied} == {min(objectives)}
+    assert result.restart_index == 0
+    assert result.assign.tobytes() == assigns[0].tobytes()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
