@@ -85,8 +85,6 @@ from .kernels import (
     aitchison_aitken,
     estimate_conditional,
     gaussian_kernel,
-    kernel_matrix,
-    product_kernel,
 )
 from .metrics import ari, contingency
 from .seeding import derive_seed
@@ -140,7 +138,6 @@ __all__ = [
     "init_random",
     "kernel_factor_variance_categorical",
     "kernel_factor_variance_continuous",
-    "kernel_matrix",
     "kl_divergence",
     "kprototypes_chain",
     "kprototypes_fit",
@@ -149,7 +146,6 @@ __all__ = [
     "mutual_information",
     "objective",
     "pam_fit",
-    "product_kernel",
     "read_csv",
     "read_results_csv",
     "read_schema_file",

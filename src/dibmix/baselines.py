@@ -8,6 +8,7 @@ Huang, Z. (1998). Extensions to the k-means algorithm for clustering large
 data sets with categorical values. Data Mining and Knowledge Discovery 2.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,8 +246,6 @@ def kprototypes_fit(
         raise ValueError("restarts must be >= 1")
     if gamma is None:
         gamma = default_gamma(ds)
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
     starts = np.array([
         np.random.default_rng(derive_seed(rng_seed, STREAM_RESTART, r)).choice(
             n, size=k, replace=False)
@@ -322,6 +321,8 @@ def _kproto_chains(ds, k, gamma, max_iter, starts, trace=None):
     prototype refresh."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if not 0 <= gamma < math.inf:  # NaN fails too
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     chains = len(starts)
     labels_out, objectives = [None] * chains, [None] * chains
     ids = np.arange(chains)

@@ -8,6 +8,7 @@ is emitted per (cell, replicate, method) whether the run succeeded or not.
 """
 
 import csv
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -62,6 +63,8 @@ class BenchmarkPlan:
         # like a bad weight below: usage errors, not an error row per replicate
         if min(self.replicates, self.restarts, self.max_iter) < 1:
             raise ValueError("replicates, restarts and max_iter must be >= 1")
+        if not 0 <= self.beta < math.inf:  # NaN fails too
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
         grid_axes = (self.ns, self.p_cs, self.p_ds, self.levels,
                      self.overlaps_cont, self.overlaps_cat, self.balances)
         if any(len(axis) == 0 for axis in grid_axes):

@@ -75,6 +75,16 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
+# Parsed flags that choose where output goes or how many workers run, not
+# what the outputs hold, so they stay out of the manifest.
+_NOT_IN_MANIFEST = ("subcommand", "func", "output_dir", "threads", "dump_density")
+
+_BALANCES = {
+    BALANCE_EQUAL: BALANCE_EQUAL,
+    "imbalanced": BALANCE_IMBALANCED,
+    BALANCE_IMBALANCED: BALANCE_IMBALANCED,
+}
+
 _ERROR_CODES = (
     (FileNotFoundError, "input_not_found"),
     (ParseError, "parse_error"),
@@ -118,6 +128,18 @@ def _write_json(path, payload) -> None:
         fh.write(text + "\n")
 
 
+def _manifest_parameters(args, **resolved) -> dict:
+    """Every parsed flag that can change a result, keyed by its destination
+    (``lam`` as ``lambda``), with ``resolved`` values in place of their flags."""
+    params = {
+        "lambda" if name == "lam" else name: value
+        for name, value in vars(args).items()
+        if name not in _NOT_IN_MANIFEST
+    }
+    params.update(resolved)
+    return params
+
+
 def _write_manifest(outdir, command, parameters) -> None:
     manifest = {
         "command": command,
@@ -132,12 +154,19 @@ def _write_manifest(outdir, command, parameters) -> None:
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
-def _write_assignment(path, labels) -> None:
+def _write_labels(path, header, labels) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["assignment"])
+        writer.writerow([header])
         for label in labels:
             writer.writerow([int(label)])
+
+
+def _balance(name) -> str:
+    try:
+        return _BALANCES[name]
+    except KeyError:
+        raise ValueError(f"balance must be one of {sorted(_BALANCES)}, got {name!r}") from None
 
 
 def _load_dataset(args) -> MixedDataset:
@@ -204,23 +233,15 @@ def _preprocess(args):
     return ds, idx, bw
 
 
-def _common_manifest(args, extra) -> dict:
-    params = {
-        "input": args.input,
-        "categorical": args.categorical,
-        "schema_file": args.schema_file,
-        "seed": args.seed,
-        "subsample": args.subsample,
-        "no_standardize": args.no_standardize,
-        "s": args.s,
-        "s_multiplier": args.s_multiplier,
-        "lambda": args.lam,
-        "lambda_offset": args.lambda_offset,
-        "categorical_weight": args.categorical_weight,
-        "max_n": args.max_n,
-    }
-    params.update(extra)
-    return params
+def _write_result(outdir, args, payload, labels, subsample_idx) -> None:
+    """Write ``result.json``, with the subsample indices and the ARI against
+    --truth added when they apply, and ``assignment.csv``."""
+    if subsample_idx is not None:
+        payload["subsample_indices"] = subsample_idx.tolist()
+    if args.truth:
+        payload["ari"] = _truth_ari(args, labels, subsample_idx)
+    _write_json(os.path.join(outdir, "result.json"), payload)
+    _write_labels(os.path.join(outdir, "assignment.csv"), "assignment", labels)
 
 
 def cmd_cluster(args) -> int:
@@ -239,26 +260,11 @@ def cmd_cluster(args) -> int:
         "s": np.asarray(bw.s).tolist(),
         "lambda": bw.lam.tolist(),
     }
-    if idx is not None:
-        payload["subsample_indices"] = idx.tolist()
-    if args.truth:
-        payload["ari"] = _truth_ari(args, result.assign, idx)
-    _write_json(os.path.join(outdir, "result.json"), payload)
-    _write_assignment(os.path.join(outdir, "assignment.csv"), result.assign)
+    _write_result(outdir, args, payload, result.assign, idx)
     if args.dump_density:
         np.savetxt(os.path.join(outdir, "density.csv"), density.matrix,
                    delimiter=",", fmt="%.17g")
-    if args.dump_trace:
-        with open(os.path.join(outdir, "trace.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "objective"])
-            for i, value in enumerate(result.objective_trace, start=1):
-                writer.writerow([i, repr(float(value))])
-    _write_manifest(outdir, "cluster", _common_manifest(args, {
-        "k": args.k, "beta": args.beta,
-        "restarts": args.restarts, "max_iter": args.max_iter,
-        "truth": args.truth, "truth_column": args.truth_column,
-    }))
+    _write_manifest(outdir, "cluster", _manifest_parameters(args))
     print(f"H(T) = {result.compression:.6f}")
     print(f"I(T;Y) = {result.relevance:.6f}")
     print(f"objective = {result.objective:.6f}")
@@ -297,20 +303,8 @@ def cmd_baseline(args) -> int:
         "seed": args.seed,
         **detail,
     }
-    if idx is not None:
-        payload["subsample_indices"] = idx.tolist()
-    if args.truth:
-        payload["ari"] = _truth_ari(args, np.asarray(labels), idx)
-    _write_json(os.path.join(outdir, "result.json"), payload)
-    _write_assignment(os.path.join(outdir, "assignment.csv"), labels)
-    _write_manifest(outdir, "baseline", {
-        "input": args.input, "categorical": args.categorical,
-        "schema_file": args.schema_file, "method": args.method, "k": args.k,
-        "gamma": args.gamma, "seed": args.seed, "restarts": restarts,
-        "max_iter": args.max_iter, "subsample": args.subsample,
-        "no_standardize": args.no_standardize,
-        "truth": args.truth, "truth_column": args.truth_column,
-    })
+    _write_result(outdir, args, payload, labels, idx)
+    _write_manifest(outdir, "baseline", _manifest_parameters(args, restarts=restarts))
     print(f"method = {args.method}")
     print(f"effective_k = {payload['effective_k']}")
     if "ari" in payload:
@@ -320,21 +314,16 @@ def cmd_baseline(args) -> int:
 
 def cmd_datagen(args) -> int:
     outdir = _ensure_outdir(args.output_dir)
-    balance = BALANCE_IMBALANCED if args.balance.startswith("imbalanced") else BALANCE_EQUAL
     spec = GenSpec(
         n=args.n, p_c=args.p_c, p_d=args.p_d, levels=args.levels,
         overlap_cont=args.overlap_cont, overlap_cat=args.overlap_cat,
-        balance=balance, seed=args.seed,
+        balance=_balance(args.balance), seed=args.seed,
     )
     labeled = generate(spec)
     data_path = os.path.join(outdir, "data.csv")
     truth_path = os.path.join(outdir, "data_truth.csv")
     write_csv(labeled.data, data_path)
-    with open(truth_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["truth"])
-        for label in labeled.truth:
-            writer.writerow([int(label)])
+    _write_labels(truth_path, "truth", labeled.truth)
     sidecar = {
         "spec": asdict(spec),
         "delta": labeled.delta,
@@ -366,10 +355,6 @@ def cmd_benchmark(args) -> int:
         print(f"wrote {medians_path}")
         print(f"wrote {means_path}")
         return EXIT_OK
-    balances = tuple(
-        BALANCE_IMBALANCED if b.startswith("imbalanced") else BALANCE_EQUAL
-        for b in _parse_list(args.balances, str)
-    )
     plan = BenchmarkPlan(
         ns=_parse_list(args.ns, int),
         p_cs=_parse_list(args.p_cs, int),
@@ -377,7 +362,7 @@ def cmd_benchmark(args) -> int:
         levels=_parse_list(args.levels, int),
         overlaps_cont=_parse_list(args.overlaps_cont, float),
         overlaps_cat=_parse_list(args.overlaps_cat, float),
-        balances=balances,
+        balances=tuple(_balance(b) for b in _parse_list(args.balances, str)),
         replicates=args.replicates,
         methods=_parse_list(args.methods, str),
         seed=args.seed,
@@ -423,10 +408,7 @@ def cmd_sweep_beta(args) -> int:
     if idx is not None:
         payload["subsample_indices"] = idx.tolist()
     _write_json(os.path.join(outdir, "sweep.json"), payload)
-    _write_manifest(outdir, "sweep-beta", _common_manifest(args, {
-        "k": args.k, "betas": list(betas),
-        "restarts": args.restarts, "max_iter": args.max_iter,
-    }))
+    _write_manifest(outdir, "sweep-beta", _manifest_parameters(args, betas=list(betas)))
     print(f"wrote {curve_path}")
     if sweep.suggested_beta is not None:
         print(f"suggested_beta = {sweep.suggested_beta}")
@@ -513,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=100.0, help="relevance weight")
     p.add_argument("--dump-density", action="store_true",
                    help="also write the n x n density matrix (density.csv)")
-    p.add_argument("--dump-trace", action="store_true",
-                   help="also write the objective trace (trace.csv)")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("baseline", help="run a comparison method")
@@ -534,8 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=4, help="levels per categorical variable")
     p.add_argument("--overlap-cont", type=float, default=0.3)
     p.add_argument("--overlap-cat", type=float, default=0.3)
-    p.add_argument("--balance", choices=("equal", "imbalanced", BALANCE_IMBALANCED),
-                   default="equal")
+    p.add_argument("--balance", choices=tuple(_BALANCES), default=BALANCE_EQUAL)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_datagen)

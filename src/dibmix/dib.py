@@ -63,25 +63,18 @@ class Encoder:
 
     ``assign`` maps observation index to cluster label in {0..k-1};
     ``masses`` is q(t); ``decoder`` is the k x n matrix q(y | t), zero rows
-    for empty clusters (their conditional is undefined).  ``decoder`` is
-    None until the encoder has been refreshed against a density.
+    for empty clusters (their conditional is undefined).
     """
 
     assign: np.ndarray
     masses: np.ndarray
-    decoder: np.ndarray = None
+    decoder: np.ndarray
 
     def __post_init__(self):
-        assign = np.ascontiguousarray(np.asarray(self.assign, dtype=np.int64))
-        masses = np.ascontiguousarray(np.asarray(self.masses, dtype=float))
-        assign.flags.writeable = False
-        masses.flags.writeable = False
-        object.__setattr__(self, "assign", assign)
-        object.__setattr__(self, "masses", masses)
-        if self.decoder is not None:
-            dec = np.ascontiguousarray(np.asarray(self.decoder, dtype=float))
-            dec.flags.writeable = False
-            object.__setattr__(self, "decoder", dec)
+        for name, dtype in (("assign", np.int64), ("masses", float), ("decoder", float)):
+            value = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=dtype))
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def k(self) -> int:
@@ -125,15 +118,12 @@ def _refresh(assign, k, p_matrix, weights):
     return masses.reshape(chains, k), decoder.reshape(chains, k, n)
 
 
-def init_random(n: int, k: int, rng_seed: int) -> Encoder:
+def init_random(n: int, k: int, rng_seed: int) -> np.ndarray:
     """Assign each observation independently and uniformly to one of k
-    clusters; masses use uniform weights, decoder is left unset."""
+    clusters; returns the int64 assignment vector."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = np.random.default_rng(rng_seed)
-    assign = rng.integers(0, k, size=n)
-    masses = np.bincount(assign, minlength=k) / n
-    return Encoder(assign=assign, masses=masses)
+    return np.random.default_rng(rng_seed).integers(0, k, size=n)
 
 
 def _row_dots(a, b):
@@ -197,8 +187,6 @@ def dib_step(enc: Encoder, density: ConditionalDensity, beta: float, weights) ->
     if enc.assign.shape[0] != density.n:
         raise ValueError("encoder and density dimensions differ")
     weights = _check_weights(weights, density.n)
-    if enc.decoder is None:
-        enc = Encoder.from_assignment(enc.assign, enc.k, density, weights)
     assign = _score_step(enc.masses[None], enc.decoder[None], density, beta)
     return Encoder.from_assignment(assign[0], enc.k, density, weights)
 
@@ -232,8 +220,6 @@ def _objectives(masses, decoder, p_y, beta):
 def objective(enc: Encoder, density: ConditionalDensity, beta: float, weights):
     """Return (H(T) - beta * I(T, Y), H(T), I(T, Y)) for an encoder refreshed
     against ``density`` with observation ``weights``."""
-    if enc.decoder is None:
-        raise ValueError("encoder has no decoder; refresh it against the density first")
     weights = _check_weights(weights, density.n)
     obj, h, i = _objectives(
         enc.masses[None], enc.decoder[None], _marginal(density.matrix, weights), beta
@@ -255,21 +241,13 @@ class RestartSummary:
 
 
 @dataclass(frozen=True)
-class DibResult:
-    """Best-of-restarts solution with its trace and per-restart summaries."""
+class DibResult(RestartSummary):
+    """Best-of-restarts solution: the winning restart's summary plus its
+    encoder and objective trace, and the summaries of every restart."""
 
     encoder: Encoder
     beta: float
-    objective: float
-    compression: float
-    relevance: float
-    iterations: int
     objective_trace: np.ndarray
-    effective_k: int
-    restart_index: int
-    seed: int
-    converged: bool
-    cycle_detected: bool
     restart_summary: tuple = field(default=(), repr=False)
 
     @property
@@ -355,7 +333,7 @@ def _run_block(density, weights, p_y, k, beta, max_iter, chains):
     """Iterate a block of chains in lock-step; one DibResult per chain."""
     p = density.matrix
     live = chains
-    assign = np.stack([init_random(density.n, k, c.seed).assign for c in live])
+    assign = np.stack([init_random(density.n, k, c.seed) for c in live])
     masses, decoder = _refresh(assign, k, p, weights)
     for _ in range(max_iter):
         new_assign = _score_step(masses, decoder, density, beta)

@@ -14,8 +14,8 @@ come out as exact zeros).  "Up to a constant" means exactly this shift: the
 self term K(i, i) is the same for every i (the product of 1/sqrt(2 pi) and
 the match values), it is the row maximum up to rounding, and it cancels when rows are
 normalized, so p(y | x) never needs it and rows cannot underflow to zero.
-``kernel_matrix`` adds it back.  A block of temporaries is a small fraction
-of the n x n output, which is the only full-size array.
+A block of temporaries is a small fraction of the n x n output, which is the
+only full-size array.
 
 References
 ----------
@@ -209,37 +209,6 @@ def _log_kernel_blocks(ds: MixedDataset, bw: Bandwidths, out: np.ndarray):
             np.take(table, col[lo:lo + rows], axis=0, out=term)
             block += term
         yield block
-
-
-def kernel_matrix(ds: MixedDataset, bw: Bandwidths) -> np.ndarray:
-    """Unnormalized symmetric matrix of pairwise product-kernel values."""
-    bw.validate_for(ds)
-    out = np.empty((ds.n, ds.n))
-    # log K(i, i), the same for every i: the constant the blocks leave out.
-    log_self = ds.p_cont * np.log(1.0 / _SQRT_2PI) + sum(
-        np.log(aitchison_aitken(True, lam, var.n_levels))
-        for lam, var in zip(bw.lam, ds.categorical_vars)
-    )
-    for block in _log_kernel_blocks(ds, bw, out):
-        block += log_self
-        np.exp(block, out=block)
-    return out
-
-
-def product_kernel(ds: MixedDataset, i: int, j: int, bw: Bandwidths) -> float:
-    """Product of per-variable kernel factors between observations i and j."""
-    bw.validate_for(ds)
-    s = bw.s_per_variable(ds.p_cont)
-    value = 1.0
-    for c in range(ds.p_cont):
-        value *= gaussian_kernel(ds.continuous[i, c] - ds.continuous[j, c], s[c])
-    for d in range(ds.p_cat):
-        value *= aitchison_aitken(
-            ds.categorical[i, d] == ds.categorical[j, d],
-            bw.lam[d],
-            ds.categorical_vars[d].n_levels,
-        )
-    return float(value)
 
 
 def estimate_conditional(

@@ -144,11 +144,13 @@ def mutual_information_oracle(joint) -> float:
 
 
 def product_kernel_oracle(ds, i, j, s, lam) -> float:
-    """Slow per-variable product kernel with explicit scalar math."""
+    """Slow per-variable product kernel with explicit scalar math; ``s`` is
+    one bandwidth shared by the continuous variables or one per variable."""
+    s = np.broadcast_to(np.asarray(s, dtype=float), (ds.p_cont,))
     value = 1.0
     for c in range(ds.p_cont):
         diff = ds.continuous[i, c] - ds.continuous[j, c]
-        value *= float(np.exp(-(diff**2) / (2 * s**2)) / np.sqrt(2 * np.pi))
+        value *= float(np.exp(-(diff**2) / (2 * s[c] ** 2)) / np.sqrt(2 * np.pi))
     for d in range(ds.p_cat):
         l = ds.categorical_vars[d].n_levels
         if ds.categorical[i, d] == ds.categorical[j, d]:
@@ -229,7 +231,7 @@ def _run_chain_oracle(density, weights, k, beta, max_iter, seed, restart_index):
     p = density.matrix
     has_zeros = bool(np.any(p == 0))
     row_neg_entropy = np.einsum("xy,xy->x", p, np.log(np.where(p > 0, p, 1.0)))
-    assign = init_random(p.shape[0], k, seed).assign
+    assign = init_random(p.shape[0], k, seed)
     masses, decoder = _masses_and_decoder_oracle(assign, k, p, weights)
     trace = []
     best = None

@@ -277,8 +277,11 @@ def test_kproto_errors():
     ds = make_dataset(continuous=[0.0, 1.0])
     with pytest.raises(ValueError):
         kprototypes_fit(ds, k=3)
-    with pytest.raises(ValueError):
-        kprototypes_fit(ds, k=1, gamma=-0.5)
+    for gamma in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            kprototypes_fit(ds, k=1, gamma=gamma)
+        with pytest.raises(ValueError, match="gamma"):
+            kprototypes_chain(ds, k=1, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,9 @@ def test_plan_validation():
         BenchmarkPlan(methods=())
     with pytest.raises(ValueError, match="categorical weight"):
         BenchmarkPlan(categorical_weight=float("nan"))
+    for beta in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta"):
+            BenchmarkPlan(beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -123,17 +123,13 @@ def test_cluster_dump_files(tmp_path, separated_csv, capsys):
     code = main([
         "cluster", "--input", str(data), "--categorical", "c1",
         "--k", "2", "--restarts", "2", "--output-dir", str(out),
-        "--dump-density", "--dump-trace",
+        "--dump-density",
     ])
     assert code == 0
     capsys.readouterr()
     density = np.loadtxt(out / "density.csv", delimiter=",")
     assert density.shape == (40, 40)
     np.testing.assert_allclose(density.sum(axis=1), 1.0, atol=1e-9)
-    trace_lines = (out / "trace.csv").read_text().strip().splitlines()
-    assert trace_lines[0] == "iteration,objective"
-    result = json.loads((out / "result.json").read_text())
-    assert len(trace_lines) == 1 + result["iterations"]
 
 
 def test_cluster_subsample_deterministic(tmp_path, separated_csv, capsys):
@@ -367,6 +363,21 @@ def test_non_finite_beta_is_invalid_argument(tmp_path, separated_csv, argv, caps
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-1"])
+def test_non_finite_gamma_is_invalid_argument(tmp_path, separated_csv, gamma, capsys):
+    data, _, _ = separated_csv
+    out = tmp_path / "o"
+    code = main([
+        "baseline", "--input", str(data), "--categorical", "c1", "--method", "kproto",
+        "--k", "2", "--gamma", gamma, "--output-dir", str(out),
+    ])
+    assert code == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "invalid_argument"
+    assert "gamma" in err["message"]
+    assert not (out / "result.json").exists()
+
+
 def test_write_json_rejects_nan_and_leaves_no_file(tmp_path):
     path = tmp_path / "result.json"
     with pytest.raises(RuntimeError, match="result.json"):
@@ -397,6 +408,34 @@ def test_threads_env_fallback(tmp_path, separated_csv, capsys, monkeypatch):
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "invalid_argument"
+
+
+_IO_KEYS = {"input", "categorical", "schema_file", "subsample", "no_standardize",
+            "seed", "restarts", "max_iter", "k"}
+_BANDWIDTH_KEYS = {"s", "s_multiplier", "lambda", "lambda_offset", "categorical_weight",
+                   "max_n"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["cluster", "--restarts", "2", "--threads", "2", "--dump-density"],
+     _IO_KEYS | _BANDWIDTH_KEYS | {"beta", "truth", "truth_column"}),
+    (["sweep-beta", "--restarts", "2", "--betas", "1,50", "--threads", "2"],
+     _IO_KEYS | _BANDWIDTH_KEYS | {"betas"}),
+    (["baseline", "--method", "pam"], _IO_KEYS | {"method", "gamma", "truth", "truth_column"}),
+])
+def test_manifest_parameter_keys(tmp_path, separated_csv, argv, keys, capsys):
+    data, _, _ = separated_csv
+    out = tmp_path / "o"
+    code = main([*argv, "--input", str(data), "--categorical", "c1", "--k", "2",
+                 "--output-dir", str(out)])
+    assert code == 0
+    capsys.readouterr()
+    params = json.loads((out / "manifest.json").read_text())["parameters"]
+    assert set(params) == keys
+    if argv[0] == "sweep-beta":
+        assert params["betas"] == [1.0, 50.0]
+    if argv[0] == "baseline":
+        assert params["restarts"] == 1  # PAM's default, resolved
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +568,20 @@ def test_benchmark_tiny_run_and_aggregate_only(tmp_path, capsys):
     capsys.readouterr()
     assert (agg / "medians.csv").read_text() == medians
     assert (agg / "factor_means.csv").read_text() == (out / "factor_means.csv").read_text()
+
+
+@pytest.mark.parametrize("argv", [["--balances", "equal,bogus"], ["--beta", "nan"]])
+def test_benchmark_rejects_bad_balance_and_beta(tmp_path, argv, capsys):
+    out = tmp_path / "bench"
+    code = main([
+        "benchmark", "--ns", "20", "--p-cs", "1", "--p-ds", "1", "--levels", "2",
+        "--overlaps-cont", "0.3", "--overlaps-cat", "0.3", "--replicates", "1",
+        "--restarts", "2", *argv, "--output-dir", str(out),
+    ])
+    assert code == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "invalid_argument"
+    assert not (out / "results.csv").exists()
 
 
 # ---------------------------------------------------------------------------

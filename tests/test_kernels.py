@@ -20,10 +20,8 @@ from dibmix import (
     aitchison_aitken,
     estimate_conditional,
     gaussian_kernel,
-    kernel_matrix,
-    product_kernel,
 )
-from dibmix.kernels import _block_rows
+from dibmix.kernels import _block_rows, _log_kernel_blocks
 
 from conftest import product_kernel_oracle, random_bandwidths, random_mixed_dataset
 
@@ -46,6 +44,15 @@ def _dataset(continuous=None, categorical=None, levels=()):
         for j, l in enumerate(levels)
     ]
     return MixedDataset(schema=tuple(schema), continuous=cont, categorical=cat)
+
+
+def _log_kernel(ds, bw):
+    """The n x n log K(i, j) - log K(i, i) of the library's blocked pass."""
+    bw.validate_for(ds)
+    out = np.empty((ds.n, ds.n))
+    for _ in _log_kernel_blocks(ds, bw, out):
+        pass
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -135,26 +142,29 @@ def test_bandwidths_validation():
 
 
 # ---------------------------------------------------------------------------
-# product_kernel
+# product kernel: the scalar oracle against closed forms, then the library's
+# log-space pass against the oracle
 
 
 def test_product_kernel_identical_point_mixed():
     ds = _dataset(continuous=[0.4, 1.3], categorical=[2, 1], levels=(4,))
     bw = Bandwidths(s=1.0, lam=[0.3])
     # Self-comparison: gaussian at 0 times the categorical match value.
-    assert product_kernel(ds, 0, 0, bw) == pytest.approx(0.2792595962810029, rel=1e-15)
+    value = product_kernel_oracle(ds, 0, 0, bw.s, bw.lam)
+    assert value == pytest.approx(0.2792595962810029, rel=1e-15)
 
 
 def test_product_kernel_all_categorical_full_mismatch():
     ds = _dataset(categorical=[[0, 1], [2, 3]], levels=(4, 4))
     bw = Bandwidths(s=1.0, lam=[0.3, 0.3])
-    assert product_kernel(ds, 0, 1, bw) == pytest.approx(0.01, rel=1e-14)
+    assert product_kernel_oracle(ds, 0, 1, bw.s, bw.lam) == pytest.approx(0.01, rel=1e-14)
 
 
 def test_product_kernel_indicator_mismatch_is_zero():
     ds = _dataset(categorical=[0, 1], levels=(2,))
     bw = Bandwidths(s=1.0, lam=[0.0])
-    assert product_kernel(ds, 0, 1, bw) == 0.0
+    assert product_kernel_oracle(ds, 0, 1, bw.s, bw.lam) == 0.0
+    assert np.exp(_log_kernel(ds, bw)[0, 1]) == 0.0
 
 
 def test_product_kernel_matches_scalar_oracle_and_symmetry():
@@ -162,25 +172,13 @@ def test_product_kernel_matches_scalar_oracle_and_symmetry():
     for _ in range(20):
         ds = random_mixed_dataset(rng, n=8)
         bw = random_bandwidths(rng, ds)
+        log_kernel = _log_kernel(ds, bw)
+        np.testing.assert_array_equal(log_kernel, log_kernel.T)  # exact symmetry
         for i in range(ds.n):
+            self_term = product_kernel_oracle(ds, i, i, bw.s, bw.lam)
             for j in range(ds.n):
-                got = product_kernel(ds, i, j, bw)
-                assert got == product_kernel(ds, j, i, bw)  # exact symmetry
-                want = product_kernel_oracle(ds, i, j, bw.s, bw.lam)
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
-
-
-def test_kernel_matrix_agrees_with_pairwise_product_kernel():
-    rng = np.random.default_rng(7)
-    ds = random_mixed_dataset(rng, n=12, p_cont=2, p_cat=2)
-    bw = random_bandwidths(rng, ds)
-    matrix = kernel_matrix(ds, bw)
-    np.testing.assert_array_equal(matrix, matrix.T)
-    for i in range(ds.n):
-        for j in range(ds.n):
-            assert matrix[i, j] == pytest.approx(
-                product_kernel(ds, i, j, bw), rel=1e-12, abs=1e-300
-            )
+                want = product_kernel_oracle(ds, i, j, bw.s, bw.lam) / self_term
+                assert np.exp(log_kernel[i, j]) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +222,17 @@ def test_estimate_conditional_rows_are_distributions():
         np.testing.assert_allclose(density.matrix.sum(axis=1), 1.0, atol=1e-9)
         assert density.marginal_y.sum() == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(density.marginal_y, ds.weights @ density.matrix)
+
+
+def test_estimate_conditional_agrees_with_pairwise_product_kernel():
+    rng = np.random.default_rng(7)
+    ds = random_mixed_dataset(rng, n=12, p_cont=2, p_cat=2)
+    bw = random_bandwidths(rng, ds)
+    density = estimate_conditional(ds, bw)
+    for i in range(ds.n):
+        kernel = np.array([product_kernel_oracle(ds, i, j, bw.s, bw.lam) for j in range(ds.n)])
+        np.testing.assert_allclose(density.matrix[i], kernel / kernel.sum(),
+                                   rtol=1e-12, atol=1e-300)
 
 
 def test_estimate_conditional_weighted_marginal():
@@ -286,20 +295,20 @@ def test_estimate_conditional_matches_product_kernel_across_blocks():
     ds, bw, check_rows = _multi_block_case()
     density = estimate_conditional(ds, bw)
     for i in check_rows:
-        kernel = np.array([product_kernel(ds, i, j, bw) for j in range(ds.n)])
+        kernel = np.array([product_kernel_oracle(ds, i, j, bw.s, bw.lam) for j in range(ds.n)])
         assert np.any(kernel == 0.0)
         np.testing.assert_allclose(density.matrix[i], kernel / kernel.sum(), rtol=1e-12, atol=0)
     np.testing.assert_allclose(density.matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert density.has_zeros
 
 
-def test_kernel_matrix_across_blocks_is_symmetric_product_kernel():
+def test_log_kernel_across_blocks_is_symmetric_product_kernel():
     ds, bw, check_rows = _multi_block_case()
-    matrix = kernel_matrix(ds, bw)
-    np.testing.assert_array_equal(matrix, matrix.T)
+    log_kernel = _log_kernel(ds, bw)
+    np.testing.assert_array_equal(log_kernel, log_kernel.T)
     for i in check_rows:
-        kernel = [product_kernel(ds, i, j, bw) for j in range(ds.n)]
-        np.testing.assert_allclose(matrix[i], kernel, rtol=1e-12, atol=0)
+        kernel = np.array([product_kernel_oracle(ds, i, j, bw.s, bw.lam) for j in range(ds.n)])
+        np.testing.assert_allclose(np.exp(log_kernel[i]), kernel / kernel[i], rtol=1e-12, atol=0)
 
 
 def test_estimate_conditional_peak_memory():
