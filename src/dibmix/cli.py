@@ -461,7 +461,9 @@ def _add_bandwidth_flags(parser):
     parser.add_argument("--categorical-weight", type=float, default=1.0,
                         help="target ratio of categorical to continuous kernel variance")
     parser.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
-                        help="cap on n for the n^2 density matrix")
+                        help="cap on n for the n^2 density matrix (default %(default)s); "
+                             "a cap above 10000 needs OPENBLAS_NUM_THREADS=1 for "
+                             "bit-identical output")
 
 
 def _add_run_flags(parser, restarts_default):

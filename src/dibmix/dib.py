@@ -17,15 +17,24 @@ synchronous: every score in iteration m uses the iteration m-1 quantities.
 Empty clusters score -inf and therefore stay empty, which is what lets the
 method prune clusters (reported as ``effective_k``).
 
-Restarts advance in lock-step: the decoders of every chain in a block are
-stacked, so each iteration reads p(y | x) once for the scores of all chains
-and once for all their decoder refreshes.  A chain leaves the block when it
-converges, cycles or reaches its iteration cap.  ``threads > 1`` splits the
-restarts into contiguous blocks run on a thread pool.  Each chain's
-arithmetic does not depend on the block it runs in, so results are
-bit-identical for any thread count.  The objective is summed per cluster
-in sorted order, so restarts that reach one partition under different
-labels tie exactly and the lowest restart index wins.
+The update is a pure function of the hard assignment, so the restarts of
+one fit walk a shared state graph.  A node is one exact assignment vector;
+it holds its masses, its objective and, once known, its successor.  Its
+decoder is kept only until the successor is known.  Restarts advance in
+lock-step: each step stacks the decoders of the distinct nodes that running
+chains occupy and whose successor is unknown, so p(y | x) is read once to
+score them all, and once more to refresh the states that are new.  Restarts
+that meet share the rest of one trajectory, and a converged state is not
+refreshed again.  Each chain still keeps its own trace, iteration count and
+stop rule; it stops when it converges, cycles or reaches its iteration cap,
+and a later chain that reaches the state where it stopped computes the
+successor.  ``threads > 1`` splits the restarts into contiguous blocks run
+on a thread pool, each block with a graph of its own; with one thread, one
+graph spans every block.  A node's arithmetic does not depend on the stack
+it is computed in, so results are bit-identical for any thread count.  The
+objective is summed per cluster in sorted order, so restarts that reach one
+partition under different labels tie exactly and the lowest restart index
+wins.
 
 Reference: Strouse, DJ and Schwab, D.J. (2017). The deterministic
 information bottleneck. Neural Computation 29.
@@ -33,7 +42,7 @@ information bottleneck. Neural Computation 29.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import sparse
@@ -166,12 +175,13 @@ def _score_step(masses, decoder, density, beta):
         score = log_masses[None, :] - beta * kl
     score[:, masses == 0] = -np.inf
     score = score.reshape(n, chains, k)
-    if np.any(np.isneginf(score.max(axis=2))):
+    best = np.argmax(score, axis=2)  # ties resolve to the smallest cluster index
+    if np.any(np.isneginf(np.take_along_axis(score, best[:, :, None], axis=2))):
         raise DegenerateSmoothingError(
             "some observation has no cluster with finite score; categorical "
             "support is disconnected under zero-lambda smoothing"
         )
-    return np.argmax(score, axis=2).T  # ties resolve to the smallest cluster index
+    return best.T
 
 
 def _check_weights(weights, n):
@@ -280,79 +290,112 @@ def _project(cls, source):
     return cls(**{f.name: getattr(source, f.name) for f in fields(cls)})
 
 
-class _Chain:
-    """Bookkeeping of one restart while it runs in a block."""
+class _StateGraph:
+    """The assignment states that the chains of a fit, or of one block of it,
+    reach, and the steps between them.
 
-    def __init__(self, restart_index, seed):
+    A node is one exact assignment, keyed by its labels as
+    ``np.min_scalar_type(k - 1)``.  It holds its masses, its
+    (objective, H, I) and its successor, None until a chain needs it.  Its
+    decoder is dropped as soon as the successor is known.
+    """
+
+    def __init__(self, density, weights, p_y, k, beta):
+        self.density, self.weights, self.p_y, self.k, self.beta = density, weights, p_y, k, beta
+        self.dtype = np.min_scalar_type(k - 1)
+        self.index = {}
+        self.keys, self.masses, self.decoders, self.scores, self.successors = [], [], [], [], []
+
+    def add(self, assign):
+        """Node ids of the rows of ``assign`` (C, n); the states not seen
+        before are refreshed and scored in one stacked pass."""
+        keys = [row.tobytes() for row in assign.astype(self.dtype)]
+        fresh = {key: row for row, key in enumerate(keys) if key not in self.index}
+        if fresh:
+            masses, decoder = _refresh(assign[list(fresh.values())], self.k,
+                                       self.density.matrix, self.weights)
+            obj, h, i = _objectives(masses, decoder, self.p_y, self.beta)
+            for row, key in enumerate(fresh):
+                self.index[key] = len(self.keys)
+                self.keys.append(key)
+                self.masses.append(masses[row])
+                self.decoders.append(decoder[row])
+                self.scores.append((obj[row].item(), h[row].item(), i[row].item()))
+                self.successors.append(None)
+        return [self.index[key] for key in keys]
+
+    def step(self, nodes):
+        """The successor of every node in ``nodes``; the distinct ones that
+        lack it are scored in one stacked pass."""
+        pending = list(dict.fromkeys(u for u in nodes if self.successors[u] is None))
+        if pending:
+            new_assign = _score_step(np.stack([self.masses[u] for u in pending]),
+                                     np.stack([self.decoders[u] for u in pending]),
+                                     self.density, self.beta)
+            for u, v in zip(pending, self.add(new_assign)):
+                self.successors[u] = v
+                self.decoders[u] = None
+        return [self.successors[u] for u in nodes]
+
+    def assign(self, node):
+        return np.frombuffer(self.keys[node], dtype=self.dtype)
+
+
+class _Chain:
+    """Bookkeeping of one restart while it walks a state graph."""
+
+    def __init__(self, restart_index, seed, node, max_iter):
         self.restart_index = restart_index
         self.seed = seed
+        self.node = node
+        self.max_iter = max_iter
         self.trace = []
         self.best = None
         self.prev_obj = np.inf
         self.converged = False
         self.cycle = False
 
-    def record(self, obj, h, i, unchanged, encoder) -> bool:
-        """Log one iteration's objective; return whether the chain goes on.
+    def record(self, node, obj, h, i) -> bool:
+        """Move to ``node`` and log its objective; return whether the chain goes on.
 
-        ``encoder`` builds the iteration's Encoder; it is called only when
-        the objective improves on the best so far.  Convergence is detected
-        on the assignment vector.  A rise of the objective beyond the
-        tolerance aborts the chain (a cycle); the best encoder seen so far
-        is kept either way.
+        The chain converges when ``node`` is the node it stands on.  A rise
+        of the objective beyond the tolerance stops it as a cycle, and the
+        iteration cap stops it unflagged; the best node seen so far is kept
+        either way.
         """
         self.trace.append(obj)
         if self.best is None or obj < self.best[0]:
-            self.best = (obj, h, i, encoder())
-        if unchanged:
+            self.best = (obj, h, i, node)
+        if node == self.node:
             self.converged = True
         elif obj > self.prev_obj + _TRACE_RISE_TOL:
             self.cycle = True
+        self.node = node
         self.prev_obj = obj
-        return not (self.converged or self.cycle)
-
-    def result(self, beta) -> DibResult:
-        obj, h, i, enc = self.best
-        return DibResult(
-            encoder=enc,
-            beta=beta,
-            objective=obj,
-            compression=h,
-            relevance=i,
-            iterations=len(self.trace),
-            objective_trace=np.array(self.trace),
-            effective_k=enc.effective_k,
-            restart_index=self.restart_index,
-            seed=self.seed,
-            converged=self.converged,
-            cycle_detected=self.cycle,
-        )
+        return not (self.converged or self.cycle) and len(self.trace) < self.max_iter
 
 
-def _run_block(density, weights, p_y, k, beta, max_iter, chains):
-    """Iterate a block of chains in lock-step; one DibResult per chain."""
-    p = density.matrix
+def _run_block(graph, restarts, rng_seed, max_iter):
+    """Walk the chains of ``restarts`` in lock-step on ``graph`` until each
+    stops; returns one (summary, trace, best assignment) per chain."""
+    seeds = [derive_seed(rng_seed, STREAM_RESTART, r) for r in restarts]
+    starts = graph.add(np.stack([init_random(graph.density.n, graph.k, s) for s in seeds]))
+    chains = [_Chain(r, seed, node, max_iter) for r, seed, node in zip(restarts, seeds, starts)]
     live = chains
-    assign = np.stack([init_random(density.n, k, c.seed) for c in live])
-    masses, decoder = _refresh(assign, k, p, weights)
-    for _ in range(max_iter):
-        new_assign = _score_step(masses, decoder, density, beta)
-        masses, decoder = _refresh(new_assign, k, p, weights)
-        obj, h, i = _objectives(masses, decoder, p_y, beta)
-        unchanged = np.all(new_assign == assign, axis=1)
-        going = [
-            row for row, chain in enumerate(live)
-            if chain.record(
-                obj[row].item(), h[row].item(), i[row].item(), bool(unchanged[row]),
-                lambda row=row: Encoder(assign=new_assign[row], masses=masses[row],
-                                        decoder=decoder[row].copy()),
-            )
-        ]
-        if not going:
-            break
-        live = [live[row] for row in going]
-        assign, masses, decoder = new_assign[going], masses[going], decoder[going]
-    return [c.result(beta) for c in chains]
+    while live:
+        nodes = graph.step([c.node for c in live])
+        live = [c for c, v in zip(live, nodes) if c.record(v, *graph.scores[v])]
+    runs = []
+    for c in chains:
+        obj, h, i, node = c.best
+        summary = RestartSummary(
+            restart_index=c.restart_index, seed=c.seed, objective=obj, compression=h,
+            relevance=i, iterations=len(c.trace),
+            effective_k=int(np.count_nonzero(graph.masses[node] > 0)),
+            converged=c.converged, cycle_detected=c.cycle,
+        )
+        runs.append((summary, c.trace, graph.assign(node)))
+    return runs
 
 
 def _block_bounds(restarts, n, k, threads):
@@ -391,20 +434,28 @@ def dib_fit_density(
     weights = _check_weights(weights, n)
     p_y = _marginal(density.matrix, weights)
 
-    def run(bounds):
-        chains = [_Chain(r, derive_seed(rng_seed, STREAM_RESTART, r)) for r in range(*bounds)]
-        return _run_block(density, weights, p_y, k, beta, max_iter, chains)
+    def run(bounds, graph):
+        return _run_block(graph, range(*bounds), rng_seed, max_iter)
+
+    def new_graph():
+        return _StateGraph(density, weights, p_y, k, beta)
 
     blocks = _block_bounds(restarts, n, k, threads)
     if len(blocks) > 1 and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, blocks))
+            parts = list(pool.map(lambda b: run(b, new_graph()), blocks))
     else:
-        parts = [run(b) for b in blocks]
-    results = [r for part in parts for r in part]
-    best = min(results, key=lambda r: (r.objective, r.restart_index))
-    summary = tuple(_project(RestartSummary, r) for r in results)
-    return replace(best, restart_summary=summary)
+        graph = new_graph()
+        parts = [run(b, graph) for b in blocks]
+    runs = [r for part in parts for r in part]
+    summary, trace, assign = min(runs, key=lambda r: (r[0].objective, r[0].restart_index))
+    return DibResult(
+        **vars(summary),
+        encoder=Encoder.from_assignment(assign, k, density, weights),
+        beta=beta,
+        objective_trace=np.array(trace),
+        restart_summary=tuple(r[0] for r in runs),
+    )
 
 
 def dib_fit(

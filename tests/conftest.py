@@ -233,6 +233,7 @@ def _run_chain_oracle(density, weights, k, beta, max_iter, seed, restart_index):
     row_neg_entropy = np.einsum("xy,xy->x", p, np.log(np.where(p > 0, p, 1.0)))
     assign = init_random(p.shape[0], k, seed)
     masses, decoder = _masses_and_decoder_oracle(assign, k, p, weights)
+    states = [assign.tobytes()]
     trace = []
     best = None
     converged = cycle = False
@@ -241,6 +242,7 @@ def _run_chain_oracle(density, weights, k, beta, max_iter, seed, restart_index):
         new_assign = _score_step_oracle(masses, decoder, p, row_neg_entropy, beta, has_zeros)
         unchanged = bool(np.array_equal(new_assign, assign))
         assign = new_assign
+        states.append(assign.tobytes())
         masses, decoder = _masses_and_decoder_oracle(assign, k, p, weights)
         enc = Encoder(assign=assign, masses=masses, decoder=decoder)
         obj, h, i = objective(enc, density, beta, weights)
@@ -260,22 +262,33 @@ def _run_chain_oracle(density, weights, k, beta, max_iter, seed, restart_index):
         relevance=i, iterations=len(trace), effective_k=enc.effective_k,
         converged=converged, cycle_detected=cycle,
     )
-    return summary, enc.assign, np.array(trace)
+    return summary, enc.assign, np.array(trace), states
 
 
-def dib_fit_density_oracle(density, weights, k, beta, restarts, max_iter, rng_seed):
-    """Restarts run one after another, each chain on its own; returns the
-    restart summaries and the winner's assignment and objective trace."""
+def _run_chains_oracle(density, weights, k, beta, restarts, max_iter, rng_seed):
     weights = np.asarray(weights, dtype=float)
-    chains = [
+    return [
         _run_chain_oracle(
             density, weights, k, beta, max_iter,
             derive_seed(rng_seed, STREAM_RESTART, r), r,
         )
         for r in range(restarts)
     ]
+
+
+def dib_fit_density_oracle(density, weights, k, beta, restarts, max_iter, rng_seed):
+    """Restarts run one after another, each chain on its own; returns the
+    restart summaries and the winner's assignment and objective trace."""
+    chains = _run_chains_oracle(density, weights, k, beta, restarts, max_iter, rng_seed)
     best = min(chains, key=lambda c: (c[0].objective, c[0].restart_index))
     return tuple(c[0] for c in chains), best[1], best[2]
+
+
+def dib_chain_states_oracle(density, weights, k, beta, restarts, max_iter, rng_seed):
+    """Per restart, its summary and the assignments its chain visits, as
+    int64 bytes, the random start first."""
+    chains = _run_chains_oracle(density, weights, k, beta, restarts, max_iter, rng_seed)
+    return [(c[0], c[3]) for c in chains]
 
 
 def _nearest_two_oracle(d, medoids):

@@ -21,19 +21,24 @@ from dibmix import (
     ConditionalDensity,
     DegenerateSmoothingError,
     Encoder,
+    GenSpec,
     MixedDataset,
     VariableSchema,
     ari,
     beta_sweep,
+    choose_bandwidths,
     dib_fit,
     dib_fit_density,
     dib_step,
     estimate_conditional,
+    generate,
     init_random,
     objective,
+    standardize,
 )
 
-from conftest import dib_fit_density_oracle, dib_objective_oracle
+import conftest
+from conftest import dib_chain_states_oracle, dib_fit_density_oracle, dib_objective_oracle
 
 
 def _mixed(continuous, categorical=None, levels=()):
@@ -352,17 +357,120 @@ def test_dib_fit_density_matches_per_chain_oracle(n, lam, max_iter, k, beta):
     density, weights = _equivalence_density(lam, n)
     assert density.has_zeros == (lam[0] == 0.0)
     for restarts in (1, 2, 7):
-        summary, assign, trace = dib_fit_density_oracle(
-            density, weights, k, beta, restarts, max_iter, rng_seed=7
-        )
-        for threads in (1, 3):
-            got = dib_fit_density(density, weights, k, beta, restarts=restarts,
-                                  max_iter=max_iter, rng_seed=7, threads=threads)
-            assert [repr(astuple(r)) for r in got.restart_summary] == [
-                repr(astuple(r)) for r in summary
-            ]
-            assert got.assign.tobytes() == assign.tobytes()
-            assert got.objective_trace.tobytes() == trace.tobytes()
+        _assert_fit_matches_oracle(density, weights, k, beta, restarts, max_iter, (1, 3))
+
+
+def _assert_fit_matches_oracle(density, weights, k, beta, restarts, max_iter, thread_counts):
+    """Every restart summary, the winning assignment and its trace equal the
+    per-chain oracle's byte for byte, at each thread count."""
+    summary, assign, trace = dib_fit_density_oracle(
+        density, weights, k, beta, restarts, max_iter, rng_seed=7
+    )
+    for threads in thread_counts:
+        got = dib_fit_density(density, weights, k, beta, restarts=restarts,
+                              max_iter=max_iter, rng_seed=7, threads=threads)
+        assert [repr(astuple(r)) for r in got.restart_summary] == [
+            repr(astuple(r)) for r in summary
+        ]
+        assert got.assign.tobytes() == assign.tobytes()
+        assert got.objective_trace.tobytes() == trace.tobytes()
+
+
+# On two generated clusters at n=257 with k=2, restarts meet before they
+# converge, so later chains move on from states where earlier ones stopped;
+# 150 restarts fill three blocks.
+_MEMO_K, _MEMO_BETA, _MEMO_RESTARTS = 2, 100.0, 150
+
+
+def _memo_density():
+    spec = GenSpec(n=257, p_c=2, p_d=2, levels=4, overlap_cont=0.3, overlap_cat=0.3, seed=1000)
+    ds = standardize(generate(spec).data)
+    return estimate_conditional(ds, choose_bandwidths(ds)), ds.weights
+
+
+def _stops_continued_later(density, weights, max_iter):
+    """How often a restart moves on from a state where a restart of an
+    earlier block stopped without converging (at its cap or by a cycle)."""
+    from dibmix.dib import _block_bounds
+
+    chains = dib_chain_states_oracle(density, weights, _MEMO_K, _MEMO_BETA, _MEMO_RESTARTS,
+                                     max_iter, rng_seed=7)
+    blocks = _block_bounds(_MEMO_RESTARTS, density.n, _MEMO_K, 1)
+    assert len(blocks) >= 3
+    block_of = {r: b for b, bounds in enumerate(blocks) for r in range(*bounds)}
+    stopped = {}
+    for r, (summary, states) in enumerate(chains):
+        if not summary.converged:
+            stopped.setdefault(states[-1], block_of[r])
+    return sum(
+        1
+        for r, (_, states) in enumerate(chains)
+        for state, successor in zip(states, states[1:])
+        if successor != state and stopped.get(state, block_of[r]) < block_of[r]
+    )
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_state_memo_continues_chains_stopped_at_their_cap(max_iter):
+    """With one thread a single state graph spans the blocks, so a later
+    block moves on from states where earlier chains ran out of iterations;
+    every restart still matches the per-chain oracle."""
+    density, weights = _memo_density()
+    if max_iter > 1:
+        assert _stops_continued_later(density, weights, max_iter) > 0
+    _assert_fit_matches_oracle(density, weights, _MEMO_K, _MEMO_BETA, _MEMO_RESTARTS, max_iter, (1,))
+
+
+def test_state_memo_continues_chains_stopped_by_a_cycle(monkeypatch):
+    """With a negative rise tolerance every chain that has not converged by
+    its second step stops there by a cycle, and later chains move on from
+    those states."""
+    monkeypatch.setattr("dibmix.dib._TRACE_RISE_TOL", -1.0)
+    monkeypatch.setattr(conftest, "_TRACE_RISE_TOL", -1.0)
+    density, weights = _memo_density()
+    summary = [s for s, _ in dib_chain_states_oracle(
+        density, weights, _MEMO_K, _MEMO_BETA, _MEMO_RESTARTS, 100, rng_seed=7)]
+    assert all(s.cycle_detected != s.converged for s in summary)
+    assert any(s.cycle_detected for s in summary)
+    assert _stops_continued_later(density, weights, 100) > 0
+    _assert_fit_matches_oracle(density, weights, _MEMO_K, _MEMO_BETA, _MEMO_RESTARTS, 100, (1, 3))
+
+
+@pytest.mark.parametrize("max_iter", [3, 100])
+def test_state_memo_same_for_any_thread_count(max_iter):
+    """One graph across every block (one thread) and one graph per block
+    (three threads) give the same restarts, winner and trace."""
+    density, weights = _memo_density()
+    _assert_fit_matches_oracle(density, weights, _MEMO_K, _MEMO_BETA, _MEMO_RESTARTS, max_iter, (1, 3))
+
+
+def test_state_memo_refreshes_each_state_once(monkeypatch):
+    """A fit refreshes every distinct assignment once, then rebuilds the
+    winner's encoder, and scores every state at most once."""
+    from dibmix import dib
+
+    density, weights = _memo_density()
+    refreshed, scored = [], []
+    refresh, score_step = dib._refresh, dib._score_step
+
+    def counted_refresh(assign, k, p_matrix, w):
+        refreshed.extend(row.tobytes() for row in assign)
+        return refresh(assign, k, p_matrix, w)
+
+    def counted_score_step(masses, decoder, *args):
+        scored.append(masses.shape[0])
+        return score_step(masses, decoder, *args)
+
+    monkeypatch.setattr(dib, "_refresh", counted_refresh)
+    monkeypatch.setattr(dib, "_score_step", counted_score_step)
+    result = dib_fit_density(density, weights, _MEMO_K, _MEMO_BETA, restarts=20, rng_seed=7)
+    marginal, *states, winner = refreshed
+    assert len(marginal) == 8 * density.n  # the one-cluster p(y), int64 labels
+    assert len(set(states)) == len(states)
+    assert winner == result.assign.tobytes()
+    iterations = sum(r.iterations for r in result.restart_summary)
+    assert len(states) < iterations
+    assert sum(scored) <= len(states)
 
 
 @pytest.mark.parametrize("lam", [[0.3, 0.2], [0.0, 0.2]])
@@ -459,23 +567,44 @@ def test_dib_fit_density_rejects_bad_weights(case):
 def test_chain_rise_beyond_tolerance_is_a_cycle():
     """Seeded data never makes the objective rise, so the cycle rule is
     driven directly: a rise within the tolerance goes on, a larger one
-    stops the chain, and the best encoder so far is kept."""
+    stops the chain, and the best node so far is kept."""
     from dibmix.dib import _TRACE_RISE_TOL, _Chain
 
-    chain = _Chain(restart_index=0, seed=0)
-    built = []
-
-    def encoder(name):
-        return lambda: built.append(name) or name
-
-    assert chain.record(3.0, 0.0, 0.0, False, encoder("a"))
-    assert chain.record(2.0, 0.0, 0.0, False, encoder("b"))
-    assert chain.record(2.0 + _TRACE_RISE_TOL / 2, 0.0, 0.0, False, encoder("c"))
-    assert not chain.record(2.5, 0.0, 0.0, False, encoder("d"))
+    chain = _Chain(restart_index=0, seed=0, node=0, max_iter=10)
+    assert chain.record(1, 3.0, 0.0, 0.0)
+    assert chain.record(2, 2.0, 0.0, 0.0)
+    assert chain.record(3, 2.0 + _TRACE_RISE_TOL / 2, 0.0, 0.0)
+    assert not chain.record(4, 2.5, 0.0, 0.0)
     assert chain.cycle and not chain.converged
-    assert chain.best[3] == "b"
-    assert built == ["a", "b"]  # an encoder is built only when the best improves
+    assert chain.best == (2.0, 0.0, 0.0, 2)
     assert chain.trace == [3.0, 2.0, 2.0 + _TRACE_RISE_TOL / 2, 2.5]
+
+    # a chain converges on the node it stands on, and stops unflagged at its cap
+    chain = _Chain(restart_index=0, seed=0, node=0, max_iter=3)
+    assert chain.record(1, 3.0, 0.0, 0.0)
+    assert not chain.record(1, 3.0, 0.0, 0.0)
+    assert chain.converged and not chain.cycle
+    chain = _Chain(restart_index=0, seed=0, node=0, max_iter=2)
+    assert chain.record(1, 3.0, 0.0, 0.0)
+    assert not chain.record(2, 2.0, 0.0, 0.0)
+    assert not (chain.converged or chain.cycle)
+
+
+def test_dib_fit_builds_one_encoder(monkeypatch):
+    """Only the winner's encoder is built, once per fit."""
+    density, weights = _equivalence_density([0.3, 0.2])
+    build = Encoder.from_assignment
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(Encoder, "from_assignment", classmethod(counted))
+    for threads in (1, 3):
+        calls.clear()
+        dib_fit_density(density, weights, 3, 5.0, restarts=7, rng_seed=7, threads=threads)
+        assert len(calls) == 1
 
 
 def test_block_bounds_cover_restarts_within_budget():
