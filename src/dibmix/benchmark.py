@@ -72,6 +72,10 @@ class BenchmarkPlan:
         unknown = set(self.methods) - set(METHOD_NAMES)
         if unknown or not self.methods:
             raise ValueError(f"methods must be a non-empty subset of {METHOD_NAMES}")
+        # a repeated level would run, and weigh in the aggregates, twice
+        for axis in (*grid_axes, self.methods):
+            if len(set(axis)) < len(axis):
+                raise ValueError(f"factor levels and methods must be distinct, got {axis}")
         # a bad weight is a usage error, not an error row for every replicate
         BalanceSpec(categorical_weight=self.categorical_weight)
 

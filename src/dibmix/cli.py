@@ -67,7 +67,7 @@ from .errors import (
     SizeCapError,
     ZeroVarianceError,
 )
-from .kernels import Bandwidths, DEFAULT_MAX_N, estimate_conditional
+from .kernels import Bandwidths, estimate_conditional
 from .metrics import ari
 from .seeding import STREAM_SUBSAMPLE, derive_seed
 
@@ -248,7 +248,7 @@ def cmd_cluster(args) -> int:
     threads = _resolve_threads(args.threads)
     outdir = _ensure_outdir(args.output_dir)
     ds, idx, bw = _preprocess(args)
-    density = estimate_conditional(ds, bw, max_n=args.max_n)
+    density = estimate_conditional(ds, bw)
     result = dib_fit_density(
         density, ds.weights, args.k, args.beta,
         restarts=args.restarts, max_iter=args.max_iter,
@@ -394,7 +394,7 @@ def cmd_sweep_beta(args) -> int:
     betas = _parse_list(args.betas, float)
     sweep = beta_sweep(
         ds, args.k, bw, betas, restarts=args.restarts, max_iter=args.max_iter,
-        rng_seed=args.seed, threads=threads, max_n=args.max_n,
+        rng_seed=args.seed, threads=threads,
     )
     curve_path = os.path.join(outdir, "curve.csv")
     with open(curve_path, "w", newline="") as fh:
@@ -460,10 +460,6 @@ def _add_bandwidth_flags(parser):
                         help="set each lambda_j to (l_j-1)/l_j minus this offset")
     parser.add_argument("--categorical-weight", type=float, default=1.0,
                         help="target ratio of categorical to continuous kernel variance")
-    parser.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
-                        help="cap on n for the n^2 density matrix (default %(default)s); "
-                             "a cap above 10000 needs OPENBLAS_NUM_THREADS=1 for "
-                             "bit-identical output")
 
 
 def _add_run_flags(parser, restarts_default):
@@ -477,7 +473,8 @@ def _add_run_flags(parser, restarts_default):
 
 def _add_threads_flag(parser):
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: DIBMIX_THREADS or 1)")
+                        help="worker threads (default: DIBMIX_THREADS or 1) for the slices "
+                             "of each stacked DIB pass or for benchmark replicates")
 
 
 def build_parser() -> argparse.ArgumentParser:

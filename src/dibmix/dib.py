@@ -18,23 +18,22 @@ Empty clusters score -inf and therefore stay empty, which is what lets the
 method prune clusters (reported as ``effective_k``).
 
 The update is a pure function of the hard assignment, so the restarts of
-one fit walk a shared state graph.  A node is one exact assignment vector;
-it holds its masses, its objective and, once known, its successor.  Its
-decoder is kept only until the successor is known.  Restarts advance in
-lock-step: each step stacks the decoders of the distinct nodes that running
-chains occupy and whose successor is unknown, so p(y | x) is read once to
-score them all, and once more to refresh the states that are new.  Restarts
-that meet share the rest of one trajectory, and a converged state is not
-refreshed again.  Each chain still keeps its own trace, iteration count and
-stop rule; it stops when it converges, cycles or reaches its iteration cap,
-and a later chain that reaches the state where it stopped computes the
-successor.  ``threads > 1`` splits the restarts into contiguous blocks run
-on a thread pool, each block with a graph of its own; with one thread, one
-graph spans every block.  A node's arithmetic does not depend on the stack
-it is computed in, so results are bit-identical for any thread count.  The
-objective is summed per cluster in sorted order, so restarts that reach one
-partition under different labels tie exactly and the lowest restart index
-wins.
+one fit walk one shared state graph.  A node is one exact assignment
+vector; it holds its masses, its objective and, once known, its successor.
+Its decoder is kept only until the successor is known.  All restarts advance
+in lock-step: each step stacks the decoders of the distinct nodes that
+running chains occupy and whose successor is unknown, so p(y | x) is read
+once to score them all, and once more to refresh the states that are new.
+Restarts that meet share the rest of one trajectory, and a converged state
+is not refreshed again.  Each chain keeps its own trace, iteration count
+and stop rule; it stops when it converges, cycles or reaches its cap, and a
+chain that reaches the state where another stopped computes the successor.
+A stacked pass is cut into slices within a memory budget; ``threads > 1``
+cuts it into at least that many and runs them on a thread pool.  A node's
+arithmetic does not depend on its slice, so neither the work done nor the
+result depends on the thread count.  The objective is summed per cluster in
+sorted order, so restarts that reach one partition under different labels
+tie exactly and the lowest restart index wins.
 
 Reference: Strouse, DJ and Schwab, D.J. (2017). The deterministic
 information bottleneck. Neural Computation 29.
@@ -50,7 +49,7 @@ from scipy import sparse
 from .dataset import MixedDataset
 from .errors import DegenerateSmoothingError
 from .infotheory import _as_distribution
-from .kernels import Bandwidths, ConditionalDensity, DEFAULT_MAX_N, estimate_conditional
+from .kernels import Bandwidths, ConditionalDensity, estimate_conditional
 from .seeding import STREAM_RESTART, derive_seed
 
 DEFAULT_RESTARTS = 100
@@ -58,12 +57,12 @@ DEFAULT_MAX_ITER = 100
 
 _TRACE_RISE_TOL = 1e-12
 
-# Each stacked per-block array (the decoders, the log-decoders, the scores)
-# holds n x C*k doubles for C chains.  A block is
-# sized so that each stays within 1/16 of the n x n density, or within 256 KiB
-# where the density is so small that per-call overhead would dominate.
-_BLOCK_SHARE = 16
-_BLOCK_FLOOR = 1 << 15
+# Each array of a stacked pass (the decoders, the log-decoders, the scores)
+# holds n x C*k doubles for C states.  A pass is cut into slices so that each
+# stays within 1/16 of the n x n density, or within 256 KiB where the density
+# is so small that per-call overhead would dominate.
+_STACK_SHARE = 16
+_STACK_FLOOR = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -291,47 +290,67 @@ def _project(cls, source):
 
 
 class _StateGraph:
-    """The assignment states that the chains of a fit, or of one block of it,
-    reach, and the steps between them.
+    """The assignment states that the chains of one fit reach, and the steps
+    between them.
 
     A node is one exact assignment, keyed by its labels as
     ``np.min_scalar_type(k - 1)``.  It holds its masses, its
     (objective, H, I) and its successor, None until a chain needs it.  Its
-    decoder is dropped as soon as the successor is known.
+    decoder is dropped as soon as the successor is known.  ``mapper`` (``map``
+    or a thread pool's) runs the slices of a stacked pass; only the calling
+    thread reads or writes the graph.
     """
 
-    def __init__(self, density, weights, p_y, k, beta):
+    def __init__(self, density, weights, p_y, k, beta, threads, mapper):
         self.density, self.weights, self.p_y, self.k, self.beta = density, weights, p_y, k, beta
+        self.threads, self.mapper = threads, mapper
         self.dtype = np.min_scalar_type(k - 1)
         self.index = {}
         self.keys, self.masses, self.decoders, self.scores, self.successors = [], [], [], [], []
+
+    def _pass(self, fn, items):
+        """``fn`` over contiguous slices of the stacked ``items`` (one per
+        state), its outputs in order: at least min(threads, len(items))
+        slices, each within the stacked-array budget above."""
+        n, count = self.density.n, len(items)
+        per_slice = max(1, max(n * n // _STACK_SHARE, _STACK_FLOOR) // (n * self.k))
+        parts = max(-(-count // per_slice), min(self.threads, count))
+        return list(self.mapper(fn, [items[b * count // parts:(b + 1) * count // parts]
+                                     for b in range(parts)]))
 
     def add(self, assign):
         """Node ids of the rows of ``assign`` (C, n); the states not seen
         before are refreshed and scored in one stacked pass."""
         keys = [row.tobytes() for row in assign.astype(self.dtype)]
         fresh = {key: row for row, key in enumerate(keys) if key not in self.index}
-        if fresh:
-            masses, decoder = _refresh(assign[list(fresh.values())], self.k,
-                                       self.density.matrix, self.weights)
-            obj, h, i = _objectives(masses, decoder, self.p_y, self.beta)
-            for row, key in enumerate(fresh):
-                self.index[key] = len(self.keys)
-                self.keys.append(key)
-                self.masses.append(masses[row])
-                self.decoders.append(decoder[row])
-                self.scores.append((obj[row].item(), h[row].item(), i[row].item()))
-                self.successors.append(None)
+
+        def refresh(new):
+            masses, decoder = _refresh(new, self.k, self.density.matrix, self.weights)
+            return masses, decoder, *_objectives(masses, decoder, self.p_y, self.beta)
+
+        states = (state for out in self._pass(refresh, assign[list(fresh.values())])
+                  for state in zip(*out))
+        for key, (masses, decoder, obj, h, i) in zip(fresh, states):
+            self.index[key] = len(self.keys)
+            self.keys.append(key)
+            self.masses.append(masses)
+            self.decoders.append(decoder)
+            self.scores.append((obj.item(), h.item(), i.item()))
+            self.successors.append(None)
         return [self.index[key] for key in keys]
 
     def step(self, nodes):
         """The successor of every node in ``nodes``; the distinct ones that
         lack it are scored in one stacked pass."""
         pending = list(dict.fromkeys(u for u in nodes if self.successors[u] is None))
+
+        def score(group):
+            return _score_step(np.stack([self.masses[u] for u in group]),
+                               np.stack([self.decoders[u] for u in group]),
+                               self.density, self.beta)
+
         if pending:
-            new_assign = _score_step(np.stack([self.masses[u] for u in pending]),
-                                     np.stack([self.decoders[u] for u in pending]),
-                                     self.density, self.beta)
+            new_assign = np.concatenate(self._pass(score, pending))
             for u, v in zip(pending, self.add(new_assign)):
                 self.successors[u] = v
                 self.decoders[u] = None
@@ -344,9 +363,7 @@ class _StateGraph:
 class _Chain:
     """Bookkeeping of one restart while it walks a state graph."""
 
-    def __init__(self, restart_index, seed, node, max_iter):
-        self.restart_index = restart_index
-        self.seed = seed
+    def __init__(self, node, max_iter):
         self.node = node
         self.max_iter = max_iter
         self.trace = []
@@ -375,35 +392,27 @@ class _Chain:
         return not (self.converged or self.cycle) and len(self.trace) < self.max_iter
 
 
-def _run_block(graph, restarts, rng_seed, max_iter):
-    """Walk the chains of ``restarts`` in lock-step on ``graph`` until each
-    stops; returns one (summary, trace, best assignment) per chain."""
-    seeds = [derive_seed(rng_seed, STREAM_RESTART, r) for r in restarts]
+def _walk(graph, restarts, rng_seed, max_iter):
+    """Walk ``restarts`` chains in lock-step on ``graph`` until each stops;
+    returns one (summary, trace, best assignment) per chain."""
+    seeds = [derive_seed(rng_seed, STREAM_RESTART, r) for r in range(restarts)]
     starts = graph.add(np.stack([init_random(graph.density.n, graph.k, s) for s in seeds]))
-    chains = [_Chain(r, seed, node, max_iter) for r, seed, node in zip(restarts, seeds, starts)]
+    chains = [_Chain(node, max_iter) for node in starts]
     live = chains
     while live:
         nodes = graph.step([c.node for c in live])
         live = [c for c, v in zip(live, nodes) if c.record(v, *graph.scores[v])]
     runs = []
-    for c in chains:
+    for r, (seed, c) in enumerate(zip(seeds, chains)):
         obj, h, i, node = c.best
         summary = RestartSummary(
-            restart_index=c.restart_index, seed=c.seed, objective=obj, compression=h,
+            restart_index=r, seed=seed, objective=obj, compression=h,
             relevance=i, iterations=len(c.trace),
             effective_k=int(np.count_nonzero(graph.masses[node] > 0)),
             converged=c.converged, cycle_detected=c.cycle,
         )
         runs.append((summary, c.trace, graph.assign(node)))
     return runs
-
-
-def _block_bounds(restarts, n, k, threads):
-    """Contiguous restart ranges, at least ``threads`` of them, each small
-    enough for the stacked-array budget above."""
-    per_block = max(1, max(n * n // _BLOCK_SHARE, _BLOCK_FLOOR) // (n * k))
-    count = max(-(-restarts // per_block), min(threads, restarts))
-    return [(b * restarts // count, (b + 1) * restarts // count) for b in range(count)]
 
 
 def dib_fit_density(
@@ -433,21 +442,12 @@ def dib_fit_density(
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     weights = _check_weights(weights, n)
     p_y = _marginal(density.matrix, weights)
-
-    def run(bounds, graph):
-        return _run_block(graph, range(*bounds), rng_seed, max_iter)
-
-    def new_graph():
-        return _StateGraph(density, weights, p_y, k, beta)
-
-    blocks = _block_bounds(restarts, n, k, threads)
-    if len(blocks) > 1 and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: run(b, new_graph()), blocks))
-    else:
-        graph = new_graph()
-        parts = [run(b, graph) for b in blocks]
-    runs = [r for part in parts for r in part]
+    if beta > 0:  # build the cached n x n score terms before any worker needs them
+        _ = density.neg_entropy, density.has_zeros
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        graph = _StateGraph(density, weights, p_y, k, beta, threads,
+                            pool.map if threads > 1 else map)
+        runs = _walk(graph, restarts, rng_seed, max_iter)
     summary, trace, assign = min(runs, key=lambda r: (r[0].objective, r[0].restart_index))
     return DibResult(
         **vars(summary),
@@ -467,10 +467,9 @@ def dib_fit(
     max_iter: int = DEFAULT_MAX_ITER,
     rng_seed: int = 0,
     threads: int = 1,
-    max_n: int = DEFAULT_MAX_N,
 ) -> DibResult:
     """Estimate the conditional density for ``ds`` and fit the encoder."""
-    density = estimate_conditional(ds, bw, max_n=max_n)
+    density = estimate_conditional(ds, bw)
     return dib_fit_density(
         density, ds.weights, k, beta, restarts=restarts, max_iter=max_iter,
         rng_seed=rng_seed, threads=threads,
@@ -512,7 +511,6 @@ def beta_sweep(
     max_iter: int = DEFAULT_MAX_ITER,
     rng_seed: int = 0,
     threads: int = 1,
-    max_n: int = DEFAULT_MAX_N,
 ) -> BetaSweepResult:
     """Fit once per beta (same seed, so initializations are shared) and
     tabulate H(T), I(T, Y) and the effective cluster count.  ``betas`` must
@@ -524,7 +522,7 @@ def beta_sweep(
         raise ValueError("betas must be finite and nonnegative")
     if not all(lo < hi for lo, hi in zip(betas, betas[1:])):
         raise ValueError("betas must be strictly increasing")
-    density = estimate_conditional(ds, bw, max_n=max_n)
+    density = estimate_conditional(ds, bw)
     rows = []
     for beta in betas:
         res = dib_fit_density(

@@ -35,6 +35,8 @@ from .errors import SchemaError, SizeCapError
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
+# Cap on n for the n x n density (800 MB).  Up to it OpenBLAS runs each ddot
+# of the DIB score step on one thread, so no output depends on BLAS threads.
 DEFAULT_MAX_N = 10_000
 
 # Elements per block of the n x n pass: a block and its one temporary
@@ -211,9 +213,7 @@ def _log_kernel_blocks(ds: MixedDataset, bw: Bandwidths, out: np.ndarray):
         yield block
 
 
-def estimate_conditional(
-    ds: MixedDataset, bw: Bandwidths, max_n: int = DEFAULT_MAX_N
-) -> ConditionalDensity:
+def estimate_conditional(ds: MixedDataset, bw: Bandwidths) -> ConditionalDensity:
     """Estimate p(y | x) over the observed points.
 
     Row i is the vector of product-kernel values against every observation
@@ -222,13 +222,13 @@ def estimate_conditional(
     in place from log K(i, j) - log K(i, i) and normalized, so every row
     holds its diagonal 1 before normalization and never sums to zero.
 
-    The result takes O(n^2) memory; ``max_n`` (default 10,000) caps n and
-    raising it is an explicit opt-in.
+    The result takes O(n^2) memory, so n may not exceed ``DEFAULT_MAX_N``
+    (10,000).
     """
-    if ds.n > max_n:
+    if ds.n > DEFAULT_MAX_N:
         raise SizeCapError(
-            f"n={ds.n} exceeds the density matrix cap ({max_n}); "
-            "subsample or raise max_n explicitly"
+            f"n={ds.n} exceeds the density matrix cap ({DEFAULT_MAX_N}); "
+            "subsample the rows (--subsample in the CLI)"
         )
     bw.validate_for(ds)
     matrix = np.empty((ds.n, ds.n))

@@ -74,6 +74,12 @@ def test_plan_validation():
     for beta in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="beta"):
             BenchmarkPlan(beta=beta)
+    for repeated in (dict(methods=("dibmix", "gower_pam", "dibmix")), dict(ns=(40, 40)),
+                     dict(p_cs=(2, 6, 2)), dict(p_ds=(2, 2)), dict(levels=(4, 4)),
+                     dict(overlaps_cont=(0.3, 0.30)), dict(overlaps_cat=(0.6, 0.6)),
+                     dict(balances=("imbalanced-3:1", "equal", "imbalanced-3:1"))):
+        with pytest.raises(ValueError, match="distinct"):
+            BenchmarkPlan(**repeated)
 
 
 # ---------------------------------------------------------------------------

@@ -306,15 +306,30 @@ def test_zero_variance_error(tmp_path, capsys):
     assert err["code"] == "zero_variance"
 
 
-def test_size_cap_error(tmp_path, separated_csv, capsys):
+def test_size_cap_error(tmp_path, separated_csv, capsys, monkeypatch):
+    monkeypatch.setattr("dibmix.kernels.DEFAULT_MAX_N", 4)
     data, _, _ = separated_csv
     code = main([
         "cluster", "--input", str(data), "--categorical", "c1", "--k", "2",
-        "--max-n", "4", "--output-dir", str(tmp_path / "o"),
+        "--output-dir", str(tmp_path / "o"),
     ])
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "size_cap"
+    assert "subsample" in err["message"]
+
+
+def test_size_cap_is_fixed_at_10000_rows(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    _write_table(data, ["x"], [[i % 97] for i in range(10_001)])
+    code = main(["cluster", "--input", str(data), "--k", "2", "--s", "1",
+                 "--output-dir", str(tmp_path / "o")])
+    assert code == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "size_cap"
+    with pytest.raises(SystemExit):  # the cap is not an option
+        build_parser().parse_args(["cluster", "--input", str(data), "--k", "2",
+                                   "--max-n", "20000"])
 
 
 def test_invalid_argument_error(tmp_path, separated_csv, capsys):
@@ -412,8 +427,7 @@ def test_threads_env_fallback(tmp_path, separated_csv, capsys, monkeypatch):
 
 _IO_KEYS = {"input", "categorical", "schema_file", "subsample", "no_standardize",
             "seed", "restarts", "max_iter", "k"}
-_BANDWIDTH_KEYS = {"s", "s_multiplier", "lambda", "lambda_offset", "categorical_weight",
-                   "max_n"}
+_BANDWIDTH_KEYS = {"s", "s_multiplier", "lambda", "lambda_offset", "categorical_weight"}
 
 
 @pytest.mark.parametrize("argv, keys", [
@@ -570,7 +584,10 @@ def test_benchmark_tiny_run_and_aggregate_only(tmp_path, capsys):
     assert (agg / "factor_means.csv").read_text() == (out / "factor_means.csv").read_text()
 
 
-@pytest.mark.parametrize("argv", [["--balances", "equal,bogus"], ["--beta", "nan"]])
+@pytest.mark.parametrize("argv", [
+    ["--balances", "equal,bogus"], ["--beta", "nan"], ["--methods", "dibmix,dibmix"],
+    ["--balances", "imbalanced,imbalanced-3:1"], ["--ns", "20,20"],
+])
 def test_benchmark_rejects_bad_balance_and_beta(tmp_path, argv, capsys):
     out = tmp_path / "bench"
     code = main([

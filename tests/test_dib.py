@@ -351,7 +351,7 @@ def _equivalence_density(lam, n=48):
 @pytest.mark.parametrize("lam, max_iter", [([0.3, 0.2], 100), ([0.0, 0.2], 100), ([0.3, 0.2], 1)])
 @pytest.mark.parametrize("n", [48, 257])
 def test_dib_fit_density_matches_per_chain_oracle(n, lam, max_iter, k, beta):
-    """Lock-step blocks reproduce chains run one at a time, bit for bit.  At
+    """Lock-step restarts reproduce chains run one at a time, bit for bit.  At
     the odd n the rows of p and of the stacked decoders sit at other memory
     alignments, which every stack height must sum the same way."""
     density, weights = _equivalence_density(lam, n)
@@ -377,8 +377,8 @@ def _assert_fit_matches_oracle(density, weights, k, beta, restarts, max_iter, th
 
 
 # On two generated clusters at n=257 with k=2, restarts meet before they
-# converge, so later chains move on from states where earlier ones stopped;
-# 150 restarts fill three blocks.
+# converge, so chains move on from states where other chains stopped; the
+# 150 starting states fill three slices of the first stacked pass.
 _MEMO_K, _MEMO_BETA, _MEMO_RESTARTS = 2, 100.0, 150
 
 
@@ -389,32 +389,27 @@ def _memo_density():
 
 
 def _stops_continued_later(density, weights, max_iter):
-    """How often a restart moves on from a state where a restart of an
-    earlier block stopped without converging (at its cap or by a cycle)."""
-    from dibmix.dib import _block_bounds
-
+    """How often a restart moves on from a state where another restart
+    stopped without converging (at its cap or by a cycle)."""
     chains = dib_chain_states_oracle(density, weights, _MEMO_K, _MEMO_BETA, _MEMO_RESTARTS,
                                      max_iter, rng_seed=7)
-    blocks = _block_bounds(_MEMO_RESTARTS, density.n, _MEMO_K, 1)
-    assert len(blocks) >= 3
-    block_of = {r: b for b, bounds in enumerate(blocks) for r in range(*bounds)}
-    stopped = {}
+    stopped_by = {}
     for r, (summary, states) in enumerate(chains):
         if not summary.converged:
-            stopped.setdefault(states[-1], block_of[r])
+            stopped_by.setdefault(states[-1], set()).add(r)
     return sum(
         1
         for r, (_, states) in enumerate(chains)
         for state, successor in zip(states, states[1:])
-        if successor != state and stopped.get(state, block_of[r]) < block_of[r]
+        if successor != state and stopped_by.get(state, set()) - {r}
     )
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 3])
 def test_state_memo_continues_chains_stopped_at_their_cap(max_iter):
-    """With one thread a single state graph spans the blocks, so a later
-    block moves on from states where earlier chains ran out of iterations;
-    every restart still matches the per-chain oracle."""
+    """One state graph holds every restart, so chains move on from states
+    where other chains ran out of iterations; every restart still matches
+    the per-chain oracle."""
     density, weights = _memo_density()
     if max_iter > 1:
         assert _stops_continued_later(density, weights, max_iter) > 0
@@ -438,20 +433,26 @@ def test_state_memo_continues_chains_stopped_by_a_cycle(monkeypatch):
 
 @pytest.mark.parametrize("max_iter", [3, 100])
 def test_state_memo_same_for_any_thread_count(max_iter):
-    """One graph across every block (one thread) and one graph per block
-    (three threads) give the same restarts, winner and trace."""
+    """Passes run whole (one thread) or cut into slices on a pool (three
+    threads) give the same restarts, winner and trace."""
     density, weights = _memo_density()
     _assert_fit_matches_oracle(density, weights, _MEMO_K, _MEMO_BETA, _MEMO_RESTARTS, max_iter, (1, 3))
 
 
-def test_state_memo_refreshes_each_state_once(monkeypatch):
-    """A fit refreshes every distinct assignment once, then rebuilds the
-    winner's encoder, and scores every state at most once."""
+@pytest.mark.parametrize("threads", [1, 3])
+def test_state_memo_refreshes_each_state_once(monkeypatch, threads):
+    """A fit builds one state graph at any thread count, refreshes every
+    distinct assignment once, then rebuilds the winner's encoder, and scores
+    every state at most once."""
     from dibmix import dib
 
     density, weights = _memo_density()
-    refreshed, scored = [], []
-    refresh, score_step = dib._refresh, dib._score_step
+    refreshed, scored, graphs = [], [], []
+    refresh, score_step, graph_init = dib._refresh, dib._score_step, dib._StateGraph.__init__
+
+    def counted_graph_init(self, *args):
+        graphs.append(self)
+        graph_init(self, *args)
 
     def counted_refresh(assign, k, p_matrix, w):
         refreshed.extend(row.tobytes() for row in assign)
@@ -463,7 +464,10 @@ def test_state_memo_refreshes_each_state_once(monkeypatch):
 
     monkeypatch.setattr(dib, "_refresh", counted_refresh)
     monkeypatch.setattr(dib, "_score_step", counted_score_step)
-    result = dib_fit_density(density, weights, _MEMO_K, _MEMO_BETA, restarts=20, rng_seed=7)
+    monkeypatch.setattr(dib._StateGraph, "__init__", counted_graph_init)
+    result = dib_fit_density(density, weights, _MEMO_K, _MEMO_BETA, restarts=20, rng_seed=7,
+                             threads=threads)
+    assert len(graphs) == 1
     marginal, *states, winner = refreshed
     assert len(marginal) == 8 * density.n  # the one-cluster p(y), int64 labels
     assert len(set(states)) == len(states)
@@ -570,7 +574,7 @@ def test_chain_rise_beyond_tolerance_is_a_cycle():
     stops the chain, and the best node so far is kept."""
     from dibmix.dib import _TRACE_RISE_TOL, _Chain
 
-    chain = _Chain(restart_index=0, seed=0, node=0, max_iter=10)
+    chain = _Chain(node=0, max_iter=10)
     assert chain.record(1, 3.0, 0.0, 0.0)
     assert chain.record(2, 2.0, 0.0, 0.0)
     assert chain.record(3, 2.0 + _TRACE_RISE_TOL / 2, 0.0, 0.0)
@@ -580,11 +584,11 @@ def test_chain_rise_beyond_tolerance_is_a_cycle():
     assert chain.trace == [3.0, 2.0, 2.0 + _TRACE_RISE_TOL / 2, 2.5]
 
     # a chain converges on the node it stands on, and stops unflagged at its cap
-    chain = _Chain(restart_index=0, seed=0, node=0, max_iter=3)
+    chain = _Chain(node=0, max_iter=3)
     assert chain.record(1, 3.0, 0.0, 0.0)
     assert not chain.record(1, 3.0, 0.0, 0.0)
     assert chain.converged and not chain.cycle
-    chain = _Chain(restart_index=0, seed=0, node=0, max_iter=2)
+    chain = _Chain(node=0, max_iter=2)
     assert chain.record(1, 3.0, 0.0, 0.0)
     assert not chain.record(2, 2.0, 0.0, 0.0)
     assert not (chain.converged or chain.cycle)
@@ -607,18 +611,51 @@ def test_dib_fit_builds_one_encoder(monkeypatch):
         assert len(calls) == 1
 
 
-def test_block_bounds_cover_restarts_within_budget():
-    from dibmix.dib import _BLOCK_FLOOR, _BLOCK_SHARE, _block_bounds
+@pytest.mark.parametrize("threads", [1, 3])
+def test_stacked_passes_split_by_threads_within_budget(monkeypatch, threads):
+    """Every stacked call holds at most the budgeted number of states, and
+    with t threads a pass of at least t states is cut into at least t calls.
+    The 150 starting states of the memo fit exceed one call's budget."""
+    from dibmix import dib
 
-    for restarts, n, k, threads in [(100, 2000, 2, 1), (20, 2000, 2, 3), (3, 4000, 2, 8),
-                                    (100, 200, 5, 1), (1, 10, 1, 4), (50, 50000, 3, 1)]:
-        bounds = _block_bounds(restarts, n, k, threads)
-        assert bounds[0][0] == 0 and bounds[-1][1] == restarts
-        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-        assert len(bounds) >= min(threads, restarts)
-        for lo, hi in bounds:
-            assert hi > lo
-            assert hi - lo == 1 or n * (hi - lo) * k <= max(n * n // _BLOCK_SHARE, _BLOCK_FLOOR)
+    density, weights = _memo_density()
+    per_call = max(density.n ** 2 // dib._STACK_SHARE, dib._STACK_FLOOR) // (density.n * _MEMO_K)
+    assert per_call < _MEMO_RESTARTS
+    events = []
+    refresh, score_step, stacked_pass = dib._refresh, dib._score_step, dib._StateGraph._pass
+
+    def counted_pass(self, fn, items):
+        events.append(("pass", len(items)))
+        return stacked_pass(self, fn, items)
+
+    def counted_refresh(assign, *args):
+        events.append(("call", assign.shape[0]))
+        return refresh(assign, *args)
+
+    def counted_score_step(masses, *args):
+        events.append(("call", masses.shape[0]))
+        return score_step(masses, *args)
+
+    monkeypatch.setattr(dib._StateGraph, "_pass", counted_pass)
+    monkeypatch.setattr(dib, "_refresh", counted_refresh)
+    monkeypatch.setattr(dib, "_score_step", counted_score_step)
+    dib_fit_density(density, weights, _MEMO_K, _MEMO_BETA, restarts=_MEMO_RESTARTS,
+                    rng_seed=7, threads=threads)
+    # the one-cluster marginal before the walk, the winner's encoder after it
+    assert events[0] == ("call", 1) and events[-1] == ("call", 1)
+    passes = []
+    for kind, size in events[1:-1]:
+        if kind == "pass":
+            passes.append((size, []))
+        else:
+            passes[-1][1].append(size)
+    assert passes[0][0] == _MEMO_RESTARTS  # the starting states
+    for count, calls in passes:
+        assert sum(calls) == count
+        assert all(1 <= size <= per_call for size in calls)
+        assert len(calls) >= min(threads, count)
+        assert len(calls) == -(-count // per_call) or len(calls) == min(threads, count)
+    assert any(count >= 3 for count, _ in passes)
 
 
 def test_dib_fit_weight_scale_invariance():

@@ -256,11 +256,13 @@ def test_estimate_conditional_large_s_approaches_uniform():
     np.testing.assert_allclose(density.matrix, 1.0 / 25.0, atol=1e-6)
 
 
-def test_estimate_conditional_size_cap():
+def test_estimate_conditional_size_cap(monkeypatch):
     ds = _dataset(continuous=np.arange(5.0))
-    with pytest.raises(SizeCapError):
-        estimate_conditional(ds, Bandwidths(s=1.0), max_n=4)
-    estimate_conditional(ds, Bandwidths(s=1.0), max_n=5)  # boundary admits n == max_n
+    monkeypatch.setattr("dibmix.kernels.DEFAULT_MAX_N", 4)
+    with pytest.raises(SizeCapError, match="subsample"):
+        estimate_conditional(ds, Bandwidths(s=1.0))
+    monkeypatch.setattr("dibmix.kernels.DEFAULT_MAX_N", 5)
+    estimate_conditional(ds, Bandwidths(s=1.0))  # the boundary admits n == cap
 
 
 def test_estimate_conditional_no_underflow_with_900_variables():
