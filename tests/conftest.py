@@ -226,11 +226,16 @@ def _score_step_oracle(masses, decoder, p_matrix, row_neg_entropy, beta, has_zer
     return np.argmax(score, axis=1)
 
 
+def row_neg_entropy_oracle(p):
+    """sum_y p(y|x) log p(y|x) of every row x, over the whole matrix at once."""
+    return np.einsum("xy,xy->x", p, np.log(np.where(p > 0, p, 1.0)))
+
+
 def _run_chain_oracle(density, weights, k, beta, max_iter, seed, restart_index):
     """One restart iterated alone to convergence, a cycle or ``max_iter``."""
     p = density.matrix
     has_zeros = bool(np.any(p == 0))
-    row_neg_entropy = np.einsum("xy,xy->x", p, np.log(np.where(p > 0, p, 1.0)))
+    row_neg_entropy = row_neg_entropy_oracle(p)
     assign = init_random(p.shape[0], k, seed)
     masses, decoder = _masses_and_decoder_oracle(assign, k, p, weights)
     states = [assign.tobytes()]

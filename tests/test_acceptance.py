@@ -281,6 +281,7 @@ def test_criterion_08_generator_calibration():
             f"{worst_cat:.2e} (tol 1e-9)")
 
 
+@pytest.mark.threads
 def test_criterion_09_thread_determinism(tmp_path):
     env = dict(os.environ)
     env.pop("DIBMIX_THREADS", None)

@@ -141,6 +141,7 @@ def test_value_error_becomes_error_row(monkeypatch):
                for r in rows if r.method == "gower_pam")
 
 
+@pytest.mark.threads
 def test_programming_error_propagates(monkeypatch):
     # A TypeError is a bug in the program, not a method failing on a
     # dataset, so no error row may hide it.
@@ -171,6 +172,7 @@ def test_baselines_match_per_restart_oracles(monkeypatch):
     assert stable(library) == stable(oracle)
 
 
+@pytest.mark.threads
 def test_benchmark_deterministic_and_thread_independent():
     plan = _tiny_plan(replicates=3)
     serial = run_benchmark(plan, threads=1)

@@ -405,6 +405,7 @@ def test_write_json_rejects_nan_and_leaves_no_file(tmp_path):
     assert json.loads(path.read_text()) == {"objective": 1.5}
 
 
+@pytest.mark.threads
 def test_threads_env_fallback(tmp_path, separated_csv, capsys, monkeypatch):
     data, _, _ = separated_csv
     monkeypatch.setenv("DIBMIX_THREADS", "2")
@@ -479,6 +480,7 @@ def test_baseline_kproto_and_pam(tmp_path, separated_csv, capsys):
         assert manifest["parameters"]["method"] == method
 
 
+@pytest.mark.threads
 def test_threads_flag_only_on_subcommands_that_use_it():
     parser = build_parser()
     for argv in (["cluster", "--input", "d.csv", "--k", "2"],

@@ -87,6 +87,7 @@ def test_objective_invariant_under_label_permutation(seed, k):
     assert a == b
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("threads", [1, 2])
 def test_relabelled_restarts_tie_and_lowest_index_wins(threads):
     """Restarts 0, 1, 3 and 4 of this seed reach one partition, 0 and 4 under

@@ -21,9 +21,14 @@ from dibmix import (
     estimate_conditional,
     gaussian_kernel,
 )
-from dibmix.kernels import _block_rows, _log_kernel_blocks
+from dibmix.kernels import ConditionalDensity, _block_rows, _log_kernel_blocks
 
-from conftest import product_kernel_oracle, random_bandwidths, random_mixed_dataset
+from conftest import (
+    product_kernel_oracle,
+    random_bandwidths,
+    random_mixed_dataset,
+    row_neg_entropy_oracle,
+)
 
 
 def _dataset(continuous=None, categorical=None, levels=()):
@@ -326,3 +331,52 @@ def test_estimate_conditional_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * n * n * 8
+
+
+# ---------------------------------------------------------------------------
+# score terms, summed by blocks of rows
+
+def _zero_lambda_density(n):
+    """A density on n mixed points; lambda = 0 on one categorical variable
+    puts exact zeros into p(y|x) once n is large enough."""
+    rng = np.random.default_rng(n)
+    ds = random_mixed_dataset(rng, n=n, p_cont=2, p_cat=2)
+    return estimate_conditional(ds, Bandwidths(s=0.7, lam=[0.0, 0.3 / ds.n_levels[1]]))
+
+
+@pytest.mark.parametrize("n", [1, 257, 301, 2000])
+def test_neg_entropy_matches_unblocked_formula(n):
+    """Each row's sum is the whole-matrix einsum's, byte for byte, over one
+    block (n = 1), several blocks with a partial last one (257, 301) and
+    blocks that divide n (2000)."""
+    density = _zero_lambda_density(n)
+    assert n == 1 or 2 * _block_rows(n) < n
+    assert n != 301 or n % _block_rows(n)
+    assert density.has_zeros == (n > 1)
+    expected = row_neg_entropy_oracle(density.matrix)
+    assert density.neg_entropy.tobytes() == expected.tobytes()
+    assert not density.neg_entropy.flags.writeable
+
+
+def test_has_zeros_sees_every_block():
+    n = 301
+    rows = _block_rows(n)
+    assert n % rows and (n - 1) // rows >= 2
+    uniform = np.full((n, n), 1.0 / n)
+    assert not ConditionalDensity(uniform, uniform[0]).has_zeros
+    one_zero = uniform.copy()
+    one_zero[n - 1, 0], one_zero[n - 1, 1] = 0.0, 2.0 / n  # the last row block only
+    assert ConditionalDensity(one_zero, one_zero.mean(axis=0)).has_zeros
+
+
+def test_score_terms_make_no_full_size_temporary():
+    # Unblocked, the row entropies took about 61 MB above the 31 MB density.
+    density = _zero_lambda_density(2000)
+    tracemalloc.start()
+    try:
+        assert density.has_zeros
+        density.neg_entropy
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
