@@ -28,15 +28,12 @@ Restarts that meet share the rest of one trajectory, and a converged state
 is not refreshed again.  Each chain keeps its own trace, iteration count
 and stop rule; it stops when it converges, cycles or reaches its cap, and a
 chain that reaches the state where another stopped computes the successor.
-A stacked pass is cut into slices of states within a memory budget.  With
-``threads > 1`` the parts run on a thread pool: a score pass splits each
-slice by rows of p(y | x) into that many row ranges, and a refresh pass,
-whose sums run over x, is cut into at least that many slices of states.
-Every (x, t) score is its own dot product and every decoder row its own sum
-over x, so neither the work done nor the result depends on the thread
-count.  The objective is summed per cluster in sorted order, so restarts
-that reach one partition under different labels tie exactly and the lowest
-restart index wins.
+A stacked pass is cut into slices within a memory budget; ``threads > 1``
+cuts it into at least that many and runs them on a thread pool.  A node's
+arithmetic does not depend on its slice, so neither the work done nor the
+result depends on the thread count.  The objective is summed per cluster in
+sorted order, so restarts that reach one partition under different labels
+tie exactly and the lowest restart index wins.
 
 Reference: Strouse, DJ and Schwab, D.J. (2017). The deterministic
 information bottleneck. Neural Computation 29.
@@ -45,7 +42,6 @@ information bottleneck. Neural Computation 29.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -150,51 +146,34 @@ def _row_dots(a, b):
     return np.vecdot(a[:, None, :], b[None])
 
 
-def _score_terms(masses, decoder, density, beta):
-    """The terms that every row range of one score pass shares, for a stack
-    of C chains with ``masses`` (C, k) and ``decoder`` (C, k, n).
+def _score_step(masses, decoder, density, beta):
+    """One synchronous scoring pass for a stack of C chains.
 
-    Returns ``masses`` and log q(t), both (C, k); then, for beta > 0, the
-    (C*k, n) log q(y|t) with 0 where q(y|t) = 0 and, when p has zeros, the
-    (C*k, n) indicator of q(y|t) = 0.  A term that is not needed is None.
+    ``masses`` is (C, k) and ``decoder`` (C, k, n); returns the new
+    assignments, (C, n).  score[x, t] = log q(t) - beta * KL(p(.|x) || q(.|t)),
+    with the cross term from ``_row_dots``.
     """
     chains, k, n = decoder.shape
+    masses = masses.reshape(chains * k)
     decoder = decoder.reshape(chains * k, n)
     with np.errstate(divide="ignore"):
         log_masses = np.log(masses)
-        if beta == 0:
-            return masses, log_masses, None, None
         log_decoder = np.where(decoder > 0, np.log(np.where(decoder > 0, decoder, 1.0)), 0.0)
-    empty = (decoder == 0).astype(float) if density.has_zeros else None
-    return masses, log_masses, log_decoder, empty
-
-
-def _score_step(terms, density, beta, rows):
-    """One synchronous scoring pass of the observations in the slice
-    ``rows`` for a stack of C chains, from its ``_score_terms``.
-
-    Returns the new assignments of those m observations, (C, m).
-    score[x, t] = log q(t) - beta * KL(p(.|x) || q(.|t)), with the cross term
-    from ``_row_dots`` over the rows of p in ``rows`` alone.
-    """
-    masses, log_masses, log_decoder, empty = terms
-    chains, k = masses.shape
-    masses, log_masses = masses.reshape(chains * k), log_masses.reshape(chains * k)
-    p = density.matrix[rows]
     if beta == 0:
         # Pure compression: the KL term drops out entirely (avoids 0 * inf).
-        score = np.broadcast_to(log_masses, (p.shape[0], chains * k)).copy()
+        score = np.broadcast_to(log_masses, (n, chains * k)).copy()
     else:
-        kl = density.neg_entropy[rows, None] - _row_dots(p, log_decoder)
-        if empty is not None:
+        p = density.matrix
+        kl = density.neg_entropy[:, None] - _row_dots(p, log_decoder)
+        if density.has_zeros:
             # p(y|x) > 0 meeting q(y|t) = 0 makes the KL infinite for that
             # pair.  A sum of nonnegative terms is positive exactly when one
             # term is, so p itself serves as the support indicator.
-            hits = _row_dots(p, empty)
+            hits = _row_dots(p, (decoder == 0).astype(float))
             kl[(hits > 0) & (masses > 0)[None, :]] = np.inf
         score = log_masses[None, :] - beta * kl
     score[:, masses == 0] = -np.inf
-    score = score.reshape(p.shape[0], chains, k)
+    score = score.reshape(n, chains, k)
     best = np.argmax(score, axis=2)  # ties resolve to the smallest cluster index
     if np.any(np.isneginf(np.take_along_axis(score, best[:, :, None], axis=2))):
         raise DegenerateSmoothingError(
@@ -217,8 +196,7 @@ def dib_step(enc: Encoder, density: ConditionalDensity, beta: float, weights) ->
     if enc.assign.shape[0] != density.n:
         raise ValueError("encoder and density dimensions differ")
     weights = _check_weights(weights, density.n)
-    terms = _score_terms(enc.masses[None], enc.decoder[None], density, beta)
-    assign = _score_step(terms, density, beta, slice(None))
+    assign = _score_step(enc.masses[None], enc.decoder[None], density, beta)
     return Encoder.from_assignment(assign[0], enc.k, density, weights)
 
 
@@ -319,27 +297,26 @@ class _StateGraph:
     ``np.min_scalar_type(k - 1)``.  It holds its masses, its
     (objective, H, I) and its successor, None until a chain needs it.  Its
     decoder is dropped as soon as the successor is known.  ``mapper`` (``map``
-    or a thread pool's) runs the row ranges of a score pass and the slices of
-    a refresh pass; only the calling thread reads or writes the graph.
+    or a thread pool's) runs the slices of a stacked pass; only the calling
+    thread reads or writes the graph.
     """
 
     def __init__(self, density, weights, p_y, k, beta, threads, mapper):
         self.density, self.weights, self.p_y, self.k, self.beta = density, weights, p_y, k, beta
         self.threads, self.mapper = threads, mapper
-        n, parts = density.n, min(threads, density.n)
-        self.rows = [slice(b * n // parts, (b + 1) * n // parts) for b in range(parts)]
         self.dtype = np.min_scalar_type(k - 1)
         self.index = {}
         self.keys, self.masses, self.decoders, self.scores, self.successors = [], [], [], [], []
 
-    def _slices(self, items, parts):
-        """Contiguous slices of the stacked ``items`` (one per state): at
-        least min(parts, len(items)), each within the stacked-array budget
-        above."""
+    def _pass(self, fn, items):
+        """``fn`` over contiguous slices of the stacked ``items`` (one per
+        state), its outputs in order: at least min(threads, len(items))
+        slices, each within the stacked-array budget above."""
         n, count = self.density.n, len(items)
         per_slice = max(1, max(n * n // _STACK_SHARE, _STACK_FLOOR) // (n * self.k))
-        parts = max(-(-count // per_slice), min(parts, count))
-        return [items[b * count // parts:(b + 1) * count // parts] for b in range(parts)]
+        parts = max(-(-count // per_slice), min(self.threads, count))
+        return list(self.mapper(fn, [items[b * count // parts:(b + 1) * count // parts]
+                                     for b in range(parts)]))
 
     def add(self, assign):
         """Node ids of the rows of ``assign`` (C, n); the states not seen
@@ -351,8 +328,8 @@ class _StateGraph:
             masses, decoder = _refresh(new, self.k, self.density.matrix, self.weights)
             return masses, decoder, *_objectives(masses, decoder, self.p_y, self.beta)
 
-        slices = self._slices(assign[list(fresh.values())], self.threads)
-        states = (state for out in self.mapper(refresh, slices) for state in zip(*out))
+        states = (state for out in self._pass(refresh, assign[list(fresh.values())])
+                  for state in zip(*out))
         for key, (masses, decoder, obj, h, i) in zip(fresh, states):
             self.index[key] = len(self.keys)
             self.keys.append(key)
@@ -364,18 +341,17 @@ class _StateGraph:
 
     def step(self, nodes):
         """The successor of every node in ``nodes``; the distinct ones that
-        lack it are scored in one stacked pass, each slice of states in the
-        row ranges ``rows`` of p, one per thread."""
+        lack it are scored in one stacked pass."""
         pending = list(dict.fromkeys(u for u in nodes if self.successors[u] is None))
+
+        def score(group):
+            return _score_step(np.stack([self.masses[u] for u in group]),
+                               np.stack([self.decoders[u] for u in group]),
+                               self.density, self.beta)
+
         if pending:
-            new_assign = []
-            for group in self._slices(pending, 1):
-                terms = _score_terms(np.stack([self.masses[u] for u in group]),
-                                     np.stack([self.decoders[u] for u in group]),
-                                     self.density, self.beta)
-                score = partial(_score_step, terms, self.density, self.beta)
-                new_assign.append(np.concatenate(list(self.mapper(score, self.rows)), axis=1))
-            for u, v in zip(pending, self.add(np.concatenate(new_assign))):
+            new_assign = np.concatenate(self._pass(score, pending))
+            for u, v in zip(pending, self.add(new_assign)):
                 self.successors[u] = v
                 self.decoders[u] = None
         return [self.successors[u] for u in nodes]
@@ -466,8 +442,8 @@ def dib_fit_density(
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     weights = _check_weights(weights, n)
     p_y = _marginal(density.matrix, weights)
-    if beta > 0:  # build the cached row score terms before any worker needs them
-        _ = density.neg_entropy, density.has_zeros
+    if beta > 0:  # build the cached row score terms (one pass gives has_zeros too)
+        _ = density.neg_entropy
     with ThreadPoolExecutor(max_workers=threads) as pool:
         graph = _StateGraph(density, weights, p_y, k, beta, threads,
                             pool.map if threads > 1 else map)

@@ -176,9 +176,8 @@ class ConditionalDensity:
         has_zeros = False
         for lo in range(0, self.n, rows):
             block = p[lo:lo + rows]
-            positive = block > 0
-            has_zeros = has_zeros or not positive.all()
-            log_p = np.where(positive, block, 1.0)
+            has_zeros = has_zeros or bool((block == 0).any())
+            log_p = np.where(block > 0, block, 1.0)
             np.log(log_p, out=log_p)
             neg_entropy[lo:lo + rows] = np.einsum("xy,xy->x", block, log_p)
         neg_entropy.flags.writeable = False

@@ -355,8 +355,8 @@ def _equivalence_density(lam, n=48):
 def test_dib_fit_density_matches_per_chain_oracle(n, lam, max_iter, k, beta):
     """Lock-step restarts reproduce chains run one at a time, bit for bit, at
     1, 2 and 3 threads.  At the odd n the rows of p and of the stacked
-    decoders sit at other memory alignments, which every stack height and
-    row range must sum the same way."""
+    decoders sit at other memory alignments, which every stack height must
+    sum the same way."""
     density, weights = _equivalence_density(lam, n)
     assert density.has_zeros == (lam[0] == 0.0)
     for restarts in (1, 2, 7):
@@ -445,14 +445,10 @@ def test_state_memo_continues_chains_stopped_by_a_cycle(monkeypatch):
 @pytest.mark.threads
 @pytest.mark.parametrize("max_iter", [3, 100])
 def test_state_memo_same_for_any_thread_count(max_iter):
-    """Passes run whole (one thread) or cut into row ranges and slices on a
-    pool (three threads) give the same restarts, winner and trace."""
+    """Passes run whole (one thread) or cut into slices on a pool (three
+    threads) give the same restarts, winner and trace."""
     density, weights = _memo_density()
     _assert_fit_matches_oracle(density, weights, _MEMO_K, _MEMO_BETA, _MEMO_RESTARTS, max_iter, (1, 3))
-
-
-def _row_ranges(n, parts):
-    return [(b * n // parts, (b + 1) * n // parts) for b in range(parts)]
 
 
 @pytest.mark.threads
@@ -460,8 +456,7 @@ def _row_ranges(n, parts):
 def test_state_memo_refreshes_each_state_once(monkeypatch, threads):
     """A fit builds one state graph at any thread count, refreshes every
     distinct assignment once, then rebuilds the winner's encoder, and scores
-    every row of every state at most once; its result is the per-chain
-    oracle's."""
+    every state at most once; its result is the per-chain oracle's."""
     from dibmix import dib
 
     density, weights = _memo_density()
@@ -476,9 +471,9 @@ def test_state_memo_refreshes_each_state_once(monkeypatch, threads):
         refreshed.extend(row.tobytes() for row in assign)
         return refresh(assign, k, p_matrix, w)
 
-    def counted_score_step(terms, density, beta, rows):
-        scored.append((terms[0].shape[0], rows.start, rows.stop))
-        return score_step(terms, density, beta, rows)
+    def counted_score_step(masses, decoder, *args):
+        scored.append(masses.shape[0])
+        return score_step(masses, decoder, *args)
 
     monkeypatch.setattr(dib, "_refresh", counted_refresh)
     monkeypatch.setattr(dib, "_score_step", counted_score_step)
@@ -492,11 +487,7 @@ def test_state_memo_refreshes_each_state_once(monkeypatch, threads):
     assert winner == result.assign.tobytes()
     iterations = sum(r.iterations for r in result.restart_summary)
     assert len(states) < iterations
-    ranges = _row_ranges(density.n, threads)
-    per_range = [sum(c for c, lo, hi in scored if (lo, hi) == r) for r in ranges]
-    assert sum(per_range) == sum(c for c, _, _ in scored)
-    assert len(set(per_range)) == 1
-    assert per_range[0] <= len(states)
+    assert sum(scored) <= len(states)
     monkeypatch.undo()
     _assert_same_fit(result, dib_fit_density_oracle(density, weights, _MEMO_K, _MEMO_BETA,
                                                     20, 100, rng_seed=7))
@@ -505,13 +496,9 @@ def test_state_memo_refreshes_each_state_once(monkeypatch, threads):
 @pytest.mark.parametrize("lam", [[0.3, 0.2], [0.0, 0.2]])
 def test_score_step_does_not_depend_on_the_stack(lam):
     """A stack of chains scores each chain as a call on that chain alone
-    does, and a range of rows as the whole pass does, bit for bit.  At the
-    odd n rows of p and of the stacked decoders sit at other memory
-    alignments."""
-    from dibmix.dib import _refresh, _row_dots, _score_step, _score_terms
-
-    def score(masses, decoder, rows=slice(None)):
-        return _score_step(_score_terms(masses, decoder, density, 5.0), density, 5.0, rows)
+    does, bit for bit.  At the odd n rows of p and of the stacked decoders
+    sit at other memory alignments."""
+    from dibmix.dib import _refresh, _row_dots, _score_step
 
     density, weights = _equivalence_density(lam, 257)
     assert density.has_zeros == (lam[0] == 0.0)
@@ -520,13 +507,11 @@ def test_score_step_does_not_depend_on_the_stack(lam):
     assign = rng.integers(0, k, size=(chains, density.n))
     assign[2][assign[2] == 3] = 0  # one chain with an empty cluster
     masses, decoder = _refresh(assign, k, density.matrix, weights)
-    stacked = score(masses, decoder)
-    split = [score(masses, decoder, slice(lo, hi)) for lo, hi in _row_ranges(density.n, 3)]
-    assert np.concatenate(split, axis=1).tobytes() == stacked.tobytes()
+    stacked = _score_step(masses, decoder, density, 5.0)
     log_decoder = np.log(np.where(decoder > 0, decoder, 1.0)).reshape(chains * k, -1)
     cross = _row_dots(density.matrix, log_decoder)
     for c in range(chains):
-        alone = score(masses[c:c + 1], decoder[c:c + 1])
+        alone = _score_step(masses[c:c + 1], decoder[c:c + 1], density, 5.0)
         assert alone[0].tobytes() == stacked[c].tobytes()
         rows = slice(c * k, (c + 1) * k)
         single = _row_dots(density.matrix, log_decoder[rows])
@@ -647,69 +632,49 @@ def test_dib_fit_builds_one_encoder(monkeypatch):
 @pytest.mark.threads
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_stacked_passes_split_by_threads_within_budget(monkeypatch, threads):
-    """Every stacked call holds at most the budgeted number of states.  A
-    score pass is cut into slices by the budget alone, and with t threads
-    each slice is scored in t row ranges that tile the rows of p once.  A
-    refresh pass of at least t states is cut into at least t calls.  The 150
-    starting states of the memo fit exceed one call's budget."""
+    """Every stacked call holds at most the budgeted number of states, and
+    with t threads a pass of at least t states is cut into at least t calls.
+    The 150 starting states of the memo fit exceed one call's budget."""
     from dibmix import dib
 
     density, weights = _memo_density()
-    n = density.n
-    per_call = max(n ** 2 // dib._STACK_SHARE, dib._STACK_FLOOR) // (n * _MEMO_K)
+    per_call = max(density.n ** 2 // dib._STACK_SHARE, dib._STACK_FLOOR) // (density.n * _MEMO_K)
     assert per_call < _MEMO_RESTARTS
     events = []
-    refresh, score_step, slices = dib._refresh, dib._score_step, dib._StateGraph._slices
+    refresh, score_step, stacked_pass = dib._refresh, dib._score_step, dib._StateGraph._pass
 
-    def counted_slices(self, items, parts):
+    def counted_pass(self, fn, items):
         events.append(("pass", len(items)))
-        return slices(self, items, parts)
+        return stacked_pass(self, fn, items)
 
     def counted_refresh(assign, *args):
-        events.append(("refresh", assign.shape[0]))
+        events.append(("call", assign.shape[0]))
         return refresh(assign, *args)
 
-    def counted_score_step(terms, density, beta, rows):
-        events.append(("score", terms, rows.start, rows.stop))
-        return score_step(terms, density, beta, rows)
+    def counted_score_step(masses, *args):
+        events.append(("call", masses.shape[0]))
+        return score_step(masses, *args)
 
-    monkeypatch.setattr(dib._StateGraph, "_slices", counted_slices)
+    monkeypatch.setattr(dib._StateGraph, "_pass", counted_pass)
     monkeypatch.setattr(dib, "_refresh", counted_refresh)
     monkeypatch.setattr(dib, "_score_step", counted_score_step)
     dib_fit_density(density, weights, _MEMO_K, _MEMO_BETA, restarts=_MEMO_RESTARTS,
                     rng_seed=7, threads=threads)
     # the one-cluster marginal before the walk, the winner's encoder after it
-    assert events[0] == ("refresh", 1) and events[-1] == ("refresh", 1)
+    assert events[0] == ("call", 1) and events[-1] == ("call", 1)
     passes = []
-    for event in events[1:-1]:
-        if event[0] == "pass":
-            passes.append((event[1], []))
+    for kind, size in events[1:-1]:
+        if kind == "pass":
+            passes.append((size, []))
         else:
-            passes[-1][1].append(event)
-    refreshes = [(count, [e[1] for e in calls]) for count, calls in passes
-                 if calls and calls[0][0] == "refresh"]
-    scores = [(count, calls) for count, calls in passes if calls and calls[0][0] == "score"]
-    assert all(len({e[0] for e in calls}) <= 1 for _, calls in passes)  # no pass mixes kinds
-    assert refreshes[0][0] == _MEMO_RESTARTS  # the starting states
-    for count, calls in refreshes:
+            passes[-1][1].append(size)
+    assert passes[0][0] == _MEMO_RESTARTS  # the starting states
+    for count, calls in passes:
         assert sum(calls) == count
         assert all(1 <= size <= per_call for size in calls)
         assert len(calls) >= min(threads, count)
         assert len(calls) == -(-count // per_call) or len(calls) == min(threads, count)
-    assert any(count >= 3 for count, _ in refreshes)
-    for count, calls in scores:
-        groups = []  # consecutive calls on one slice share its terms
-        for _, terms, lo, hi in calls:
-            if not groups or groups[-1][0] is not terms:
-                groups.append((terms, []))
-            groups[-1][1].append((lo, hi))
-        states = [terms[0].shape[0] for terms, _ in groups]
-        assert sum(states) == count
-        assert all(1 <= size <= per_call for size in states)
-        assert len(groups) == -(-count // per_call)
-        for _, ranges in groups:
-            assert sorted(ranges) == _row_ranges(n, threads)
-    assert any(len(calls) > threads for _, calls in scores)  # a pass of several slices
+    assert any(count >= 3 for count, _ in passes)
 
 
 def test_dib_fit_weight_scale_invariance():

@@ -367,6 +367,9 @@ def test_has_zeros_sees_every_block():
     one_zero = uniform.copy()
     one_zero[n - 1, 0], one_zero[n - 1, 1] = 0.0, 2.0 / n  # the last row block only
     assert ConditionalDensity(one_zero, one_zero.mean(axis=0)).has_zeros
+    negative = uniform.copy()
+    negative[0, 0], negative[0, 1] = -1.0 / n, 3.0 / n  # not a zero
+    assert not ConditionalDensity(negative, negative.mean(axis=0)).has_zeros
 
 
 def test_score_terms_make_no_full_size_temporary():
