@@ -68,24 +68,9 @@ def gower(ds: MixedDataset) -> GowerMatrix:
     return GowerMatrix(matrix=total / p, ranges=ranges)
 
 
-def _nearest_two(d, medoids):
-    """Distance to the nearest and second-nearest medoid, plus the nearest
-    medoid's position in the ``medoids`` list."""
-    sub = d[:, list(medoids)]
-    order = np.argsort(sub, axis=1, kind="stable")
-    nearest_pos = order[:, 0]
-    d1 = sub[np.arange(sub.shape[0]), nearest_pos]
-    if len(medoids) > 1:
-        d2 = sub[np.arange(sub.shape[0]), order[:, 1]]
-    else:
-        d2 = np.full(sub.shape[0], np.inf)
-    return d1, d2, nearest_pos
-
-
 def _pam_build(d, k):
     """Greedy BUILD: start from the point with the least row sum, then add
     whichever point most reduces the total nearest-medoid dissimilarity."""
-    n = d.shape[0]
     medoids = [int(np.argmin(d.sum(axis=0)))]
     nearest = d[:, medoids[0]].copy()
     while len(medoids) < k:
@@ -97,29 +82,41 @@ def _pam_build(d, k):
     return medoids
 
 
-def _swap_pass(d, medoids):
+def _pam_cost(d, medoids):
+    """Total dissimilarity of every point to its nearest medoid."""
+    return float(d[:, list(medoids)].min(axis=1).sum())
+
+
+def _swap_costs(d, rest):
+    """Total dissimilarity after adding each candidate h to the medoid set
+    ``rest``: sum_i min(e_i, d(i,h)), with e_i the distance from i to its
+    nearest medoid in ``rest`` (+inf when ``rest`` is empty)."""
+    e = d[:, list(rest)].min(axis=1) if rest else np.full(d.shape[0], np.inf)
+    return np.minimum(e[:, None], d).sum(axis=0)
+
+
+def _swap_pass(d, medoids, costs):
     """One SWAP pass: the best strictly-improving (medoid, candidate) swap
-    applied to the ordered medoid tuple, or None when no swap improves."""
-    n = d.shape[0]
-    d1, d2, nearest_pos = _nearest_two(d, medoids)
-    is_medoid = np.zeros(n, dtype=bool)
+    applied to the ordered medoid tuple, or None when no swap improves.
+
+    Swapping ``medoids[pos]`` for h sends every point to the nearer of h and
+    its nearest remaining medoid, so the cost of every candidate depends only
+    on the set of remaining medoids.  ``costs`` caches that vector per sorted
+    remaining-medoid tuple for one ``d``; it stores at most n vectors (the
+    size of ``d``), and past that a vector is computed again when needed.
+    """
+    is_medoid = np.zeros(d.shape[0], dtype=bool)
     is_medoid[list(medoids)] = True
-    best_cost = float(d1.sum())
-    best_swap = None
-    k = len(medoids)
-    members = [nearest_pos == pos for pos in range(k)]
-    rows = [d[in_cluster] for in_cluster in members]
-    for pos, in_cluster in enumerate(members):
-        # With two medoids, the points outside one cluster are the other's.
-        rest = rows[1 - pos] if k == 2 else d[~in_cluster]
-        # Cost after swapping medoids[pos] for each candidate h, all h at
-        # once: points of the removed medoid fall back to min(d2, d(:,h)),
-        # everyone else to min(d1, d(:,h)).
-        after = (
-            np.minimum(d2[in_cluster, None], rows[pos]).sum(axis=0)
-            + np.minimum(d1[~in_cluster, None], rest).sum(axis=0)
-        )
-        after[is_medoid] = np.inf
+    best_cost, best_swap = _pam_cost(d, medoids), None
+    for pos in range(len(medoids)):
+        rest = tuple(sorted(medoids[:pos] + medoids[pos + 1:]))
+        after = costs.get(rest)
+        if after is None:
+            after = _swap_costs(d, rest)
+            after.flags.writeable = False
+            if len(costs) < d.shape[0]:
+                costs[rest] = after
+        after = np.where(is_medoid, np.inf, after)
         h = int(np.argmin(after))
         if after[h] < best_cost - 1e-12:
             best_cost = float(after[h])
@@ -130,7 +127,7 @@ def _swap_pass(d, medoids):
     return medoids[:pos] + (h,) + medoids[pos + 1:]
 
 
-def _pam_swap(d, medoids, max_iter, memo=None):
+def _pam_swap(d, medoids, max_iter, memo=None, costs=None):
     """Repeat the best strictly-improving swap until none exists or max_iter
     passes run out.
 
@@ -139,9 +136,11 @@ def _pam_swap(d, medoids, max_iter, memo=None):
     ``d`` carried to convergence to (final list, swaps it took from there).
     A trajectory that reaches such a list with at least that many passes
     left ends where the earlier one ended, so it stops there.  A trajectory
-    that runs out of budget records nothing.
+    that runs out of budget records nothing.  ``costs`` is the candidate-cost
+    cache of ``_swap_pass``, shared the same way.
     """
     memo = {} if memo is None else memo
+    costs = {} if costs is None else costs
     state = tuple(int(m) for m in medoids)
     path = []
     while True:
@@ -151,7 +150,7 @@ def _pam_swap(d, medoids, max_iter, memo=None):
             break
         if len(path) >= max_iter:
             return list(state)
-        after = _swap_pass(d, state)
+        after = _swap_pass(d, state, costs)
         if after is None:
             final, swaps = state, 0
             memo[state] = (final, swaps)
@@ -178,7 +177,9 @@ def pam_fit(
 
     The restarts share one SWAP memo (see ``_pam_swap``), so a restart that
     joins a trajectory an earlier restart carried to convergence stops
-    there.  The answer is exactly that of running every restart alone.
+    there, and one candidate-cost cache (see ``_swap_pass``), so each
+    remaining-medoid set's costs are summed once per fit.  The answer is
+    exactly that of running every restart alone.
     """
     d = gm.matrix
     n = d.shape[0]
@@ -186,7 +187,7 @@ def pam_fit(
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    memo = {}
+    memo, costs = {}, {}
     best = None
     for r in range(restarts):
         if r == 0:
@@ -194,9 +195,8 @@ def pam_fit(
         else:
             rng = np.random.default_rng(derive_seed(rng_seed, STREAM_RESTART, r))
             medoids = list(rng.choice(n, size=k, replace=False))
-        medoids = _pam_swap(d, medoids, max_iter, memo)
-        d1, _, _ = _nearest_two(d, medoids)
-        cost = float(d1.sum())
+        medoids = _pam_swap(d, medoids, max_iter, memo, costs)
+        cost = _pam_cost(d, medoids)
         if best is None or cost < best[0] - 1e-12:
             best = (cost, medoids)
     return np.argmin(d[:, sorted(best[1])], axis=1)

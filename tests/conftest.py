@@ -296,30 +296,27 @@ def dib_chain_states_oracle(density, weights, k, beta, restarts, max_iter, rng_s
     return [(c[0], c[3]) for c in chains]
 
 
-def _nearest_two_oracle(d, medoids):
-    sub = d[:, list(medoids)]
-    order = np.argsort(sub, axis=1, kind="stable")
-    rows = np.arange(sub.shape[0])
-    d2 = sub[rows, order[:, 1]] if len(medoids) > 1 else np.full(sub.shape[0], np.inf)
-    return sub[rows, order[:, 0]], d2, order[:, 0]
+def _nearest_oracle(d, medoids):
+    """Distance from every point to its nearest medoid, by sorting."""
+    if len(medoids) == 0:
+        return np.full(d.shape[0], np.inf)
+    return np.sort(d[:, list(medoids)], axis=1)[:, 0]
 
 
 def pam_swap_oracle(d, medoids, max_iter):
-    """SWAP from one start alone, with no memo: the best strictly-improving
-    swap per pass until none exists or ``max_iter`` passes ran."""
+    """SWAP from one start alone, with no memo and no cost cache: the best
+    strictly-improving swap per pass until none exists or ``max_iter``
+    passes ran.  Swapping a medoid for h sends every point to the nearer of
+    h and its nearest remaining medoid."""
     n = d.shape[0]
     medoids = list(medoids)
     for _ in range(max_iter):
-        d1, d2, nearest_pos = _nearest_two_oracle(d, medoids)
         is_medoid = np.zeros(n, dtype=bool)
         is_medoid[medoids] = True
-        best_cost, best_swap = float(d1.sum()), None
+        best_cost, best_swap = float(_nearest_oracle(d, medoids).sum()), None
         for pos in range(len(medoids)):
-            in_cluster = nearest_pos == pos
-            after = (
-                np.minimum(d2[in_cluster, None], d[in_cluster]).sum(axis=0)
-                + np.minimum(d1[~in_cluster, None], d[~in_cluster]).sum(axis=0)
-            )
+            e = _nearest_oracle(d, np.delete(medoids, pos))
+            after = np.minimum(e[:, None], d).sum(axis=0)
             after[is_medoid] = np.inf
             h = int(np.argmin(after))
             if after[h] < best_cost - 1e-12:
@@ -341,7 +338,7 @@ def pam_fit_oracle(gm, k, restarts, max_iter, rng_seed):
             rng = np.random.default_rng(derive_seed(rng_seed, STREAM_RESTART, r))
             medoids = list(rng.choice(d.shape[0], size=k, replace=False))
         medoids = pam_swap_oracle(d, medoids, max_iter)
-        cost = float(_nearest_two_oracle(d, medoids)[0].sum())
+        cost = float(_nearest_oracle(d, medoids).sum())
         if best is None or cost < best[0] - 1e-12:
             best = (cost, medoids)
     return np.argmin(d[:, sorted(best[1])], axis=1)

@@ -346,6 +346,69 @@ def test_pam_swap_memo_budget_rule(exactness_ds):
         assert _pam_swap(d, start, budget, memo) == pam_swap_oracle(d, start, budget)
 
 
+def _spy_swap_costs(monkeypatch):
+    """Record every (remaining-medoid set, candidate-cost vector) that SWAP
+    computes."""
+    calls = []
+    real = baselines._swap_costs
+
+    def spy(d, rest):
+        after = real(d, rest)
+        calls.append((rest, after))
+        return after
+
+    monkeypatch.setattr(baselines, "_swap_costs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_pam_swap_costs_match_brute_force(exactness_ds, k, monkeypatch):
+    # Each candidate's cost is the swapped set's total nearest-medoid
+    # dissimilarity, recomputed directly for every h.
+    gm = gower(exactness_ds)
+    d = gm.matrix
+    calls = _spy_swap_costs(monkeypatch)
+    pam_fit(gm, k, restarts=10, rng_seed=k)
+    assert calls
+    for rest, after in calls:
+        brute = [_pam_cost(d, list(rest) + [h]) for h in range(d.shape[0])]
+        np.testing.assert_allclose(after, brute, rtol=1e-12, atol=0)
+
+
+def test_pam_swap_costs_summed_once_per_set_per_fit(monkeypatch):
+    gm = gower(random_mixed_dataset(np.random.default_rng(31), n=120))
+    calls = _spy_swap_costs(monkeypatch)
+    pam_fit(gm, k=3, restarts=10, rng_seed=3)
+    first = [rest for rest, _ in calls]
+    # below the cache bound of n sets, no set is summed twice
+    assert len(first) == len(set(first)) <= gm.n
+    # a second fit starts from an empty cache
+    pam_fit(gm, k=3, restarts=10, rng_seed=3)
+    assert [rest for rest, _ in calls[len(first):]] == first
+
+
+def test_pam_swap_cost_cache_bound_matches_oracle(monkeypatch):
+    # At k = 5 on 16 points a fit meets more remaining-medoid sets than n,
+    # so the cache fills and later sets are summed without being stored.
+    gm = gower(random_mixed_dataset(np.random.default_rng(12), n=16))
+    sizes = []
+    real = baselines._swap_pass
+
+    def spy(d, medoids, costs):
+        after = real(d, medoids, costs)
+        sizes.append(len(costs))
+        return after
+
+    monkeypatch.setattr(baselines, "_swap_pass", spy)
+    calls = _spy_swap_costs(monkeypatch)
+    labels = pam_fit(gm, k=5, restarts=25, rng_seed=5)
+    assert max(sizes) == gm.n
+    assert len(calls) > gm.n
+    expected = pam_fit_oracle(gm, k=5, restarts=25, max_iter=100, rng_seed=5)
+    assert labels.dtype == expected.dtype
+    assert labels.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 @pytest.mark.parametrize("max_iter", [1, 2, 100])
 def test_kproto_chains_match_oracle(exactness_ds, k, max_iter):
