@@ -8,6 +8,7 @@ Huang, Z. (1998). Extensions to the k-means algorithm for clustering large
 data sets with categorical values. Data Mining and Knowledge Discovery 2.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,9 +21,12 @@ from .seeding import STREAM_RESTART, derive_seed
 PAM_DEFAULT_RESTARTS = 1
 KPROTO_DEFAULT_RESTARTS = 100
 DEFAULT_MAX_ITER = 100
+# PAM's candidate-cost sweep takes the rows of d in blocks of about this
+# many elements, small enough to stay in cache while every set reads them.
+_PAM_SWEEP_ELEMS = 1 << 15
 # K-Prototypes chains per lock-step block are capped so that one cost
-# evaluation's (chains, n, k, variables) temporaries hold about this many
-# elements.
+# evaluation's (chains, n, k, continuous variables) temporaries hold about
+# this many elements.
 _KPROTO_BLOCK_ELEMS = 1 << 19
 
 
@@ -48,10 +52,13 @@ class GowerMatrix:
 
 def gower(ds: MixedDataset) -> GowerMatrix:
     """d(i,j) = mean over variables of range-scaled absolute difference
-    (continuous) and simple mismatch (categorical); entries lie in [0,1]."""
+    (continuous) and simple mismatch (categorical); entries lie in [0,1].
+    Every variable's term goes through one n x n scratch array, so the sum
+    and the scratch are the only n x n arrays."""
     n = ds.n
     p = ds.p_cont + ds.p_cat
     total = np.zeros((n, n))
+    scratch = np.empty((n, n))
     ranges = np.zeros(ds.p_cont)
     for j in range(ds.p_cont):
         col = ds.continuous[:, j]
@@ -61,11 +68,15 @@ def gower(ds: MixedDataset) -> GowerMatrix:
                 f"continuous variable {ds.continuous_vars[j].name!r} has zero range"
             )
         ranges[j] = rng
-        total += np.abs(col[:, None] - col[None, :]) / rng
+        np.subtract(col[:, None], col[None, :], out=scratch)
+        np.abs(scratch, out=scratch)
+        scratch /= rng
+        total += scratch
     for j in range(ds.p_cat):
         col = ds.categorical[:, j]
-        total += (col[:, None] != col[None, :]).astype(float)
-    return GowerMatrix(matrix=total / p, ranges=ranges)
+        total += np.not_equal(col[:, None], col[None, :], out=scratch)
+    total /= p
+    return GowerMatrix(matrix=total, ranges=ranges)
 
 
 def _pam_build(d, k):
@@ -87,79 +98,90 @@ def _pam_cost(d, medoids):
     return float(d[:, list(medoids)].min(axis=1).sum())
 
 
-def _swap_costs(d, rest):
-    """Total dissimilarity after adding each candidate h to the medoid set
-    ``rest``: sum_i min(e_i, d(i,h)), with e_i the distance from i to its
-    nearest medoid in ``rest`` (+inf when ``rest`` is empty)."""
-    e = d[:, list(rest)].min(axis=1) if rest else np.full(d.shape[0], np.inf)
-    return np.minimum(e[:, None], d).sum(axis=0)
+def _swap_costs(d, rests):
+    """Candidate costs of every remaining-medoid set in ``rests`` (all of one
+    size), in one sweep over the rows of ``d``: row v, entry h is
+    sum_i min(e_vi, d(i,h)), with e_vi the distance from point i to its
+    nearest medoid in ``rests[v]`` (+inf when the set is empty).
 
-
-def _swap_pass(d, medoids, costs):
-    """One SWAP pass: the best strictly-improving (medoid, candidate) swap
-    applied to the ordered medoid tuple, or None when no swap improves.
-
-    Swapping ``medoids[pos]`` for h sends every point to the nearer of h and
-    its nearest remaining medoid, so the cost of every candidate depends only
-    on the set of remaining medoids.  ``costs`` caches that vector per sorted
-    remaining-medoid tuple for one ``d``; it stores at most n vectors (the
-    size of ``d``), and past that a vector is computed again when needed.
+    Each entry is added over i in row order, so its bytes equal those of
+    ``np.minimum(e[:, None], d).sum(axis=0)``.  The sweep takes the rows of
+    ``d`` in blocks of about ``_PAM_SWEEP_ELEMS`` elements, each block once
+    for every set, and its one temporary is a block's size.
     """
+    n, m = d.shape[0], len(rests)
+    e = np.full((m, n), np.inf)
+    for medoid in np.array(rests).T:
+        np.minimum(e, d[:, medoid].T, out=e)
+    out = np.empty((m, n))
+    rows = max(1, _PAM_SWEEP_ELEMS // n)
+    block = np.empty((rows, n))
+    for i in range(0, n, rows):
+        part = block[:min(rows, n - i)]
+        for v in range(m):
+            np.minimum(e[v, i:i + rows, None], d[i:i + rows], out=part)
+            if i:
+                part[0] += out[v]  # the rows above, then this block's rows in order
+            part.sum(axis=0, out=out[v])
+    return out
+
+
+def _swap_pass(d, medoids, after):
+    """One SWAP pass: the ordered medoid tuple after the best
+    strictly-improving (medoid, candidate) swap, or ``medoids`` itself when
+    no swap improves.  ``after[pos]`` is the candidate-cost vector of the
+    medoids other than ``medoids[pos]`` (see ``_swap_costs``): swapping
+    ``medoids[pos]`` for h sends every point to the nearer of h and its
+    nearest remaining medoid."""
     is_medoid = np.zeros(d.shape[0], dtype=bool)
     is_medoid[list(medoids)] = True
-    best_cost, best_swap = _pam_cost(d, medoids), None
-    for pos in range(len(medoids)):
-        rest = tuple(sorted(medoids[:pos] + medoids[pos + 1:]))
-        after = costs.get(rest)
-        if after is None:
-            after = _swap_costs(d, rest)
-            after.flags.writeable = False
-            if len(costs) < d.shape[0]:
-                costs[rest] = after
-        after = np.where(is_medoid, np.inf, after)
-        h = int(np.argmin(after))
-        if after[h] < best_cost - 1e-12:
-            best_cost = float(after[h])
-            best_swap = (pos, h)
-    if best_swap is None:
-        return None
-    pos, h = best_swap
-    return medoids[:pos] + (h,) + medoids[pos + 1:]
+    best_cost, best = _pam_cost(d, medoids), medoids
+    for pos, cost in enumerate(after):
+        cost = np.where(is_medoid, np.inf, cost)
+        h = int(np.argmin(cost))
+        if cost[h] < best_cost - 1e-12:
+            best_cost = float(cost[h])
+            best = medoids[:pos] + (h,) + medoids[pos + 1:]
+    return best
 
 
-def _pam_swap(d, medoids, max_iter, memo=None, costs=None):
-    """Repeat the best strictly-improving swap until none exists or max_iter
-    passes run out.
+def _pam_round(d, pending, successors, costs):
+    """Set the successor of every node in ``pending``.  The remaining-medoid
+    sets they need and ``costs`` lacks are summed in one ``_swap_costs``
+    sweep.  ``costs`` keeps at most n vectors (the size of ``d``); a vector
+    past that serves this round and is dropped."""
+    rests = {node: [tuple(sorted(node[:pos] + node[pos + 1:])) for pos in range(len(node))]
+             for node in pending}
+    fresh = list(dict.fromkeys(s for sets in rests.values() for s in sets if s not in costs))
+    summed = dict(zip(fresh, _swap_costs(d, fresh)))
+    costs.update(itertools.islice(summed.items(), max(0, d.shape[0] - len(costs))))
+    for node, sets in rests.items():
+        successors[node] = _swap_pass(d, node, [summed[s] if s in summed else costs[s] for s in sets])
 
-    SWAP is a pure function of ``d``, the ordered medoid list and the pass
-    budget.  ``memo`` maps each ordered list that an earlier call on the same
-    ``d`` carried to convergence to (final list, swaps it took from there).
-    A trajectory that reaches such a list with at least that many passes
-    left ends where the earlier one ended, so it stops there.  A trajectory
-    that runs out of budget records nothing.  ``costs`` is the candidate-cost
-    cache of ``_swap_pass``, shared the same way.
+
+def _pam_chains(d, starts, max_iter):
+    """SWAP from every ordered medoid tuple in ``starts`` (all of one size)
+    in lock-step; returns each chain's final tuple.
+
+    The chains share one state graph: a node is an ordered medoid tuple and
+    its successor the ``_swap_pass`` result, the node itself when no swap
+    improves.  Each round computes the successors that live chains stand on
+    and the graph lacks (``_pam_round``); a chain steps along known
+    successors for free.  A chain stops when it converges or has made
+    ``max_iter`` swaps, so each ends where SWAP from its start alone ends.
     """
-    memo = {} if memo is None else memo
-    costs = {} if costs is None else costs
-    state = tuple(int(m) for m in medoids)
-    path = []
-    while True:
-        hit = memo.get(state)
-        if hit is not None and hit[1] <= max_iter - len(path):
-            final, swaps = hit
-            break
-        if len(path) >= max_iter:
-            return list(state)
-        after = _swap_pass(d, state, costs)
-        if after is None:
-            final, swaps = state, 0
-            memo[state] = (final, swaps)
-            break
-        path.append(state)
-        state = after
-    for back, visited in enumerate(reversed(path), start=1):
-        memo[visited] = (final, swaps + back)
-    return list(final)
+    successors, costs = {}, {}
+    nodes, swaps = list(starts), [0] * len(starts)
+    live = range(len(starts))
+    while live:
+        for r in live:
+            while swaps[r] < max_iter and successors.get(nodes[r], nodes[r]) != nodes[r]:
+                nodes[r] = successors[nodes[r]]
+                swaps[r] += 1
+        live = [r for r in live if swaps[r] < max_iter and nodes[r] not in successors]
+        if live:
+            _pam_round(d, list(dict.fromkeys(nodes[r] for r in live)), successors, costs)
+    return nodes
 
 
 def pam_fit(
@@ -175,11 +197,11 @@ def pam_fit(
     labelled by its nearest medoid (ties toward the medoid earliest in sorted
     order); labels index the sorted medoid list.
 
-    The restarts share one SWAP memo (see ``_pam_swap``), so a restart that
-    joins a trajectory an earlier restart carried to convergence stops
-    there, and one candidate-cost cache (see ``_swap_pass``), so each
-    remaining-medoid set's costs are summed once per fit.  The answer is
-    exactly that of running every restart alone.
+    The restarts run SWAP in lock-step on one state graph (see
+    ``_pam_chains``), and each round sums the candidate costs it needs in
+    one sweep over ``d``, each remaining-medoid set once per fit while the
+    cache has room.  The answer is exactly that of running every restart
+    alone.
     """
     d = gm.matrix
     n = d.shape[0]
@@ -187,19 +209,17 @@ def pam_fit(
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    memo, costs = {}, {}
-    best = None
-    for r in range(restarts):
-        if r == 0:
-            medoids = _pam_build(d, k)
-        else:
-            rng = np.random.default_rng(derive_seed(rng_seed, STREAM_RESTART, r))
-            medoids = list(rng.choice(n, size=k, replace=False))
-        medoids = _pam_swap(d, medoids, max_iter, memo, costs)
-        cost = _pam_cost(d, medoids)
-        if best is None or cost < best[0] - 1e-12:
-            best = (cost, medoids)
-    return np.argmin(d[:, sorted(best[1])], axis=1)
+    starts = [tuple(_pam_build(d, k))]
+    for r in range(1, restarts):
+        rng = np.random.default_rng(derive_seed(rng_seed, STREAM_RESTART, r))
+        starts.append(tuple(int(m) for m in rng.choice(n, size=k, replace=False)))
+    finals = _pam_chains(d, starts, max_iter)
+    cost = {node: _pam_cost(d, node) for node in finals}
+    best = finals[0]
+    for node in finals:
+        if cost[node] < cost[best] - 1e-12:
+            best = node
+    return np.argmin(d[:, sorted(best)], axis=1)
 
 
 def _kproto_costs(ds, centers, modes, gamma):
@@ -210,7 +230,11 @@ def _kproto_costs(ds, centers, modes, gamma):
         diff = ds.continuous[None, :, None, :] - centers[:, None, :, :]
         cost += np.einsum("citj,citj->cit", diff, diff)
     if ds.p_cat:
-        cost += gamma * (ds.categorical[None, :, None, :] != modes[:, None, :, :]).sum(axis=3)
+        # Integer counts are exact in any order, so one variable at a time.
+        mismatches = np.zeros(cost.shape, dtype=np.min_scalar_type(ds.p_cat))
+        for j in range(ds.p_cat):
+            mismatches += ds.categorical[None, :, None, j] != modes[:, None, :, j]
+        cost += float(gamma) * mismatches
     return cost
 
 
@@ -236,8 +260,9 @@ def kprototypes_fit(
     reseeded with the point currently farthest from its own prototype.  Best
     objective over restarts wins, ties to the lower restart index.
 
-    The restarts advance in lock-step blocks (see ``_kproto_chains``); each
-    chain's labels and objective are bit-identical to running it alone.
+    The restarts advance in lock-step blocks, and restarts that meet merge
+    (see ``_kproto_chains``); each chain's labels and objective are
+    bit-identical to running it alone.
     """
     n = ds.n
     if not 1 <= k <= n:
@@ -251,7 +276,7 @@ def kprototypes_fit(
             n, size=k, replace=False)
         for r in range(restarts)
     ])
-    per_block = max(1, _KPROTO_BLOCK_ELEMS // (n * k * max(1, ds.p_cont, ds.p_cat)))
+    per_block = max(1, _KPROTO_BLOCK_ELEMS // (n * k * max(1, ds.p_cont)))
     labels, objectives = [], []
     for lo in range(0, restarts, per_block):
         block_labels, block_objectives = _kproto_chains(
@@ -313,12 +338,28 @@ def _kproto_refresh(ds, labels, centers, modes):
     return filled
 
 
+def _first_twins(*arrays):
+    """Rows of the first occurrence of each distinct row state across
+    ``arrays`` (all with one row per chain), and every row's first twin."""
+    first = {}
+    twin = [first.setdefault(b"".join(a[row].tobytes() for a in arrays), row)
+            for row in range(len(arrays[0]))]
+    return list(first.values()), twin
+
+
 def _kproto_chains(ds, k, gamma, max_iter, starts, trace=None):
     """Iterate one chain per row of ``starts`` (the k points each chain's
     prototypes start on) in lock-step, each until its labels stop changing
     or ``max_iter`` assignments ran; return the chains' labels and
     objectives.  ``trace`` collects a single chain's objective after every
-    prototype refresh."""
+    prototype refresh.
+
+    At the start and after every refresh, live chains whose labels, centres
+    and modes are byte-equal merge: the lowest restart leads, and the others
+    take its labels and objective at the end.  The chains move in lock-step,
+    so merged chains have the same budget left, and each restart's result is
+    still the one it reaches alone.
+    """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not 0 <= gamma < math.inf:  # NaN fails too
@@ -326,8 +367,10 @@ def _kproto_chains(ds, k, gamma, max_iter, starts, trace=None):
     chains = len(starts)
     labels_out, objectives = [None] * chains, [None] * chains
     ids = np.arange(chains)
+    members = {r: [r] for r in range(chains)}  # the restarts each live chain answers for
     centers = ds.continuous[starts]
     modes = ds.categorical[starts]
+    keep, twin = _first_twins(centers, modes)
     labels = None
 
     def finish(rows, cost):
@@ -335,13 +378,19 @@ def _kproto_chains(ds, k, gamma, max_iter, starts, trace=None):
         if trace is not None:
             trace.append(float(fit[0].sum()))
         for row in rows:
-            labels_out[ids[row]] = labels[row].copy()
-            objectives[ids[row]] = float(fit[row].sum())
+            for r in members[ids[row]]:
+                labels_out[r] = labels[row].copy()
+                objectives[r] = float(fit[row].sum())
 
     for _ in range(max_iter):
+        for row, lead in enumerate(twin):
+            if lead != row:
+                members[ids[lead]] += members.pop(ids[row])
+        ids, centers, modes = ids[keep], centers[keep], modes[keep]
         cost = _kproto_costs(ds, centers, modes, gamma)
         new_labels = np.argmin(cost, axis=2)
         if labels is not None:
+            labels = labels[keep]
             done = (new_labels == labels).all(axis=1)
             finish(np.flatnonzero(done), cost)
             going = ~done
@@ -362,5 +411,6 @@ def _kproto_chains(ds, k, gamma, max_iter, starts, trace=None):
                 centers[row, t] = ds.continuous[worst]
                 modes[row, t] = ds.categorical[worst]
                 point_cost[worst] = -np.inf
+        keep, twin = _first_twins(labels, centers, modes)
     finish(range(len(ids)), _kproto_costs(ds, centers, modes, gamma))
     return labels_out, objectives

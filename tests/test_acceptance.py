@@ -47,11 +47,12 @@ from dibmix import (
     run_benchmark,
     standardize,
 )
-from dibmix.baselines import _pam_build, _pam_swap
+from dibmix.baselines import _pam_build
 
 from conftest import (
     ari_pair_counting,
     overlap_quadrature,
+    pam_swap_oracle,
     random_bandwidths,
     random_mixed_dataset,
     set_partitions,
@@ -236,15 +237,19 @@ def test_criterion_07_baseline_correctness():
         diffs = np.diff(np.asarray(trace))
         if trace and obj == trace[-1] and np.all(diffs <= 1e-9):
             monotone += 1
-    # PAM: at convergence no single (medoid, candidate) swap improves cost.
+    # PAM: pam_fit labels by the medoids SWAP reaches from BUILD, and there
+    # no single (medoid, candidate) swap improves cost.
     swap_optimal = True
     trials = 0
     for _ in range(8):
         n = int(rng.integers(15, 51))
         ds = random_mixed_dataset(rng, n=n)
-        d = gower(ds).matrix
+        gm = gower(ds)
+        d = gm.matrix
         k = int(rng.integers(2, 6))
-        medoids = _pam_swap(d, _pam_build(d, k), max_iter=100)
+        medoids = pam_swap_oracle(d, _pam_build(d, k), max_iter=100)
+        swap_optimal &= np.array_equal(pam_fit(gm, k, restarts=1),
+                                       np.argmin(d[:, sorted(medoids)], axis=1))
         base = float(d[:, list(medoids)].min(axis=1).sum())
         for pos in range(k):
             for h in range(n):

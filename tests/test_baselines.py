@@ -5,6 +5,8 @@ K-Prototypes objectives are recomputed from labels with a from-scratch
 means/modes evaluation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from dibmix import (
     standardize,
 )
 from dibmix import baselines
-from dibmix.baselines import _kproto_chains, _pam_build, _pam_swap
+from dibmix.baselines import _kproto_chains, _pam_build, _pam_chains, _swap_costs
 
 from conftest import (
     kproto_chain_oracle,
@@ -96,6 +98,37 @@ def test_gower_bounds_symmetry_random():
         assert gm.matrix.max() <= 1.0 + 1e-12
 
 
+def _gower_oracle(ds):
+    """Gower by the textbook formula, one fresh n x n array per term."""
+    total = np.zeros((ds.n, ds.n))
+    for col in ds.continuous.T:
+        total += np.abs(col[:, None] - col[None, :]) / float(col.max() - col.min())
+    for col in ds.categorical.T:
+        total += (col[:, None] != col[None, :]).astype(float)
+    return total / (ds.p_cont + ds.p_cat)
+
+
+@pytest.mark.parametrize("n", [200, 500])
+def test_gower_matches_textbook_formula_bytes(n):
+    rng = np.random.default_rng(n)
+    for p_cont, p_cat in ((6, 6), (0, 3), (2, 0)):
+        ds = random_mixed_dataset(rng, n=n, p_cont=p_cont, p_cat=p_cat)
+        assert np.array_equal(gower(ds).matrix, _gower_oracle(ds))
+
+
+def test_gower_peak_memory():
+    # The output and one scratch array are the only n x n arrays.
+    n = 600
+    ds = random_mixed_dataset(np.random.default_rng(6), n=n, p_cont=6, p_cat=6)
+    tracemalloc.start()
+    try:
+        gower(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * n * n * 8
+
+
 def test_gower_zero_range_error():
     ds = make_dataset(continuous=np.ones(5), categorical=np.arange(5) % 2, levels=(2,))
     with pytest.raises(ZeroVarianceError):
@@ -144,15 +177,19 @@ def test_pam_build_k1_minimizes_row_sum():
 
 
 def test_pam_swap_reaches_local_optimum():
-    # Exhaustive check: at convergence no single (medoid, candidate) swap
-    # lowers the total nearest-medoid dissimilarity.
+    # Exhaustive check: pam_fit labels by the medoids that SWAP reaches from
+    # BUILD, and no single (medoid, candidate) swap lowers their total
+    # nearest-medoid dissimilarity.
     rng = np.random.default_rng(7)
     for trial in range(5):
         n = int(rng.integers(15, 50))
         ds = random_mixed_dataset(rng, n=n)
-        d = gower(ds).matrix
+        gm = gower(ds)
+        d = gm.matrix
         k = int(rng.integers(2, 6))
-        medoids = _pam_swap(d, _pam_build(d, k), max_iter=100)
+        medoids = pam_swap_oracle(d, _pam_build(d, k), max_iter=100)
+        np.testing.assert_array_equal(pam_fit(gm, k, restarts=1),
+                                      np.argmin(d[:, sorted(medoids)], axis=1))
         base = _pam_cost(d, medoids)
         for pos in range(k):
             for h in range(n):
@@ -332,33 +369,65 @@ def test_pam_fit_matches_per_restart_oracle(exactness_ds, k, max_iter):
     assert labels.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_pam_fit_default_restarts_matches_oracle(exactness_ds, k):
+    # One restart, from BUILD: the CLI's default.
+    gm = gower(exactness_ds)
+    labels = pam_fit(gm, k)
+    expected = pam_fit_oracle(gm, k, restarts=1, max_iter=100, rng_seed=0)
+    assert labels.dtype == expected.dtype
+    assert labels.tobytes() == expected.tobytes()
+
+
 def test_pam_swap_memo_budget_rule(exactness_ds):
-    # One memo across many starts with mixed budgets: a start that joins a
-    # recorded trajectory with too few passes left must run on by itself.
+    # Chains on one state graph reach shared nodes after different numbers
+    # of swaps, some starting where others stand after one or two swaps;
+    # each must stop after its own budget, where SWAP from its start alone
+    # stops.
     d = gower(exactness_ds).matrix
     n = d.shape[0]
     rng = np.random.default_rng(n)
-    memo = {}
-    for _ in range(60):
-        k = int(rng.integers(1, min(n, 4) + 1))
-        start = [int(v) for v in rng.choice(n, size=k, replace=False)]
-        budget = int(rng.choice([0, 1, 2, 3, 100]))
-        assert _pam_swap(d, start, budget, memo) == pam_swap_oracle(d, start, budget)
+    for k in range(1, min(n, 4) + 1):
+        starts = [tuple(int(v) for v in rng.choice(n, size=k, replace=False))
+                  for _ in range(12)]
+        starts += [tuple(pam_swap_oracle(d, s, ahead)) for ahead in (1, 2) for s in starts[:4]]
+        starts += starts[:2]
+        for budget in (0, 1, 2, 3, 100):
+            expected = [tuple(pam_swap_oracle(d, s, budget)) for s in starts]
+            assert _pam_chains(d, starts, budget) == expected
+
+
+@pytest.mark.parametrize("elems", [1, 7, 1 << 10, 1 << 20])
+def test_pam_swap_costs_sweep_bytes(exactness_ds, elems, monkeypatch):
+    # Whatever the block size, every vector holds the bytes of one
+    # unblocked sum over all points in row order.
+    monkeypatch.setattr(baselines, "_PAM_SWEEP_ELEMS", elems)
+    d = gower(exactness_ds).matrix
+    n = d.shape[0]
+    rng = np.random.default_rng(elems)
+    for size in range(min(n, 4)):
+        rests = [tuple(sorted(int(v) for v in rng.choice(n, size=size, replace=False)))
+                 for _ in range(1 if size == 0 else 6)]
+        got = _swap_costs(d, rests)
+        for rest, vector in zip(rests, got):
+            e = d[:, list(rest)].min(axis=1) if rest else np.full(n, np.inf)
+            assert vector.tobytes() == np.minimum(e[:, None], d).sum(axis=0).tobytes()
 
 
 def _spy_swap_costs(monkeypatch):
     """Record every (remaining-medoid set, candidate-cost vector) that SWAP
-    computes."""
-    calls = []
+    sums, and the sets of each sweep."""
+    calls, sweeps = [], []
     real = baselines._swap_costs
 
-    def spy(d, rest):
-        after = real(d, rest)
-        calls.append((rest, after))
-        return after
+    def spy(d, rests):
+        out = real(d, rests)
+        calls.extend(zip(rests, out))
+        sweeps.append(list(rests))
+        return out
 
     monkeypatch.setattr(baselines, "_swap_costs", spy)
-    return calls
+    return calls, sweeps
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -367,7 +436,7 @@ def test_pam_swap_costs_match_brute_force(exactness_ds, k, monkeypatch):
     # dissimilarity, recomputed directly for every h.
     gm = gower(exactness_ds)
     d = gm.matrix
-    calls = _spy_swap_costs(monkeypatch)
+    calls, _ = _spy_swap_costs(monkeypatch)
     pam_fit(gm, k, restarts=10, rng_seed=k)
     assert calls
     for rest, after in calls:
@@ -377,11 +446,13 @@ def test_pam_swap_costs_match_brute_force(exactness_ds, k, monkeypatch):
 
 def test_pam_swap_costs_summed_once_per_set_per_fit(monkeypatch):
     gm = gower(random_mixed_dataset(np.random.default_rng(31), n=120))
-    calls = _spy_swap_costs(monkeypatch)
+    calls, sweeps = _spy_swap_costs(monkeypatch)
     pam_fit(gm, k=3, restarts=10, rng_seed=3)
     first = [rest for rest, _ in calls]
-    # below the cache bound of n sets, no set is summed twice
+    # below the cache bound of n sets, no set is summed twice, and each
+    # lock-step round sums its sets in one sweep
     assert len(first) == len(set(first)) <= gm.n
+    assert 1 < len(sweeps) < len(first)
     # a second fit starts from an empty cache
     pam_fit(gm, k=3, restarts=10, rng_seed=3)
     assert [rest for rest, _ in calls[len(first):]] == first
@@ -389,18 +460,17 @@ def test_pam_swap_costs_summed_once_per_set_per_fit(monkeypatch):
 
 def test_pam_swap_cost_cache_bound_matches_oracle(monkeypatch):
     # At k = 5 on 16 points a fit meets more remaining-medoid sets than n,
-    # so the cache fills and later sets are summed without being stored.
+    # so the cache fills and later sets serve their round only.
     gm = gower(random_mixed_dataset(np.random.default_rng(12), n=16))
     sizes = []
-    real = baselines._swap_pass
+    real = baselines._pam_round
 
-    def spy(d, medoids, costs):
-        after = real(d, medoids, costs)
+    def spy(d, pending, successors, costs):
+        real(d, pending, successors, costs)
         sizes.append(len(costs))
-        return after
 
-    monkeypatch.setattr(baselines, "_swap_pass", spy)
-    calls = _spy_swap_costs(monkeypatch)
+    monkeypatch.setattr(baselines, "_pam_round", spy)
+    calls, _ = _spy_swap_costs(monkeypatch)
     labels = pam_fit(gm, k=5, restarts=25, rng_seed=5)
     assert max(sizes) == gm.n
     assert len(calls) > gm.n
@@ -431,6 +501,29 @@ def test_kprototypes_fit_matches_oracle_across_blocks(exactness_ds, k, monkeypat
     many_blocks = kprototypes_fit(exactness_ds, k, restarts=12, rng_seed=3)
     assert one_block.tobytes() == expected.tobytes()
     assert many_blocks.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kprototypes_fit_merged_chains_match_oracle(k, monkeypatch):
+    # 40 restarts on 12 points repeat starts, and the duplicated rows give
+    # different starts byte-equal prototypes, so chains merge.
+    ds = _repeated_rows(random_mixed_dataset(np.random.default_rng(k), n=6, p_cont=2, p_cat=2), 2)
+    states = []
+    real = baselines._kproto_costs
+
+    def spy(ds, centers, modes, gamma):
+        states.append([c.tobytes() + m.tobytes() for c, m in zip(centers, modes)])
+        return real(ds, centers, modes, gamma)
+
+    monkeypatch.setattr(baselines, "_kproto_costs", spy)
+    labels = kprototypes_fit(ds, k, restarts=40, rng_seed=k)
+    expected = kprototypes_fit_oracle(ds, k, restarts=40, max_iter=100, rng_seed=k)
+    assert labels.dtype == expected.dtype
+    assert labels.tobytes() == expected.tobytes()
+    # merged chains are costed once per step
+    assert len(states[0]) < 40
+    for step in states:
+        assert len(step) == len(set(step))
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 100])
