@@ -8,25 +8,25 @@ Huang, Z. (1998). Extensions to the k-means algorithm for clustering large
 data sets with categorical values. Data Mining and Knowledge Discovery 2.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import lockstep
 from .dataset import MixedDataset
 from .errors import ZeroVarianceError
+from .kernels import _block_rows
 from .seeding import STREAM_RESTART, derive_seed
 
 PAM_DEFAULT_RESTARTS = 1
 KPROTO_DEFAULT_RESTARTS = 100
 DEFAULT_MAX_ITER = 100
-# PAM's candidate-cost sweep takes the rows of d in blocks of about this
-# many elements, small enough to stay in cache while every set reads them.
-_PAM_SWEEP_ELEMS = 1 << 15
-# K-Prototypes chains per lock-step block are capped so that one cost
-# evaluation's (chains, n, k, continuous variables) temporaries hold about
-# this many elements.
+# One K-Prototypes cost evaluation stacks at most as many states as keep its
+# (states, n, k, continuous variables) temporaries within about this many
+# elements.
 _KPROTO_BLOCK_ELEMS = 1 << 19
 
 
@@ -106,15 +106,15 @@ def _swap_costs(d, rests):
 
     Each entry is added over i in row order, so its bytes equal those of
     ``np.minimum(e[:, None], d).sum(axis=0)``.  The sweep takes the rows of
-    ``d`` in blocks of about ``_PAM_SWEEP_ELEMS`` elements, each block once
-    for every set, and its one temporary is a block's size.
+    ``d`` in ``kernels._block_rows`` blocks, small enough to stay in cache
+    while every set reads them, and its one temporary is a block's size.
     """
     n, m = d.shape[0], len(rests)
     e = np.full((m, n), np.inf)
     for medoid in np.array(rests).T:
         np.minimum(e, d[:, medoid].T, out=e)
     out = np.empty((m, n))
-    rows = max(1, _PAM_SWEEP_ELEMS // n)
+    rows = _block_rows(n)
     block = np.empty((rows, n))
     for i in range(0, n, rows):
         part = block[:min(rows, n - i)]
@@ -145,43 +145,25 @@ def _swap_pass(d, medoids, after):
     return best
 
 
-def _pam_round(d, pending, successors, costs):
-    """Set the successor of every node in ``pending``.  The remaining-medoid
-    sets they need and ``costs`` lacks are summed in one ``_swap_costs``
-    sweep.  ``costs`` keeps at most n vectors (the size of ``d``); a vector
-    past that serves this round and is dropped."""
-    rests = {node: [tuple(sorted(node[:pos] + node[pos + 1:])) for pos in range(len(node))]
-             for node in pending}
-    fresh = list(dict.fromkeys(s for sets in rests.values() for s in sets if s not in costs))
+def _pam_round(d, costs, pending):
+    """The successors of the ordered medoid tuples ``pending``: each one's
+    ``_swap_pass`` result.  The remaining-medoid sets they need and
+    ``costs`` lacks are summed in one ``_swap_costs`` sweep.  ``costs``
+    keeps at most n vectors (the size of ``d``); a vector past that serves
+    this round and is dropped."""
+    rests = [[tuple(sorted(node[:pos] + node[pos + 1:])) for pos in range(len(node))]
+             for node in pending]
+    fresh = list(dict.fromkeys(s for sets in rests for s in sets if s not in costs))
     summed = dict(zip(fresh, _swap_costs(d, fresh)))
     costs.update(itertools.islice(summed.items(), max(0, d.shape[0] - len(costs))))
-    for node, sets in rests.items():
-        successors[node] = _swap_pass(d, node, [summed[s] if s in summed else costs[s] for s in sets])
+    return [_swap_pass(d, node, [summed[s] if s in summed else costs[s] for s in sets])
+            for node, sets in zip(pending, rests)]
 
 
-def _pam_chains(d, starts, max_iter):
-    """SWAP from every ordered medoid tuple in ``starts`` (all of one size)
-    in lock-step; returns each chain's final tuple.
-
-    The chains share one state graph: a node is an ordered medoid tuple and
-    its successor the ``_swap_pass`` result, the node itself when no swap
-    improves.  Each round computes the successors that live chains stand on
-    and the graph lacks (``_pam_round``); a chain steps along known
-    successors for free.  A chain stops when it converges or has made
-    ``max_iter`` swaps, so each ends where SWAP from its start alone ends.
-    """
-    successors, costs = {}, {}
-    nodes, swaps = list(starts), [0] * len(starts)
-    live = range(len(starts))
-    while live:
-        for r in live:
-            while swaps[r] < max_iter and successors.get(nodes[r], nodes[r]) != nodes[r]:
-                nodes[r] = successors[nodes[r]]
-                swaps[r] += 1
-        live = [r for r in live if swaps[r] < max_iter and nodes[r] not in successors]
-        if live:
-            _pam_round(d, list(dict.fromkeys(nodes[r] for r in live)), successors, costs)
-    return nodes
+def _random_start(n, k, rng_seed, r):
+    """The k distinct points that restart r of a baseline starts from."""
+    return np.random.default_rng(derive_seed(rng_seed, STREAM_RESTART, r)).choice(
+        n, size=k, replace=False)
 
 
 def pam_fit(
@@ -197,23 +179,24 @@ def pam_fit(
     labelled by its nearest medoid (ties toward the medoid earliest in sorted
     order); labels index the sorted medoid list.
 
-    The restarts run SWAP in lock-step on one state graph (see
-    ``_pam_chains``), and each round sums the candidate costs it needs in
-    one sweep over ``d``, each remaining-medoid set once per fit while the
-    cache has room.  The answer is exactly that of running every restart
-    alone.
+    The restarts run SWAP with ``lockstep.walk``: a node is an ordered
+    medoid tuple and its successor the ``_swap_pass`` result, the node
+    itself when no swap improves, and a chain stops there or after
+    ``max_iter`` swaps.  Each round sums the candidate costs it needs in
+    one sweep over ``d`` (``_pam_round``), each remaining-medoid set once
+    per fit while the cache has room.  The answer is exactly that of
+    running every restart alone.
     """
     d = gm.matrix
     n = d.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    if restarts < 1 or max_iter < 1:
+        raise ValueError("restarts and max_iter must be >= 1")
     starts = [tuple(_pam_build(d, k))]
-    for r in range(1, restarts):
-        rng = np.random.default_rng(derive_seed(rng_seed, STREAM_RESTART, r))
-        starts.append(tuple(int(m) for m in rng.choice(n, size=k, replace=False)))
-    finals = _pam_chains(d, starts, max_iter)
+    starts += [tuple(_random_start(n, k, rng_seed, r).tolist()) for r in range(1, restarts)]
+    paths = lockstep.walk(starts, functools.partial(_pam_round, d, {}), max_iter)
+    finals = [path[-1] for path in paths]
     cost = {node: _pam_cost(d, node) for node in finals}
     best = finals[0]
     for node in finals:
@@ -260,9 +243,9 @@ def kprototypes_fit(
     reseeded with the point currently farthest from its own prototype.  Best
     objective over restarts wins, ties to the lower restart index.
 
-    The restarts advance in lock-step blocks, and restarts that meet merge
-    (see ``_kproto_chains``); each chain's labels and objective are
-    bit-identical to running it alone.
+    The restarts walk one state graph with ``lockstep.walk`` (see
+    ``_kproto_chains``), so restarts that meet merge; each chain's labels
+    and objective are bit-identical to running it alone.
     """
     n = ds.n
     if not 1 <= k <= n:
@@ -271,23 +254,13 @@ def kprototypes_fit(
         raise ValueError("restarts must be >= 1")
     if gamma is None:
         gamma = default_gamma(ds)
-    starts = np.array([
-        np.random.default_rng(derive_seed(rng_seed, STREAM_RESTART, r)).choice(
-            n, size=k, replace=False)
-        for r in range(restarts)
-    ])
-    per_block = max(1, _KPROTO_BLOCK_ELEMS // (n * k * max(1, ds.p_cont)))
-    labels, objectives = [], []
-    for lo in range(0, restarts, per_block):
-        block_labels, block_objectives = _kproto_chains(
-            ds, k, gamma, max_iter, starts[lo:lo + per_block])
-        labels.extend(block_labels)
-        objectives.extend(block_objectives)
-    best = 0
-    for r, obj in enumerate(objectives):
-        if obj < objectives[best] - 1e-12:
-            best = r
-    return labels[best]
+    starts = np.array([_random_start(n, k, rng_seed, r) for r in range(restarts)])
+    chains = _kproto_chains(ds, k, gamma, max_iter, starts)
+    best = chains[0]
+    for chain in chains:
+        if chain[1] < best[1] - 1e-12:
+            best = chain
+    return best[0]
 
 
 def kprototypes_chain(
@@ -303,9 +276,8 @@ def kprototypes_chain(
     if gamma is None:
         gamma = default_gamma(ds)
     start = np.random.default_rng(rng_seed).choice(ds.n, size=k, replace=False)
-    trace = []
-    labels, objectives = _kproto_chains(ds, k, gamma, max_iter, start[None], trace=trace)
-    return labels[0], objectives[0], tuple(trace)
+    [(labels, objective, trace)] = _kproto_chains(ds, k, gamma, max_iter, start[None])
+    return labels, objective, tuple(trace)
 
 
 def _kproto_refresh(ds, labels, centers, modes):
@@ -338,79 +310,81 @@ def _kproto_refresh(ds, labels, centers, modes):
     return filled
 
 
-def _first_twins(*arrays):
-    """Rows of the first occurrence of each distinct row state across
-    ``arrays`` (all with one row per chain), and every row's first twin."""
-    first = {}
-    twin = [first.setdefault(b"".join(a[row].tobytes() for a in arrays), row)
-            for row in range(len(arrays[0]))]
-    return list(first.values()), twin
-
-
-def _kproto_chains(ds, k, gamma, max_iter, starts, trace=None):
+def _kproto_chains(ds, k, gamma, max_iter, starts):
     """Iterate one chain per row of ``starts`` (the k points each chain's
-    prototypes start on) in lock-step, each until its labels stop changing
-    or ``max_iter`` assignments ran; return the chains' labels and
-    objectives.  ``trace`` collects a single chain's objective after every
-    prototype refresh.
+    prototypes start on), each until its labels stop changing or
+    ``max_iter`` assignments ran; return each chain's (labels, objective,
+    trace), the trace holding the objective after every prototype refresh.
 
-    At the start and after every refresh, live chains whose labels, centres
-    and modes are byte-equal merge: the lowest restart leads, and the others
-    take its labels and objective at the end.  The chains move in lock-step,
-    so merged chains have the same budget left, and each restart's result is
-    still the one it reaches alone.
+    The chains walk one state graph with ``lockstep.walk``.  A node is the
+    byte key of one ``state`` record: labels as ``np.min_scalar_type(-k)``,
+    centres and modes.  A start carries labels -1, so it never converges
+    and its objective is never read.  ``advance`` costs its nodes in stacks
+    of at most ``per_block``, records each node's objective (the cost of its
+    labels under its prototypes), and refreshes and reseeds the nodes whose
+    labels moved; a node whose labels stay is its own successor.  Chains
+    that reach one state merge, and each still ends where it ends alone.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not 0 <= gamma < math.inf:  # NaN fails too
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
-    chains = len(starts)
-    labels_out, objectives = [None] * chains, [None] * chains
-    ids = np.arange(chains)
-    members = {r: [r] for r in range(chains)}  # the restarts each live chain answers for
-    centers = ds.continuous[starts]
-    modes = ds.categorical[starts]
-    keep, twin = _first_twins(centers, modes)
-    labels = None
+    n = ds.n
+    state = np.dtype([("labels", np.min_scalar_type(-k), n),
+                      ("centers", ds.continuous.dtype, (k, ds.p_cont)),
+                      ("modes", ds.categorical.dtype, (k, ds.p_cat))])
+    per_block = max(1, _KPROTO_BLOCK_ELEMS // (n * k * max(1, ds.p_cont)))
+    objectives = {}
 
-    def finish(rows, cost):
+    def stacks(keys):
+        return [keys[lo:lo + per_block] for lo in range(0, len(keys), per_block)]
+
+    def evaluate(keys):
+        """The records of ``keys``, their labels and their (states, n, k)
+        cost array; records each node's objective."""
+        block = np.frombuffer(b"".join(keys), dtype=state)
+        labels = block["labels"].astype(np.intp)
+        cost = _kproto_costs(ds, block["centers"], block["modes"], gamma)
         fit = np.take_along_axis(cost, labels[:, :, None], axis=2)[:, :, 0]
-        if trace is not None:
-            trace.append(float(fit[0].sum()))
-        for row in rows:
-            for r in members[ids[row]]:
-                labels_out[r] = labels[row].copy()
-                objectives[r] = float(fit[row].sum())
+        objectives.update((key, float(row.sum())) for key, row in zip(keys, fit))
+        return block, labels, cost
 
-    for _ in range(max_iter):
-        for row, lead in enumerate(twin):
-            if lead != row:
-                members[ids[lead]] += members.pop(ids[row])
-        ids, centers, modes = ids[keep], centers[keep], modes[keep]
-        cost = _kproto_costs(ds, centers, modes, gamma)
-        new_labels = np.argmin(cost, axis=2)
-        if labels is not None:
-            labels = labels[keep]
-            done = (new_labels == labels).all(axis=1)
-            finish(np.flatnonzero(done), cost)
-            going = ~done
-            if not going.any():
-                return labels_out, objectives
-            ids, cost, new_labels = ids[going], cost[going], new_labels[going]
-            centers, modes = centers[going], modes[going]
-        labels = new_labels
-        filled = _kproto_refresh(ds, labels, centers, modes)
-        # Empty clusters: move their prototype onto the worst-fit point
-        # (farthest from its own prototype).  Labels are untouched, so the
-        # empty cluster still contributes nothing and the objective stays
-        # non-increasing; the point captures the cluster next assignment.
-        for row in np.flatnonzero(~filled.all(axis=1)):
-            point_cost = cost[row, np.arange(ds.n), labels[row]]
-            for t in np.flatnonzero(~filled[row]):
-                worst = int(np.argmax(point_cost))
-                centers[row, t] = ds.continuous[worst]
-                modes[row, t] = ds.categorical[worst]
-                point_cost[worst] = -np.inf
-        keep, twin = _first_twins(labels, centers, modes)
-    finish(range(len(ids)), _kproto_costs(ds, centers, modes, gamma))
-    return labels_out, objectives
+    def advance(pending):
+        successors = []
+        for keys in stacks(pending):
+            block, labels, cost = evaluate(keys)
+            new_labels = np.argmin(cost, axis=2)
+            moved = np.flatnonzero((new_labels != labels).any(axis=1))
+            out = block.copy()
+            centers, modes = out["centers"][moved], out["modes"][moved]
+            filled = _kproto_refresh(ds, new_labels[moved], centers, modes)
+            # Empty clusters: move their prototype onto the worst-fit point
+            # (farthest from its own prototype).  Labels are untouched, so
+            # the empty cluster still contributes nothing and the objective
+            # stays non-increasing; the point captures the cluster next
+            # assignment.
+            for row in np.flatnonzero(~filled.all(axis=1)):
+                point_cost = cost[moved[row], np.arange(n), new_labels[moved[row]]]
+                for t in np.flatnonzero(~filled[row]):
+                    worst = int(np.argmax(point_cost))
+                    centers[row, t] = ds.continuous[worst]
+                    modes[row, t] = ds.categorical[worst]
+                    point_cost[worst] = -np.inf
+            out["labels"] = new_labels
+            out["centers"][moved], out["modes"][moved] = centers, modes
+            successors.extend(record.tobytes() for record in out)
+        return successors
+
+    first = np.empty(len(starts), dtype=state)
+    first["labels"] = -1
+    first["centers"], first["modes"] = ds.continuous[starts], ds.categorical[starts]
+    paths = lockstep.walk([record.tobytes() for record in first], advance, max_iter)
+    # the end nodes of capped chains have not been costed yet
+    for keys in stacks(list(dict.fromkeys(p[-1] for p in paths if p[-1] not in objectives))):
+        evaluate(keys)
+    chains = []
+    for path in paths:
+        steps = path[1:-1] if path[-1] == path[-2] else path[1:]
+        labels = np.frombuffer(path[-1], dtype=state)["labels"][0].astype(np.intp)
+        chains.append((labels, objectives[path[-1]], [objectives[u] for u in steps]))
+    return chains

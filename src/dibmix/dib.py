@@ -18,16 +18,15 @@ Empty clusters score -inf and therefore stay empty, which is what lets the
 method prune clusters (reported as ``effective_k``).
 
 The update is a pure function of the hard assignment, so the restarts of
-one fit walk one shared state graph.  A node is one exact assignment
-vector; it holds its masses, its objective and, once known, its successor.
-Its decoder is kept only until the successor is known.  All restarts advance
-in lock-step: each step stacks the decoders of the distinct nodes that
-running chains occupy and whose successor is unknown, so p(y | x) is read
-once to score them all, and once more to refresh the states that are new.
-Restarts that meet share the rest of one trajectory, and a converged state
-is not refreshed again.  Each chain keeps its own trace, iteration count
-and stop rule; it stops when it converges, cycles or reaches its cap, and a
-chain that reaches the state where another stopped computes the successor.
+one fit walk one shared state graph with ``lockstep.walk``.  A node is one
+exact assignment vector; it holds its masses and its objective, and its
+decoder until its successor is known.  Each round stacks the decoders of
+the distinct nodes that waiting chains stand on, so p(y | x) is read once
+to score them all, and once more to refresh the states that are new; a
+chain steps along successors already known for free.  Restarts that meet
+share the rest of one trajectory, and no state is scored or refreshed
+twice.  A chain stops when it converges, cycles or reaches its cap, and its
+trace, best state and flags are read off its path.
 A stacked pass is cut into slices within a memory budget; ``threads > 1``
 cuts it into at least that many and runs them on a thread pool.  A node's
 arithmetic does not depend on its slice, so neither the work done nor the
@@ -46,6 +45,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy import sparse
 
+from . import lockstep
 from .dataset import MixedDataset
 from .errors import DegenerateSmoothingError
 from .infotheory import _as_distribution
@@ -294,10 +294,10 @@ class _StateGraph:
     between them.
 
     A node is one exact assignment, keyed by its labels as
-    ``np.min_scalar_type(k - 1)``.  It holds its masses, its
-    (objective, H, I) and its successor, None until a chain needs it.  Its
-    decoder is dropped as soon as the successor is known.  ``mapper`` (``map``
-    or a thread pool's) runs the slices of a stacked pass; only the calling
+    ``np.min_scalar_type(k - 1)``.  It holds its masses and its
+    (objective, H, I); its decoder is dropped once ``advance`` has scored it,
+    and ``lockstep.walk`` keeps the successors.  ``mapper`` (``map`` or a
+    thread pool's) runs the slices of a stacked pass; only the calling
     thread reads or writes the graph.
     """
 
@@ -306,7 +306,7 @@ class _StateGraph:
         self.threads, self.mapper = threads, mapper
         self.dtype = np.min_scalar_type(k - 1)
         self.index = {}
-        self.keys, self.masses, self.decoders, self.scores, self.successors = [], [], [], [], []
+        self.keys, self.masses, self.decoders, self.scores = [], [], [], []
 
     def _pass(self, fn, items):
         """``fn`` over contiguous slices of the stacked ``items`` (one per
@@ -336,60 +336,40 @@ class _StateGraph:
             self.masses.append(masses)
             self.decoders.append(decoder)
             self.scores.append((obj.item(), h.item(), i.item()))
-            self.successors.append(None)
         return [self.index[key] for key in keys]
 
-    def step(self, nodes):
-        """The successor of every node in ``nodes``; the distinct ones that
-        lack it are scored in one stacked pass."""
-        pending = list(dict.fromkeys(u for u in nodes if self.successors[u] is None))
+    def advance(self, pending):
+        """The successors of the nodes ``pending``, scored in one stacked
+        pass; their decoders are dropped."""
 
         def score(group):
             return _score_step(np.stack([self.masses[u] for u in group]),
                                np.stack([self.decoders[u] for u in group]),
                                self.density, self.beta)
 
-        if pending:
-            new_assign = np.concatenate(self._pass(score, pending))
-            for u, v in zip(pending, self.add(new_assign)):
-                self.successors[u] = v
-                self.decoders[u] = None
-        return [self.successors[u] for u in nodes]
+        new_assign = np.concatenate(self._pass(score, pending))
+        for u in pending:
+            self.decoders[u] = None
+        return self.add(new_assign)
 
     def assign(self, node):
         return np.frombuffer(self.keys[node], dtype=self.dtype)
 
 
-class _Chain:
-    """Bookkeeping of one restart while it walks a state graph."""
+def _rises(path, scores):
+    """The cycle rule, a ``lockstep.walk`` stop: the last step of ``path``
+    raised the objective by more than ``_TRACE_RISE_TOL``, checked from the
+    second step on.  ``scores[u]`` is node u's (objective, H, I)."""
+    return len(path) > 2 and scores[path[-1]][0] > scores[path[-2]][0] + _TRACE_RISE_TOL
 
-    def __init__(self, node, max_iter):
-        self.node = node
-        self.max_iter = max_iter
-        self.trace = []
-        self.best = None
-        self.prev_obj = np.inf
-        self.converged = False
-        self.cycle = False
 
-    def record(self, node, obj, h, i) -> bool:
-        """Move to ``node`` and log its objective; return whether the chain goes on.
-
-        The chain converges when ``node`` is the node it stands on.  A rise
-        of the objective beyond the tolerance stops it as a cycle, and the
-        iteration cap stops it unflagged; the best node seen so far is kept
-        either way.
-        """
-        self.trace.append(obj)
-        if self.best is None or obj < self.best[0]:
-            self.best = (obj, h, i, node)
-        if node == self.node:
-            self.converged = True
-        elif obj > self.prev_obj + _TRACE_RISE_TOL:
-            self.cycle = True
-        self.node = node
-        self.prev_obj = obj
-        return not (self.converged or self.cycle) and len(self.trace) < self.max_iter
+def _outcome(path, scores):
+    """A chain's objective trace, its best node (the first minimum after the
+    start), and whether it converged or stopped by a cycle, from its
+    ``path``.  A chain that converged is not flagged as a cycle."""
+    converged = path[-1] == path[-2]
+    return ([scores[u][0] for u in path[1:]], min(path[1:], key=lambda u: scores[u][0]),
+            converged, not converged and _rises(path, scores))
 
 
 def _walk(graph, restarts, rng_seed, max_iter):
@@ -397,21 +377,19 @@ def _walk(graph, restarts, rng_seed, max_iter):
     returns one (summary, trace, best assignment) per chain."""
     seeds = [derive_seed(rng_seed, STREAM_RESTART, r) for r in range(restarts)]
     starts = graph.add(np.stack([init_random(graph.density.n, graph.k, s) for s in seeds]))
-    chains = [_Chain(node, max_iter) for node in starts]
-    live = chains
-    while live:
-        nodes = graph.step([c.node for c in live])
-        live = [c for c, v in zip(live, nodes) if c.record(v, *graph.scores[v])]
+    paths = lockstep.walk(starts, graph.advance, max_iter,
+                          lambda path: _rises(path, graph.scores))
     runs = []
-    for r, (seed, c) in enumerate(zip(seeds, chains)):
-        obj, h, i, node = c.best
+    for r, (seed, path) in enumerate(zip(seeds, paths)):
+        trace, node, converged, cycle = _outcome(path, graph.scores)
+        obj, h, i = graph.scores[node]
         summary = RestartSummary(
             restart_index=r, seed=seed, objective=obj, compression=h,
-            relevance=i, iterations=len(c.trace),
+            relevance=i, iterations=len(trace),
             effective_k=int(np.count_nonzero(graph.masses[node] > 0)),
-            converged=c.converged, cycle_detected=c.cycle,
+            converged=converged, cycle_detected=cycle,
         )
-        runs.append((summary, c.trace, graph.assign(node)))
+        runs.append((summary, trace, graph.assign(node)))
     return runs
 
 

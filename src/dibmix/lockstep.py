@@ -1,0 +1,40 @@
+"""Lock-step walks of many restarts over one deterministic update.
+
+Each clustering method here iterates a pure function of a hashable state
+from many starts.  ``walk`` runs all of those chains together: it asks for
+the successors of a round's distinct states in one call, so the caller can
+stack their work, and it never asks twice for one state, so restarts that
+meet share the rest of one trajectory.
+"""
+
+
+def walk(starts, advance, max_steps, stops=None):
+    """Walk one chain from each of ``starts``; return each chain's path of
+    nodes, its start first.
+
+    ``advance(pending)`` returns the successors of the nodes ``pending``, in
+    order.  It is called once per node: each call receives every distinct
+    node that a waiting chain stands on and whose successor is unknown.  A
+    chain steps along successors already known without waiting for a call.
+    A chain stops after ``max_steps`` steps, after a step onto the node it
+    stands on (a fixed point; that step counts), or when ``stops(path)``
+    holds.
+    """
+    successors = {}
+    paths = [[node] for node in starts]
+
+    def done(path):
+        return (len(path) > max_steps or (len(path) > 1 and path[-1] == path[-2])
+                or (stops is not None and stops(path)))
+
+    live = [path for path in paths if not done(path)]
+    while live:
+        # a live chain stands where no successor is known yet
+        pending = list(dict.fromkeys(path[-1] for path in live))
+        successors.update(zip(pending, advance(pending)))
+        for path in live:
+            path.append(successors[path[-1]])
+            while not done(path) and path[-1] in successors:
+                path.append(successors[path[-1]])
+        live = [path for path in live if not done(path)]
+    return paths

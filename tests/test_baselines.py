@@ -5,6 +5,7 @@ K-Prototypes objectives are recomputed from labels with a from-scratch
 means/modes evaluation.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -21,8 +22,9 @@ from dibmix import (
     pam_fit,
     standardize,
 )
-from dibmix import baselines
-from dibmix.baselines import _kproto_chains, _pam_build, _pam_chains, _swap_costs
+from dibmix import baselines, kernels
+from dibmix.baselines import _kproto_chains, _pam_build, _pam_round, _swap_costs
+from dibmix.lockstep import walk
 
 from conftest import (
     kproto_chain_oracle,
@@ -394,14 +396,15 @@ def test_pam_swap_memo_budget_rule(exactness_ds):
         starts += starts[:2]
         for budget in (0, 1, 2, 3, 100):
             expected = [tuple(pam_swap_oracle(d, s, budget)) for s in starts]
-            assert _pam_chains(d, starts, budget) == expected
+            paths = walk(starts, functools.partial(_pam_round, d, {}), budget)
+            assert [path[-1] for path in paths] == expected
 
 
 @pytest.mark.parametrize("elems", [1, 7, 1 << 10, 1 << 20])
 def test_pam_swap_costs_sweep_bytes(exactness_ds, elems, monkeypatch):
     # Whatever the block size, every vector holds the bytes of one
     # unblocked sum over all points in row order.
-    monkeypatch.setattr(baselines, "_PAM_SWEEP_ELEMS", elems)
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", elems)
     d = gower(exactness_ds).matrix
     n = d.shape[0]
     rng = np.random.default_rng(elems)
@@ -465,9 +468,10 @@ def test_pam_swap_cost_cache_bound_matches_oracle(monkeypatch):
     sizes = []
     real = baselines._pam_round
 
-    def spy(d, pending, successors, costs):
-        real(d, pending, successors, costs)
+    def spy(d, costs, pending):
+        successors = real(d, costs, pending)
         sizes.append(len(costs))
+        return successors
 
     monkeypatch.setattr(baselines, "_pam_round", spy)
     calls, _ = _spy_swap_costs(monkeypatch)
@@ -484,12 +488,13 @@ def test_pam_swap_cost_cache_bound_matches_oracle(monkeypatch):
 def test_kproto_chains_match_oracle(exactness_ds, k, max_iter):
     gamma = default_gamma(exactness_ds)
     starts = kproto_starts(exactness_ds.n, k, restarts=20, rng_seed=k)
-    labels, objectives = _kproto_chains(exactness_ds, k, gamma, max_iter, starts)
-    for chain, start in enumerate(starts):
-        expected, obj, _ = kproto_chain_oracle(exactness_ds, k, gamma, max_iter, start)
-        assert labels[chain].dtype == expected.dtype
-        assert labels[chain].tobytes() == expected.tobytes()
-        assert objectives[chain] == obj
+    chains = _kproto_chains(exactness_ds, k, gamma, max_iter, starts)
+    for (labels, objective, trace), start in zip(chains, starts, strict=True):
+        expected, obj, expected_trace = kproto_chain_oracle(exactness_ds, k, gamma, max_iter, start)
+        assert labels.dtype == expected.dtype
+        assert labels.tobytes() == expected.tobytes()
+        assert objective == obj
+        assert tuple(trace) == expected_trace
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -526,6 +531,29 @@ def test_kprototypes_fit_merged_chains_match_oracle(k, monkeypatch):
         assert len(step) == len(set(step))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kprototypes_fit_costs_each_state_once_across_stacks(k, monkeypatch):
+    # One state per cost stack, and 40 restarts on 12 points (6 rows twice)
+    # repeat starts and states.  One state graph spans every restart, so no
+    # state is costed twice in a fit; on this data distinct states also have
+    # distinct prototypes.
+    ds = _repeated_rows(random_mixed_dataset(np.random.default_rng(k), n=6, p_cont=2, p_cat=2), 2)
+    costed = []
+    real = baselines._kproto_costs
+
+    def spy(ds, centers, modes, gamma):
+        costed.extend(c.tobytes() + m.tobytes() for c, m in zip(centers, modes))
+        return real(ds, centers, modes, gamma)
+
+    monkeypatch.setattr(baselines, "_kproto_costs", spy)
+    monkeypatch.setattr(baselines, "_KPROTO_BLOCK_ELEMS", 1)
+    labels = kprototypes_fit(ds, k, restarts=40, rng_seed=k)
+    expected = kprototypes_fit_oracle(ds, k, restarts=40, max_iter=100, rng_seed=k)
+    assert labels.dtype == expected.dtype
+    assert labels.tobytes() == expected.tobytes()
+    assert len(costed) == len(set(costed))
+
+
 @pytest.mark.parametrize("max_iter", [1, 2, 100])
 def test_kprototypes_chain_trace_matches_oracle(exactness_ds, max_iter):
     k = min(3, exactness_ds.n)
@@ -541,6 +569,9 @@ def test_baseline_restart_and_iteration_errors():
     ds = make_dataset(continuous=[0.0, 1.0, 3.0])
     with pytest.raises(ValueError):
         pam_fit(gower(ds), k=1, restarts=0)
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError):
+            pam_fit(gower(ds), k=1, max_iter=max_iter)
     with pytest.raises(ValueError):
         kprototypes_fit(ds, k=1, restarts=0)
     with pytest.raises(ValueError):

@@ -393,6 +393,23 @@ def test_non_finite_gamma_is_invalid_argument(tmp_path, separated_csv, gamma, ca
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("method", ["pam", "kproto"])
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+def test_baseline_iteration_cap_below_one_is_invalid_argument(tmp_path, separated_csv, method,
+                                                             max_iter, capsys):
+    data, _, _ = separated_csv
+    out = tmp_path / "o"
+    code = main([
+        "baseline", "--input", str(data), "--categorical", "c1", "--method", method,
+        "--k", "2", "--max-iter", max_iter, "--output-dir", str(out),
+    ])
+    assert code == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "invalid_argument"
+    assert "max_iter" in err["message"]
+    assert not (out / "result.json").exists()
+
+
 def test_write_json_rejects_nan_and_leaves_no_file(tmp_path):
     path = tmp_path / "result.json"
     with pytest.raises(RuntimeError, match="result.json"):

@@ -587,28 +587,34 @@ def test_dib_fit_density_rejects_bad_weights(case):
 
 def test_chain_rise_beyond_tolerance_is_a_cycle():
     """Seeded data never makes the objective rise, so the cycle rule is
-    driven directly: a rise within the tolerance goes on, a larger one
-    stops the chain, and the best node so far is kept."""
-    from dibmix.dib import _TRACE_RISE_TOL, _Chain
+    driven directly on a toy graph: a rise within the tolerance goes on, a
+    larger one stops the chain, and the best node so far is kept.  The
+    start's objective is the lowest, and is neither a rise's base nor a
+    candidate for the best node."""
+    from dibmix.dib import _TRACE_RISE_TOL, _outcome, _rises
+    from dibmix.lockstep import walk
 
-    chain = _Chain(node=0, max_iter=10)
-    assert chain.record(1, 3.0, 0.0, 0.0)
-    assert chain.record(2, 2.0, 0.0, 0.0)
-    assert chain.record(3, 2.0 + _TRACE_RISE_TOL / 2, 0.0, 0.0)
-    assert not chain.record(4, 2.5, 0.0, 0.0)
-    assert chain.cycle and not chain.converged
-    assert chain.best == (2.0, 0.0, 0.0, 2)
-    assert chain.trace == [3.0, 2.0, 2.0 + _TRACE_RISE_TOL / 2, 2.5]
+    def run(successor, objective, max_iter):
+        scores = {u: (obj, 0.0, 0.0) for u, obj in objective.items()}
+        (path,) = walk([0], lambda pending: [successor[u] for u in pending], max_iter,
+                       lambda path: _rises(path, scores))
+        return path, _outcome(path, scores)
+
+    line = {0: 1, 1: 2, 2: 3, 3: 4, 4: 5}
+    objective = {0: 0.0, 1: 3.0, 2: 2.0, 3: 2.0 + _TRACE_RISE_TOL / 2, 4: 2.5, 5: 1.0}
+    path, (trace, best, converged, cycle) = run(line, objective, 10)
+    assert path == [0, 1, 2, 3, 4]
+    assert cycle and not converged
+    assert best == 2
+    assert trace == [3.0, 2.0, 2.0 + _TRACE_RISE_TOL / 2, 2.5]
 
     # a chain converges on the node it stands on, and stops unflagged at its cap
-    chain = _Chain(node=0, max_iter=3)
-    assert chain.record(1, 3.0, 0.0, 0.0)
-    assert not chain.record(1, 3.0, 0.0, 0.0)
-    assert chain.converged and not chain.cycle
-    chain = _Chain(node=0, max_iter=2)
-    assert chain.record(1, 3.0, 0.0, 0.0)
-    assert not chain.record(2, 2.0, 0.0, 0.0)
-    assert not (chain.converged or chain.cycle)
+    path, (trace, best, converged, cycle) = run({0: 1, 1: 1}, objective, 3)
+    assert path == [0, 1, 1] and trace == [3.0, 3.0] and best == 1
+    assert converged and not cycle
+    path, (_, _, converged, cycle) = run(line, objective, 2)
+    assert path == [0, 1, 2]
+    assert not (converged or cycle)
 
 
 @pytest.mark.threads
