@@ -12,7 +12,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cache, partial
 from itertools import product
 from statistics import mean, median
 
@@ -22,7 +22,7 @@ from .bandwidth import BalanceSpec, choose_bandwidths
 from .baselines import gower, kprototypes_fit, pam_fit
 from .datagen import BALANCE_EQUAL, BALANCE_IMBALANCED, GenSpec, generate
 from .dataset import standardize
-from .dib import dib_fit
+from .dib import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, check_threads, dib_fit
 from .errors import DibmixError
 from .metrics import ari
 from .seeding import STREAM_DATAGEN, STREAM_METHOD, derive_seed
@@ -32,7 +32,13 @@ METHOD_KPROTOTYPES = "kprototypes"
 METHOD_GOWER_PAM = "gower_pam"
 METHOD_NAMES = (METHOD_DIBMIX, METHOD_KPROTOTYPES, METHOD_GOWER_PAM)
 
-FACTOR_COLUMNS = ("n", "p_c", "p_d", "levels", "overlap_cont", "overlap_cat", "balance")
+# Each grid factor, which is a GenSpec field and a results.csv column, and
+# the BenchmarkPlan field that lists its levels.
+FACTOR_FIELDS = {
+    "n": "ns", "p_c": "p_cs", "p_d": "p_ds", "levels": "levels",
+    "overlap_cont": "overlaps_cont", "overlap_cat": "overlaps_cat", "balance": "balances",
+}
+FACTOR_COLUMNS = tuple(FACTOR_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -52,21 +58,20 @@ class BenchmarkPlan:
     seed: int = 0
     k: int = 2
     beta: float = 100.0
-    restarts: int = 100
-    max_iter: int = 100
+    restarts: int = DEFAULT_RESTARTS
+    max_iter: int = DEFAULT_MAX_ITER
     categorical_weight: float = 1.0
 
     def __post_init__(self):
-        for name in ("ns", "p_cs", "p_ds", "levels", "overlaps_cont", "overlaps_cat",
-                     "balances", "methods"):
+        # Every check here is a usage error, raised before anything runs,
+        # not an error row for every replicate of some cell.
+        for name in (*FACTOR_FIELDS.values(), "methods"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        # like a bad weight below: usage errors, not an error row per replicate
         if min(self.replicates, self.restarts, self.max_iter) < 1:
             raise ValueError("replicates, restarts and max_iter must be >= 1")
         if not 0 <= self.beta < math.inf:  # NaN fails too
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
-        grid_axes = (self.ns, self.p_cs, self.p_ds, self.levels,
-                     self.overlaps_cont, self.overlaps_cat, self.balances)
+        grid_axes = tuple(getattr(self, name) for name in FACTOR_FIELDS.values())
         if any(len(axis) == 0 for axis in grid_axes):
             raise ValueError("benchmark grid is empty")
         unknown = set(self.methods) - set(METHOD_NAMES)
@@ -76,19 +81,16 @@ class BenchmarkPlan:
         for axis in (*grid_axes, self.methods):
             if len(set(axis)) < len(axis):
                 raise ValueError(f"factor levels and methods must be distinct, got {axis}")
-        # a bad weight is a usage error, not an error row for every replicate
+        if not 1 <= self.k <= min(self.ns):
+            raise ValueError(f"need 1 <= k <= min(ns), got k={self.k}, min(ns)={min(self.ns)}")
+        for cell in self.cells():
+            GenSpec(**cell)
         BalanceSpec(categorical_weight=self.categorical_weight)
 
     def cells(self) -> tuple:
         """Factor combinations in canonical order; the position is the cell id."""
-        return tuple(
-            {"n": n, "p_c": p_c, "p_d": p_d, "levels": levels,
-             "overlap_cont": oc, "overlap_cat": od, "balance": balance}
-            for n, p_c, p_d, levels, oc, od, balance in product(
-                self.ns, self.p_cs, self.p_ds, self.levels,
-                self.overlaps_cont, self.overlaps_cat, self.balances,
-            )
-        )
+        axes = (getattr(self, name) for name in FACTOR_FIELDS.values())
+        return tuple(dict(zip(FACTOR_COLUMNS, combo)) for combo in product(*axes))
 
 
 @dataclass(frozen=True)
@@ -121,32 +123,19 @@ class ResultRow:
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
-class _ReplicateData:
-    """One replicate's data, standardized at most once for the methods that
-    use it.  A failed standardization is not cached, so each such method
-    fails with the same error."""
-
-    def __init__(self, data):
-        self.data = data
-
-    @cached_property
-    def standardized(self):
-        return standardize(self.data)
-
-
-def _run_method(method, replicate, plan, method_seed):
+def _run_method(method, data, standardized, plan, method_seed):
     if method == METHOD_DIBMIX:
-        std = replicate.standardized
+        std = standardized()
         bw = choose_bandwidths(std, BalanceSpec(categorical_weight=plan.categorical_weight))
         res = dib_fit(std, plan.k, plan.beta, bw, restarts=plan.restarts,
                       max_iter=plan.max_iter, rng_seed=method_seed)
         return res.assign, res.effective_k
     if method == METHOD_KPROTOTYPES:
-        labels = kprototypes_fit(replicate.standardized, plan.k, restarts=plan.restarts,
+        labels = kprototypes_fit(standardized(), plan.k, restarts=plan.restarts,
                                  max_iter=plan.max_iter, rng_seed=method_seed)
         return labels, int(np.unique(labels).size)
     if method == METHOD_GOWER_PAM:
-        labels = pam_fit(gower(replicate.data), plan.k, restarts=plan.restarts,
+        labels = pam_fit(gower(data), plan.k, restarts=plan.restarts,
                          max_iter=plan.max_iter, rng_seed=method_seed)
         return labels, int(np.unique(labels).size)
     raise ValueError(f"unknown method {method!r}")
@@ -154,14 +143,10 @@ def _run_method(method, replicate, plan, method_seed):
 
 def _run_replicate(plan, cell_index, factors, rep):
     data_seed = derive_seed(plan.seed, STREAM_DATAGEN, cell_index, rep)
-    spec = GenSpec(
-        n=factors["n"], p_c=factors["p_c"], p_d=factors["p_d"],
-        levels=(factors["levels"],) * factors["p_d"],
-        overlap_cont=factors["overlap_cont"], overlap_cat=factors["overlap_cat"],
-        balance=factors["balance"], seed=data_seed,
-    )
-    labeled = generate(spec)
-    replicate = _ReplicateData(labeled.data)
+    labeled = generate(GenSpec(**factors, seed=data_seed))
+    # Standardized at most once for the methods that use it.  A failed call
+    # is not cached, so each such method fails with the same error.
+    standardized = cache(partial(standardize, labeled.data))
     rows = []
     for method in plan.methods:
         method_seed = derive_seed(
@@ -169,7 +154,8 @@ def _run_replicate(plan, cell_index, factors, rep):
         )
         start = time.perf_counter()
         try:
-            labels, effective_k = _run_method(method, replicate, plan, method_seed)
+            labels, effective_k = _run_method(method, labeled.data, standardized, plan,
+                                              method_seed)
             row = ResultRow(
                 cell=cell_index, replicate=rep, method=method, status="ok",
                 ari=float(ari(labeled.truth, labels)), effective_k=effective_k,
@@ -190,6 +176,7 @@ def _run_replicate(plan, cell_index, factors, rep):
 def run_benchmark(plan: BenchmarkPlan, threads: int = 1, progress=None) -> tuple:
     """Run the plan; rows come back sorted by (cell, replicate, method order)
     so output is independent of scheduling."""
+    threads = check_threads(threads)
     cells = plan.cells()
     tasks = [(ci, factors, rep)
              for ci, factors in enumerate(cells)

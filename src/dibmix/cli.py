@@ -37,7 +37,6 @@ from .baselines import (
 )
 from .benchmark import (
     BenchmarkPlan,
-    METHOD_NAMES,
     read_results_csv,
     run_benchmark,
     write_aggregates_csv,
@@ -57,6 +56,7 @@ from .dib import (
     DEFAULT_RESTARTS,
     BetaSweepRow,
     beta_sweep,
+    check_threads,
     dib_fit_density,
 )
 from .errors import (
@@ -102,13 +102,9 @@ def _emit_error(code: str, message: str) -> None:
 
 
 def _resolve_threads(value) -> int:
-    if value is not None:
-        threads = value
-    else:
-        threads = int(os.environ.get("DIBMIX_THREADS", "1"))
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    return threads
+    if value is None:
+        value = int(os.environ.get("DIBMIX_THREADS", "1"))
+    return check_threads(value)
 
 
 def _ensure_outdir(path: str) -> str:
@@ -314,11 +310,8 @@ def cmd_baseline(args) -> int:
 
 def cmd_datagen(args) -> int:
     outdir = _ensure_outdir(args.output_dir)
-    spec = GenSpec(
-        n=args.n, p_c=args.p_c, p_d=args.p_d, levels=args.levels,
-        overlap_cont=args.overlap_cont, overlap_cat=args.overlap_cat,
-        balance=_balance(args.balance), seed=args.seed,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(GenSpec)}
+    spec = GenSpec(**given | {"balance": _balance(args.balance)})
     labeled = generate(spec)
     data_path = os.path.join(outdir, "data.csv")
     truth_path = os.path.join(outdir, "data_truth.csv")
@@ -343,6 +336,21 @@ def _parse_list(text, cast):
     return tuple(cast(tok) for tok in str(text).split(",") if tok != "")
 
 
+def _benchmark_plan(args) -> BenchmarkPlan:
+    """The plan from the benchmark flags that were given; an omitted flag
+    keeps the plan's default.  A list flag's items are parsed like those of
+    its default, and a balance may be named by its alias."""
+    given = {}
+    for f in fields(BenchmarkPlan):
+        if hasattr(args, f.name):
+            value = getattr(args, f.name)
+            if isinstance(f.default, tuple):
+                example = f.default[0]
+                value = _parse_list(value, _balance if example in _BALANCES else type(example))
+            given[f.name] = value
+    return BenchmarkPlan(**given)
+
+
 def cmd_benchmark(args) -> int:
     threads = _resolve_threads(args.threads)
     outdir = _ensure_outdir(args.output_dir)
@@ -355,22 +363,7 @@ def cmd_benchmark(args) -> int:
         print(f"wrote {medians_path}")
         print(f"wrote {means_path}")
         return EXIT_OK
-    plan = BenchmarkPlan(
-        ns=_parse_list(args.ns, int),
-        p_cs=_parse_list(args.p_cs, int),
-        p_ds=_parse_list(args.p_ds, int),
-        levels=_parse_list(args.levels, int),
-        overlaps_cont=_parse_list(args.overlaps_cont, float),
-        overlaps_cat=_parse_list(args.overlaps_cat, float),
-        balances=tuple(_balance(b) for b in _parse_list(args.balances, str)),
-        replicates=args.replicates,
-        methods=_parse_list(args.methods, str),
-        seed=args.seed,
-        beta=args.beta,
-        restarts=args.restarts,
-        max_iter=args.max_iter,
-        categorical_weight=args.categorical_weight,
-    )
+    plan = _benchmark_plan(args)
 
     def progress(cell, rep, n_cells, n_reps):
         if args.progress:
@@ -471,6 +464,21 @@ def _add_run_flags(parser, restarts_default):
     parser.add_argument("--output-dir", default=".", help="directory for output files")
 
 
+def _add_plan_flags(parser):
+    """A flag for each BenchmarkPlan field but k, with no default of its own,
+    so that an omitted flag keeps the plan's default."""
+    for f in fields(BenchmarkPlan):
+        if f.name == "k":
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, tuple):
+            parser.add_argument(flag, default=argparse.SUPPRESS, metavar="LIST",
+                                help=f"comma-separated (default: {','.join(map(str, f.default))})")
+        else:
+            parser.add_argument(flag, type=type(f.default), default=argparse.SUPPRESS,
+                                help=f"default: {f.default}")
+
+
 def _add_threads_flag(parser):
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads (default: DIBMIX_THREADS or 1) for the slices "
@@ -519,21 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("benchmark", help="run the factorial benchmark")
-    p.add_argument("--ns", default="200,500,1000")
-    p.add_argument("--p-cs", default="2,6")
-    p.add_argument("--p-ds", default="2,6")
-    p.add_argument("--levels", default="2,4,6")
-    p.add_argument("--overlaps-cont", default="0.3,0.6")
-    p.add_argument("--overlaps-cat", default="0.3,0.6")
-    p.add_argument("--balances", default="equal,imbalanced")
-    p.add_argument("--replicates", type=int, default=100)
-    p.add_argument("--methods", default=",".join(METHOD_NAMES))
-    p.add_argument("--beta", type=float, default=100.0)
-    p.add_argument("--categorical-weight", type=float, default=1.0)
+    _add_plan_flags(p)
     p.add_argument("--aggregate-only", default=None, metavar="RESULTS_CSV",
                    help="skip running; aggregate an existing results CSV")
     p.add_argument("--progress", action="store_true", help="report progress on stderr")
-    _add_run_flags(p, DEFAULT_RESTARTS)
+    p.add_argument("--output-dir", default=".", help="directory for output files")
     _add_threads_flag(p)
     p.set_defaults(func=cmd_benchmark)
 

@@ -39,6 +39,7 @@ information bottleneck. Neural Computation 29.
 """
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -189,6 +190,13 @@ def _check_weights(weights, n):
     if weights.shape != (n,):
         raise ValueError(f"weights have length {weights.shape[0]}, expected {n}")
     return weights
+
+
+def check_threads(threads) -> int:
+    """``threads`` as an int; anything but an integer >= 1 is a ValueError."""
+    if not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError("threads must be >= 1")
+    return int(threads)
 
 
 def dib_step(enc: Encoder, density: ConditionalDensity, beta: float, weights) -> Encoder:
@@ -413,6 +421,7 @@ def dib_fit_density(
     """
     if restarts < 1 or max_iter < 1:
         raise ValueError("restarts and max_iter must be >= 1")
+    threads = check_threads(threads)
     if not 0 <= beta < math.inf:  # NaN fails too
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     n = density.n

@@ -31,4 +31,5 @@ class DegenerateSmoothingError(DibmixError):
 
 
 class SizeCapError(DibmixError):
-    """Dataset exceeds the configured n x n density-matrix cap."""
+    """Dataset has more rows than the n x n density matrix may hold,
+    ``kernels.DEFAULT_MAX_N``."""

@@ -80,6 +80,17 @@ def test_plan_validation():
                      dict(balances=("imbalanced-3:1", "equal", "imbalanced-3:1"))):
         with pytest.raises(ValueError, match="distinct"):
             BenchmarkPlan(**repeated)
+    # a k or a grid level that no cell could run fails before anything runs
+    for k in (0, 50):
+        with pytest.raises(ValueError, match=r"1 <= k <= min\(ns\)"):
+            BenchmarkPlan(ns=(40,), k=k)
+    for unrunnable, message in ((dict(ns=(40, 3)), "n must be"), (dict(levels=(3, 1)), "levels"),
+                                (dict(overlaps_cont=(0.3, 1.5)), "overlap_cont"),
+                                (dict(p_cs=(1, -1)), "variable counts"),
+                                (dict(p_cs=(0, 2), p_ds=(0, 2)), "at least one variable"),
+                                (dict(balances=("equal", "bogus")), "balance")):
+        with pytest.raises(ValueError, match=message):
+            BenchmarkPlan(**unrunnable)
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +126,10 @@ def test_all_three_methods_run():
 def test_failed_runs_become_error_rows(monkeypatch):
     real = bench._run_method
 
-    def flaky(method, labeled, plan, method_seed):
+    def flaky(method, *args):
         if method == "gower_pam":
             raise DegenerateSmoothingError("synthetic failure")
-        return real(method, labeled, plan, method_seed)
+        return real(method, *args)
 
     monkeypatch.setattr(bench, "_run_method", flaky)
     rows = run_benchmark(_tiny_plan())
@@ -170,6 +181,13 @@ def test_baselines_match_per_restart_oracles(monkeypatch):
     oracle = run_benchmark(plan)
     assert all(r.status == "ok" for r in library)
     assert stable(library) == stable(oracle)
+
+
+@pytest.mark.threads
+def test_run_benchmark_rejects_bad_threads():
+    for threads in (0, -5, 2.5):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_benchmark(_tiny_plan(), threads=threads)
 
 
 @pytest.mark.threads

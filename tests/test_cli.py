@@ -7,12 +7,20 @@ subprocess-level determinism contract is exercised in the acceptance suite.
 
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dibmix import BalanceSpec, choose_bandwidths, read_csv, standardize
-from dibmix.cli import _write_json, build_parser, main
+from dibmix import (
+    BALANCE_IMBALANCED,
+    BalanceSpec,
+    BenchmarkPlan,
+    choose_bandwidths,
+    read_csv,
+    standardize,
+)
+from dibmix.cli import _benchmark_plan, _write_json, build_parser, main
 
 
 def _err(capsys):
@@ -498,6 +506,25 @@ def test_baseline_kproto_and_pam(tmp_path, separated_csv, capsys):
 
 
 @pytest.mark.threads
+def test_sweep_beta_and_cluster_identical_across_threads(tmp_path, mixed_csv, capsys):
+    common = ["--input", str(mixed_csv), "--categorical", "c1,c2", "--restarts", "4",
+              "--seed", "3"]
+    outputs = []
+    for threads in ("1", "3"):
+        sweep, cluster = tmp_path / f"sweep{threads}", tmp_path / f"cluster{threads}"
+        assert main(["sweep-beta", *common, "--k", "3", "--betas", "0,5,50",
+                     "--threads", threads, "--output-dir", str(sweep)]) == 0
+        assert main(["cluster", *common, "--k", "4", "--threads", threads,
+                     "--output-dir", str(cluster)]) == 0
+        outputs.append([(sweep / name).read_bytes()
+                        for name in ("curve.csv", "sweep.json", "manifest.json")]
+                       + [(cluster / name).read_bytes()
+                          for name in ("result.json", "assignment.csv", "manifest.json")])
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.threads
 def test_threads_flag_only_on_subcommands_that_use_it():
     parser = build_parser()
     for argv in (["cluster", "--input", "d.csv", "--k", "2"],
@@ -606,6 +633,9 @@ def test_benchmark_tiny_run_and_aggregate_only(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["--balances", "equal,bogus"], ["--beta", "nan"], ["--methods", "dibmix,dibmix"],
     ["--balances", "imbalanced,imbalanced-3:1"], ["--ns", "20,20"],
+    # a level that no cell could run, listed last, and a bad thread count fail
+    # before the first cell runs
+    ["--ns", "20,3"], ["--levels", "2,1"], ["--overlaps-cont", "0.3,1.5"], ["--threads", "0"],
 ])
 def test_benchmark_rejects_bad_balance_and_beta(tmp_path, argv, capsys):
     out = tmp_path / "bench"
@@ -618,6 +648,39 @@ def test_benchmark_rejects_bad_balance_and_beta(tmp_path, argv, capsys):
     err, _ = _err(capsys)
     assert err["code"] == "invalid_argument"
     assert not (out / "results.csv").exists()
+
+
+def test_benchmark_flags_default_to_the_plan():
+    assert _benchmark_plan(build_parser().parse_args(["benchmark"])) == BenchmarkPlan()
+
+
+def test_every_plan_field_but_k_has_a_benchmark_flag():
+    plan = _benchmark_plan(build_parser().parse_args([
+        "benchmark", "--ns", "40,50", "--p-cs", "1", "--p-ds", "3", "--levels", "5",
+        "--overlaps-cont", "0.4", "--overlaps-cat", "0.5", "--balances", "imbalanced",
+        "--replicates", "3", "--methods", "gower_pam", "--seed", "7", "--beta", "2.5",
+        "--restarts", "4", "--max-iter", "9", "--categorical-weight", "0.5",
+    ]))
+    assert plan == BenchmarkPlan(
+        ns=(40, 50), p_cs=(1,), p_ds=(3,), levels=(5,), overlaps_cont=(0.4,),
+        overlaps_cat=(0.5,), balances=(BALANCE_IMBALANCED,), replicates=3,
+        methods=("gower_pam",), seed=7, beta=2.5, restarts=4, max_iter=9,
+        categorical_weight=0.5,
+    )
+    unset = [f.name for f in fields(BenchmarkPlan) if getattr(plan, f.name) == f.default]
+    assert unset == ["k"]
+
+
+def test_benchmark_long_options():
+    benchmark = build_parser()._subparsers._group_actions[0].choices["benchmark"]
+    options = {o for action in benchmark._actions for o in action.option_strings
+               if o.startswith("--")}
+    assert options == {
+        "--help", "--ns", "--p-cs", "--p-ds", "--levels", "--overlaps-cont",
+        "--overlaps-cat", "--balances", "--replicates", "--methods", "--beta",
+        "--categorical-weight", "--aggregate-only", "--progress", "--seed", "--restarts",
+        "--max-iter", "--output-dir", "--threads",
+    }
 
 
 # ---------------------------------------------------------------------------

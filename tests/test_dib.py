@@ -744,6 +744,9 @@ def test_dib_fit_validation_errors():
         dib_fit(ds, k=2, beta=1.0, bw=bw, restarts=0)
     with pytest.raises(ValueError):
         dib_fit(ds, k=2, beta=1.0, bw=bw, max_iter=0)
+    for threads in (0, -5, 2.5):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            dib_fit(ds, k=2, beta=1.0, bw=bw, threads=threads)
 
 
 # ---------------------------------------------------------------------------
