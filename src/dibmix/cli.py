@@ -353,6 +353,7 @@ def _benchmark_plan(args) -> BenchmarkPlan:
 
 def cmd_benchmark(args) -> int:
     threads = _resolve_threads(args.threads)
+    plan = None if args.aggregate_only else _benchmark_plan(args)
     outdir = _ensure_outdir(args.output_dir)
     results_path = os.path.join(outdir, "results.csv")
     medians_path = os.path.join(outdir, "medians.csv")
@@ -363,7 +364,6 @@ def cmd_benchmark(args) -> int:
         print(f"wrote {medians_path}")
         print(f"wrote {means_path}")
         return EXIT_OK
-    plan = _benchmark_plan(args)
 
     def progress(cell, rep, n_cells, n_reps):
         if args.progress:

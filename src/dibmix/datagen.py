@@ -8,6 +8,7 @@ summed minimum of the two mass vectors equals the requested level exactly.
 The cluster count is fixed at two.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,10 @@ class GenSpec:
         if self.p_c < 0 or self.p_d < 0 or self.p_c + self.p_d == 0:
             raise ValueError("need nonnegative variable counts with at least one variable")
         levels = self.levels
-        if isinstance(levels, (int, np.integer)):
-            levels = (int(levels),) * self.p_d
+        if np.ndim(levels) == 0:
+            levels = (levels,) * self.p_d
+        if not all(isinstance(l, numbers.Integral) for l in levels):
+            raise ValueError(f"levels must be integers, got {self.levels!r}")
         levels = tuple(int(l) for l in levels)
         if len(levels) != self.p_d:
             raise ValueError(f"levels has {len(levels)} entries for {self.p_d} variables")

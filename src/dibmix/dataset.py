@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ZeroVarianceError
+from .errors import DibmixError, ParseError, SchemaError, ZeroVarianceError
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
@@ -263,16 +263,23 @@ def write_csv(ds: MixedDataset, path) -> None:
 def standardize(ds: MixedDataset) -> MixedDataset:
     """Rescale every continuous column to sample mean 0 and variance 1.
 
-    Uses the n-1 variance denominator; requires n >= 2 and nonzero variance
-    in every continuous column.  Categorical data and weights pass through.
-    Idempotent up to roundoff.
+    Uses the n-1 variance denominator; requires n >= 2 and a finite, nonzero
+    mean and standard deviation in every continuous column (|x| above about
+    1e154 overflows the variance).  Categorical data and weights pass
+    through.  Idempotent up to roundoff.
     """
     if ds.p_cont == 0:
         return ds
     if ds.n < 2:
         raise ZeroVarianceError("standardization needs at least 2 observations")
-    mean = ds.continuous.mean(axis=0)
-    std = ds.continuous.std(axis=0, ddof=1)
+    with np.errstate(over="ignore"):
+        mean = ds.continuous.mean(axis=0)
+        std = ds.continuous.std(axis=0, ddof=1)
+    overflow = np.flatnonzero(~np.isfinite(mean) | ~np.isfinite(std))
+    if overflow.size:
+        names = [ds.continuous_vars[j].name for j in overflow]
+        raise DibmixError(f"continuous column(s) too large to standardize: {names}; "
+                          "rescale them or skip standardization")
     zero = np.flatnonzero(std == 0)
     if zero.size:
         names = [ds.continuous_vars[j].name for j in zero]

@@ -12,7 +12,10 @@ assignment, between scoring
     score(x, t) = log q(t) - beta * KL(p(. | x) || q(. | t))
 
 and reassigning every x to its argmax cluster, then refreshing the cluster
-masses q(t) and the cluster-conditional decoder q(y | t).  Updates are
+masses q(t) and the cluster-conditional decoder q(y | t).  The entropy of
+p(. | x) in the KL is the same for every t, so each chain's scores are taken
+relative to its own cluster 0: the cross terms of the k - 1 differences
+log q(y | t) - log q(y | 0), and no row entropies.  Updates are
 synchronous: every score in iteration m uses the iteration m-1 quantities.
 Empty clusters score -inf and therefore stay empty, which is what lets the
 method prune clusters (reported as ``effective_k``).
@@ -151,28 +154,32 @@ def _score_step(masses, decoder, density, beta):
     """One synchronous scoring pass for a stack of C chains.
 
     ``masses`` is (C, k) and ``decoder`` (C, k, n); returns the new
-    assignments, (C, n).  score[x, t] = log q(t) - beta * KL(p(.|x) || q(.|t)),
-    with the cross term from ``_row_dots``.
+    assignments, (C, n).  Each chain is scored against its own cluster 0:
+
+        score'(x, t) = log q(t) + beta * sum_y p(y|x) (log q(y|t) - log q(y|0)),
+
+    with log 0 read as 0.  For each x and chain this is log q(t) -
+    beta * KL(p(.|x) || q(.|t)) plus a term that does not depend on t, so
+    the argmax is the same, and only the k - 1 relative columns need a
+    ``_row_dots`` cross term: none at k = 1 or beta = 0.
     """
     chains, k, n = decoder.shape
     masses = masses.reshape(chains * k)
-    decoder = decoder.reshape(chains * k, n)
     with np.errstate(divide="ignore"):
-        log_masses = np.log(masses)
-        log_decoder = np.where(decoder > 0, np.log(np.where(decoder > 0, decoder, 1.0)), 0.0)
-    if beta == 0:
-        # Pure compression: the KL term drops out entirely (avoids 0 * inf).
-        score = np.broadcast_to(log_masses, (n, chains * k)).copy()
-    else:
+        score = np.broadcast_to(np.log(masses), (n, chains * k)).copy()
+    if beta > 0:
         p = density.matrix
-        kl = density.neg_entropy[:, None] - _row_dots(p, log_decoder)
+        if k > 1:
+            log_decoder = np.log(np.where(decoder > 0, decoder, 1.0))
+            relative = (log_decoder[:, 1:] - log_decoder[:, :1]).reshape(chains * (k - 1), n)
+            cross = _row_dots(p, relative).reshape(n, chains, k - 1)
+            score.reshape(n, chains, k)[:, :, 1:] += beta * cross
         if density.has_zeros:
             # p(y|x) > 0 meeting q(y|t) = 0 makes the KL infinite for that
             # pair.  A sum of nonnegative terms is positive exactly when one
             # term is, so p itself serves as the support indicator.
-            hits = _row_dots(p, (decoder == 0).astype(float))
-            kl[(hits > 0) & (masses > 0)[None, :]] = np.inf
-        score = log_masses[None, :] - beta * kl
+            hits = _row_dots(p, (decoder == 0).reshape(chains * k, n).astype(float))
+            score[(hits > 0) & (masses > 0)[None, :]] = -np.inf
     score[:, masses == 0] = -np.inf
     score = score.reshape(n, chains, k)
     best = np.argmax(score, axis=2)  # ties resolve to the smallest cluster index
@@ -429,8 +436,6 @@ def dib_fit_density(
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     weights = _check_weights(weights, n)
     p_y = _marginal(density.matrix, weights)
-    if beta > 0:  # build the cached row score terms (one pass gives has_zeros too)
-        _ = density.neg_entropy
     with ThreadPoolExecutor(max_workers=threads) as pool:
         graph = _StateGraph(density, weights, p_y, k, beta, threads,
                             pool.map if threads > 1 else map)

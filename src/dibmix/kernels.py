@@ -14,10 +14,10 @@ come out as exact zeros).  "Up to a constant" means exactly this shift: the
 self term K(i, i) is the same for every i (the product of 1/sqrt(2 pi) and
 the match values), it is the row maximum up to rounding, and it cancels when rows are
 normalized, so p(y | x) never needs it and rows cannot underflow to zero.
-A block of temporaries is a small fraction of the n x n output.  The score
-terms that the DIB reads once per density (row entropies and whether p has
-zeros) are summed over the same blocks, so p(y | x) is the only full-size
-array.
+A block of temporaries is a small fraction of the n x n output.  The DIB
+reads one fact per density besides p itself, whether p has exact zeros, and
+a scan by blocks of the same size finds it, so p(y | x) is the only
+full-size array.
 
 References
 ----------
@@ -166,34 +166,12 @@ class ConditionalDensity:
         return self.matrix.shape[0]
 
     @cached_property
-    def _row_terms(self):
-        """Both score terms from one read of p, a block of ``_block_rows``
-        rows at a time, so no n x n temporary is made.  Each row's sum is the
-        same einsum as over the whole matrix, so its bytes are too."""
-        p = self.matrix
-        rows = _block_rows(self.n)
-        neg_entropy = np.empty(self.n)
-        has_zeros = False
-        for lo in range(0, self.n, rows):
-            block = p[lo:lo + rows]
-            has_zeros = has_zeros or bool((block == 0).any())
-            log_p = np.where(block > 0, block, 1.0)
-            np.log(log_p, out=log_p)
-            neg_entropy[lo:lo + rows] = np.einsum("xy,xy->x", block, log_p)
-        neg_entropy.flags.writeable = False
-        return neg_entropy, has_zeros
-
-    @property
-    def neg_entropy(self) -> np.ndarray:
-        """Row-wise sum_y p(y|x) log p(y|x), computed once per density by
-        blocks of rows (``_row_terms``)."""
-        return self._row_terms[0]
-
-    @property
     def has_zeros(self) -> bool:
         """Whether some p(y|x) is exactly zero, which makes KL terms
-        infinite; found in the same blocked pass as ``neg_entropy``."""
-        return self._row_terms[1]
+        infinite.  Scanned once per density, a block of ``_block_rows`` rows
+        at a time, so no n x n temporary is made."""
+        rows = _block_rows(self.n)
+        return any(bool((self.matrix[lo:lo + rows] == 0).any()) for lo in range(0, self.n, rows))
 
 
 def _log_kernel_blocks(ds: MixedDataset, bw: Bandwidths, out: np.ndarray):

@@ -314,6 +314,23 @@ def test_zero_variance_error(tmp_path, capsys):
     assert err["code"] == "zero_variance"
 
 
+@pytest.mark.parametrize("values", [("1e200", "2e200", "-1e200", "0", "5e199"),
+                                    ("1e308", "-1e308", "0", "1")])
+@pytest.mark.parametrize("command", [["cluster", "--k", "2"],
+                                     ["baseline", "--method", "kproto", "--k", "2"]])
+def test_column_too_large_to_standardize(tmp_path, capsys, values, command):
+    """A column whose standard deviation overflows is refused, not turned
+    into zeros."""
+    data = tmp_path / "huge.csv"
+    _write_table(data, ["x1"], [[v] for v in values])
+    code = main([*command, "--input", str(data), "--restarts", "2",
+                 "--output-dir", str(tmp_path / "o")])
+    assert code == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "invalid_input"
+    assert "x1" in err["message"]
+
+
 def test_size_cap_error(tmp_path, separated_csv, capsys, monkeypatch):
     monkeypatch.setattr("dibmix.kernels.DEFAULT_MAX_N", 4)
     data, _, _ = separated_csv
@@ -647,7 +664,7 @@ def test_benchmark_rejects_bad_balance_and_beta(tmp_path, argv, capsys):
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "invalid_argument"
-    assert not (out / "results.csv").exists()
+    assert not out.exists()  # the plan is checked before the output directory is made
 
 
 def test_benchmark_flags_default_to_the_plan():

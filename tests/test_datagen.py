@@ -27,6 +27,9 @@ from conftest import overlap_quadrature
 def test_genspec_validation():
     ok = GenSpec(n=100, p_c=2, p_d=2, levels=4, overlap_cont=0.3, overlap_cat=0.3)
     assert ok.levels == (4, 4)  # scalar levels broadcast per variable
+    for levels in (np.int32(4), np.array([4, 4])):  # NumPy integers are integers
+        spec = GenSpec(n=100, p_c=2, p_d=2, levels=levels, overlap_cont=0.3, overlap_cat=0.3)
+        assert spec.levels == ok.levels and all(type(l) is int for l in spec.levels)
     with pytest.raises(ValueError):
         GenSpec(n=3, p_c=1, p_d=0, levels=(), overlap_cont=0.3, overlap_cat=0.3)
     with pytest.raises(ValueError):
@@ -43,6 +46,12 @@ def test_genspec_validation():
     with pytest.raises(ValueError):
         GenSpec(n=10, p_c=1, p_d=0, levels=(), overlap_cont=0.3, overlap_cat=0.3,
                 balance="lopsided")
+
+
+@pytest.mark.parametrize("levels", [2.5, (2.5,), 3.0, (np.float64(3.0),), "3"])
+def test_genspec_rejects_levels_that_are_not_integers(levels):
+    with pytest.raises(ValueError, match="levels must be integers"):
+        GenSpec(n=10, p_c=1, p_d=1, levels=levels, overlap_cont=0.3, overlap_cat=0.3)
 
 
 def test_genspec_cluster_sizes():

@@ -518,6 +518,67 @@ def test_score_step_does_not_depend_on_the_stack(lam):
         assert single.tobytes() == np.ascontiguousarray(cross[:, rows]).tobytes()
 
 
+@pytest.mark.parametrize("beta", [0.0, 5.0, 100.0])
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("lam", [[0.3, 0.2], [0.0, 0.2]])
+def test_score_step_matches_kl_oracle(lam, k, beta):
+    """Scores relative to each chain's cluster 0 pick the clusters that the
+    KL form picks: on a stack with a chain whose cluster 0 is empty and a
+    chain split by the zero-lambda variable's levels, whose clusters then
+    miss part of some points' support."""
+    from dibmix.dib import _refresh, _score_step
+
+    density, weights = _equivalence_density(lam, 257)
+    rng = np.random.default_rng(11)
+    chains = 5
+    assign = rng.integers(0, k, size=(chains, density.n))
+    assign[1][assign[1] == 0] = min(1, k - 1)
+    # rows of p share their support exactly when the points share a level
+    levels = np.unique(density.matrix > 0, axis=0, return_inverse=True)[1].ravel()
+    assign[2] = levels % k
+    masses, decoder = _refresh(assign, k, density.matrix, weights)
+    if k > 1:
+        assert masses[1, 0] == 0
+        live = decoder[2][masses[2] > 0]
+        misses = (density.matrix > 0).astype(float) @ (live == 0).T.astype(float)
+        assert np.any(misses > 0) == density.has_zeros == (lam[0] == 0.0)
+    got = _score_step(masses, decoder, density, beta)
+    neg_entropy = conftest.row_neg_entropy_oracle(density.matrix)
+    for c in range(chains):
+        expected = conftest._score_step_oracle(masses[c], decoder[c], density.matrix,
+                                               neg_entropy, beta, density.has_zeros)
+        assert got[c].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("lam", [[0.3, 0.2], [0.0, 0.2]])
+def test_score_step_sends_k_minus_1_columns_per_state(monkeypatch, lam, k):
+    """Each state scored sends k - 1 relative columns to ``_row_dots``, and
+    k more for the support test when p has zeros; k = 1 without zeros sends
+    none."""
+    from dibmix import dib
+
+    density, weights = _equivalence_density(lam, 48)
+    columns, states = [], []
+    row_dots, score_step = dib._row_dots, dib._score_step
+
+    def counted_row_dots(a, b):
+        columns.append(b.shape[0])
+        return row_dots(a, b)
+
+    def counted_score_step(masses, *args):
+        states.append(masses.shape[0])
+        return score_step(masses, *args)
+
+    monkeypatch.setattr(dib, "_row_dots", counted_row_dots)
+    monkeypatch.setattr(dib, "_score_step", counted_score_step)
+    dib_fit_density(density, weights, k, 5.0, restarts=7, rng_seed=7)
+    per_state = k - 1 + (k if density.has_zeros else 0)
+    assert sum(states) > 0
+    assert sum(columns) == sum(states) * per_state
+    assert len(columns) == len(states) * ((k > 1) + density.has_zeros)
+
+
 _BLAS_THREADS_FIT = """
 import hashlib
 from dataclasses import astuple
