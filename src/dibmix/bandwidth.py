@@ -104,22 +104,24 @@ def kernel_factor_variance_continuous(ds: MixedDataset, s) -> float:
     rows = _block_rows(n)
     tmp = np.empty(min(n, rows) * n)
     variances = np.empty(ds.p_cont)
-    for c, col in enumerate(cols):
-        total = (0.0, 0.0, 0.0)
-        for lo in range(0, n, rows):
-            hi = min(n, lo + rows)
-            block = tmp[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
-            np.subtract(col[lo:hi, None], col[lo:], out=block)
-            np.square(block, out=block)
-            np.negative(block, out=block)
-            np.expm1(block, out=block)
-            diag, right = block[:, : hi - lo], block[:, hi - lo :]
-            count = diag.size + 2.0 * right.size
-            mean = (diag.sum() + 2.0 * right.sum()) / count
-            block -= mean
-            m2 = np.einsum("ij,ij->", diag, diag) + 2.0 * np.einsum("ij,ij->", right, right)
-            total = _merge_moments(total, (count, mean, m2))
-        variances[c] = total[2] / total[0]
+    # A square of inf is the right limit: expm1(-inf) = -1, an exact zero.
+    with np.errstate(over="ignore"):
+        for c, col in enumerate(cols):
+            total = (0.0, 0.0, 0.0)
+            for lo in range(0, n, rows):
+                hi = min(n, lo + rows)
+                block = tmp[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+                np.subtract(col[lo:hi, None], col[lo:], out=block)
+                np.square(block, out=block)
+                np.negative(block, out=block)
+                np.expm1(block, out=block)
+                diag, right = block[:, : hi - lo], block[:, hi - lo :]
+                count = diag.size + 2.0 * right.size
+                mean = (diag.sum() + 2.0 * right.sum()) / count
+                block -= mean
+                m2 = np.einsum("ij,ij->", diag, diag) + 2.0 * np.einsum("ij,ij->", right, right)
+                total = _merge_moments(total, (count, mean, m2))
+            variances[c] = total[2] / total[0]
     return float(variances.mean() / (2.0 * np.pi))  # the 1/sqrt(2 pi) factor, squared
 
 

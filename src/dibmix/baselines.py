@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lockstep
 from .dataset import MixedDataset
-from .errors import ZeroVarianceError
+from .errors import DibmixError, ZeroVarianceError
 from .kernels import _block_rows
 from .seeding import STREAM_RESTART, derive_seed
 
@@ -224,10 +224,18 @@ def _kproto_costs(ds, centers, modes, gamma):
 def default_gamma(ds: MixedDataset) -> float:
     """Huang's heuristic: the average continuous sample variance (1.0 on
     standardized data, and by convention 1.0 when there is no continuous
-    part)."""
+    part).  Needs at least 2 observations and a finite variance when there
+    is a continuous part."""
     if ds.p_cont == 0:
         return 1.0
-    return float(np.mean(np.var(ds.continuous, axis=0, ddof=1)))
+    if ds.n < 2:
+        raise ZeroVarianceError("the default gamma needs at least 2 observations")
+    with np.errstate(over="ignore"):
+        gamma = float(np.mean(np.var(ds.continuous, axis=0, ddof=1)))
+    if not math.isfinite(gamma):
+        raise DibmixError("continuous columns too large for the default gamma; "
+                          "rescale them or give gamma")
+    return gamma
 
 
 def kprototypes_fit(

@@ -7,11 +7,11 @@ and categorical overlap (0.3, 0.6, varied independently) and cluster balance
 is emitted per (cell, replicate, method) whether the run succeeded or not.
 """
 
-import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from collections import Counter
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cache, partial
 from itertools import product
 from statistics import mean, median
@@ -21,9 +21,9 @@ import numpy as np
 from .bandwidth import BalanceSpec, choose_bandwidths
 from .baselines import gower, kprototypes_fit, pam_fit
 from .datagen import BALANCE_EQUAL, BALANCE_IMBALANCED, GenSpec, generate
-from .dataset import standardize
+from .dataset import _read_table, _write_table, standardize
 from .dib import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, check_threads, dib_fit
-from .errors import DibmixError
+from .errors import DibmixError, SchemaError
 from .metrics import ari
 from .seeding import STREAM_DATAGEN, STREAM_METHOD, derive_seed
 
@@ -198,11 +198,7 @@ def run_benchmark(plan: BenchmarkPlan, threads: int = 1, progress=None) -> tuple
 
 
 def write_results_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row.as_record())
+    _write_table(path, RESULT_COLUMNS, (row.as_record().values() for row in rows))
 
 
 def _parse_cell(kind, text):
@@ -214,12 +210,18 @@ def _parse_cell(kind, text):
 
 
 def read_results_csv(path) -> tuple:
-    with open(path, newline="") as fh:
-        return tuple(
-            ResultRow(**{f.name: _parse_cell(f.type, rec[f.name])
-                         for f in fields(ResultRow) if f.name in rec})
-            for rec in csv.DictReader(fh)
-        )
+    """Result rows from a results.csv table; the columns of fields without
+    a default are required."""
+    header, rows = _read_table(path, "results file")
+    missing = [f.name for f in fields(ResultRow)
+               if f.default is MISSING and f.name not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing column(s) {missing}")
+    return tuple(
+        ResultRow(**{f.name: _parse_cell(f.type, rec[f.name])
+                     for f in fields(ResultRow) if f.name in rec})
+        for rec in (dict(zip(header, row)) for _, row in rows)
+    )
 
 
 def method_medians(rows) -> dict:
@@ -244,18 +246,10 @@ def factor_means(rows, factor: str) -> dict:
 
 
 def write_aggregates_csv(median_path, means_path, rows) -> None:
-    with open(median_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "median_ari", "n_ok"])
-        ok_counts = {}
-        for row in rows:
-            if row.status == "ok":
-                ok_counts[row.method] = ok_counts.get(row.method, 0) + 1
-        for m, value in method_medians(rows).items():
-            writer.writerow([m, repr(value), ok_counts[m]])
-    with open(means_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["factor", "level", "method", "mean_ari"])
-        for factor in FACTOR_COLUMNS:
-            for (level, m), value in factor_means(rows, factor).items():
-                writer.writerow([factor, level, m, repr(value)])
+    ok_counts = Counter(row.method for row in rows if row.status == "ok")
+    _write_table(median_path, ["method", "median_ari", "n_ok"],
+                 ([m, repr(value), ok_counts[m]] for m, value in method_medians(rows).items()))
+    _write_table(means_path, ["factor", "level", "method", "mean_ari"],
+                 ([factor, level, m, repr(value)]
+                  for factor in FACTOR_COLUMNS
+                  for (level, m), value in factor_means(rows, factor).items()))

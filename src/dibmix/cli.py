@@ -9,7 +9,6 @@ exit code 2 for usage/input problems and 1 for internal failures.
 """
 
 import argparse
-import csv
 import json
 import os
 import platform
@@ -45,6 +44,7 @@ from .benchmark import (
 from .datagen import BALANCE_EQUAL, BALANCE_IMBALANCED, GenSpec, generate
 from .dataset import (
     MixedDataset,
+    _write_table,
     load_labels,
     read_csv,
     read_schema_file,
@@ -150,14 +150,6 @@ def _write_manifest(outdir, command, parameters) -> None:
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
-def _write_labels(path, header, labels) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([header])
-        for label in labels:
-            writer.writerow([int(label)])
-
-
 def _balance(name) -> str:
     try:
         return _BALANCES[name]
@@ -229,20 +221,22 @@ def _preprocess(args):
     return ds, idx, bw
 
 
-def _write_result(outdir, args, payload, labels, subsample_idx) -> None:
+def _write_result(args, payload, labels, subsample_idx) -> None:
     """Write ``result.json``, with the subsample indices and the ARI against
-    --truth added when they apply, and ``assignment.csv``."""
+    --truth added when they apply, and ``assignment.csv``.  The output
+    directory is made once the --truth file has been read and checked."""
     if subsample_idx is not None:
         payload["subsample_indices"] = subsample_idx.tolist()
     if args.truth:
         payload["ari"] = _truth_ari(args, labels, subsample_idx)
+    outdir = _ensure_outdir(args.output_dir)
     _write_json(os.path.join(outdir, "result.json"), payload)
-    _write_labels(os.path.join(outdir, "assignment.csv"), "assignment", labels)
+    _write_table(os.path.join(outdir, "assignment.csv"), ["assignment"],
+                 ([int(label)] for label in labels))
 
 
 def cmd_cluster(args) -> int:
     threads = _resolve_threads(args.threads)
-    outdir = _ensure_outdir(args.output_dir)
     ds, idx, bw = _preprocess(args)
     density = estimate_conditional(ds, bw)
     result = dib_fit_density(
@@ -256,11 +250,11 @@ def cmd_cluster(args) -> int:
         "s": np.asarray(bw.s).tolist(),
         "lambda": bw.lam.tolist(),
     }
-    _write_result(outdir, args, payload, result.assign, idx)
+    _write_result(args, payload, result.assign, idx)
     if args.dump_density:
-        np.savetxt(os.path.join(outdir, "density.csv"), density.matrix,
+        np.savetxt(os.path.join(args.output_dir, "density.csv"), density.matrix,
                    delimiter=",", fmt="%.17g")
-    _write_manifest(outdir, "cluster", _manifest_parameters(args))
+    _write_manifest(args.output_dir, "cluster", _manifest_parameters(args))
     print(f"H(T) = {result.compression:.6f}")
     print(f"I(T;Y) = {result.relevance:.6f}")
     print(f"objective = {result.objective:.6f}")
@@ -271,7 +265,6 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    outdir = _ensure_outdir(args.output_dir)
     ds = _load_dataset(args)
     ds, idx = _maybe_subsample(ds, args)
     if args.method == "kproto":
@@ -299,8 +292,8 @@ def cmd_baseline(args) -> int:
         "seed": args.seed,
         **detail,
     }
-    _write_result(outdir, args, payload, labels, idx)
-    _write_manifest(outdir, "baseline", _manifest_parameters(args, restarts=restarts))
+    _write_result(args, payload, labels, idx)
+    _write_manifest(args.output_dir, "baseline", _manifest_parameters(args, restarts=restarts))
     print(f"method = {args.method}")
     print(f"effective_k = {payload['effective_k']}")
     if "ari" in payload:
@@ -309,14 +302,14 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_datagen(args) -> int:
-    outdir = _ensure_outdir(args.output_dir)
     given = {f.name: getattr(args, f.name) for f in fields(GenSpec)}
     spec = GenSpec(**given | {"balance": _balance(args.balance)})
     labeled = generate(spec)
+    outdir = _ensure_outdir(args.output_dir)
     data_path = os.path.join(outdir, "data.csv")
     truth_path = os.path.join(outdir, "data_truth.csv")
     write_csv(labeled.data, data_path)
-    _write_labels(truth_path, "truth", labeled.truth)
+    _write_table(truth_path, ["truth"], ([int(label)] for label in labeled.truth))
     sidecar = {
         "spec": asdict(spec),
         "delta": labeled.delta,
@@ -353,28 +346,26 @@ def _benchmark_plan(args) -> BenchmarkPlan:
 
 def cmd_benchmark(args) -> int:
     threads = _resolve_threads(args.threads)
-    plan = None if args.aggregate_only else _benchmark_plan(args)
+    if args.aggregate_only:
+        plan, rows = None, read_results_csv(args.aggregate_only)
+    else:
+        plan = _benchmark_plan(args)
+
+        def progress(cell, rep, n_cells, n_reps):
+            if args.progress:
+                print(f"cell {cell + 1}/{n_cells} replicate {rep + 1}/{n_reps}", file=sys.stderr)
+
+        rows = run_benchmark(plan, threads=threads, progress=progress)
     outdir = _ensure_outdir(args.output_dir)
-    results_path = os.path.join(outdir, "results.csv")
+    if plan is not None:
+        results_path = os.path.join(outdir, "results.csv")
+        write_results_csv(results_path, rows)
+        _write_manifest(outdir, "benchmark", asdict(plan))
+        n_failed = sum(1 for r in rows if r.status != "ok")
+        print(f"wrote {results_path} ({len(rows)} rows, {n_failed} failed)")
     medians_path = os.path.join(outdir, "medians.csv")
     means_path = os.path.join(outdir, "factor_means.csv")
-    if args.aggregate_only:
-        rows = read_results_csv(args.aggregate_only)
-        write_aggregates_csv(medians_path, means_path, rows)
-        print(f"wrote {medians_path}")
-        print(f"wrote {means_path}")
-        return EXIT_OK
-
-    def progress(cell, rep, n_cells, n_reps):
-        if args.progress:
-            print(f"cell {cell + 1}/{n_cells} replicate {rep + 1}/{n_reps}", file=sys.stderr)
-
-    rows = run_benchmark(plan, threads=threads, progress=progress)
-    write_results_csv(results_path, rows)
     write_aggregates_csv(medians_path, means_path, rows)
-    _write_manifest(outdir, "benchmark", asdict(plan))
-    n_failed = sum(1 for r in rows if r.status != "ok")
-    print(f"wrote {results_path} ({len(rows)} rows, {n_failed} failed)")
     print(f"wrote {medians_path}")
     print(f"wrote {means_path}")
     return EXIT_OK
@@ -382,18 +373,16 @@ def cmd_benchmark(args) -> int:
 
 def cmd_sweep_beta(args) -> int:
     threads = _resolve_threads(args.threads)
-    outdir = _ensure_outdir(args.output_dir)
     ds, idx, bw = _preprocess(args)
     betas = _parse_list(args.betas, float)
     sweep = beta_sweep(
         ds, args.k, bw, betas, restarts=args.restarts, max_iter=args.max_iter,
         rng_seed=args.seed, threads=threads,
     )
+    outdir = _ensure_outdir(args.output_dir)
     curve_path = os.path.join(outdir, "curve.csv")
-    with open(curve_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(f.name for f in fields(BetaSweepRow))
-        writer.writerows(astuple(row) for row in sweep.rows)
+    _write_table(curve_path, [f.name for f in fields(BetaSweepRow)],
+                 (astuple(row) for row in sweep.rows))
     payload = {
         "curve": sweep.as_columns(),
         "suggested_beta": sweep.suggested_beta,

@@ -1,4 +1,4 @@
-"""Mixed-type dataset model, CSV ingestion and standardization.
+"""Mixed-type dataset model, CSV table reading and writing, standardization.
 
 A dataset holds n observations over continuous and unordered categorical
 variables.  Categorical values are stored as integer indices into each
@@ -150,6 +150,42 @@ class MixedDataset:
         )
 
 
+def _read_rows(path, what) -> list:
+    """``(line number, cells)`` for every non-blank row of a UTF-8 CSV file,
+    cells stripped; a row's line number is that of its last line, counted
+    from 1.  ``what`` names the file in the error for a missing one."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"{what} not found: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, [c.strip() for c in row]) for row in reader]
+    return [(line_no, row) for line_no, row in rows if any(row)]
+
+
+def _read_table(path, what) -> tuple:
+    """The header and the ``(line number, cells)`` data rows of a CSV table
+    read by ``_read_rows``; every row has as many fields as the header."""
+    rows = _read_rows(path, what)
+    if not rows:
+        raise SchemaError(f"{path}: file is empty")
+    (_, header), *body = rows
+    for line_no, row in body:
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: line {line_no} has {len(row)} fields, expected {len(header)}",
+                cells=[(line_no, "", "field count")],
+            )
+    return header, body
+
+
+def _write_table(path, header, rows) -> None:
+    """Write a header and rows as a UTF-8 CSV table."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def read_csv(path, categorical=()) -> MixedDataset:
     """Load a mixed-type dataset from a UTF-8, comma-separated file.
 
@@ -165,32 +201,14 @@ def read_csv(path, categorical=()) -> MixedDataset:
     Rows with blank, non-numeric or non-finite (nan, inf) continuous cells
     are rejected; the error names every offending line and column.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"input file not found: {path}")
+    header, rows = _read_table(path, "input file")
     categorical = list(categorical)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        unknown = [c for c in categorical if c not in header]
-        if unknown:
-            raise SchemaError(f"{path}: categorical column(s) not in header: {unknown}")
-        if len(set(categorical)) != len(categorical):
-            raise SchemaError(f"{path}: duplicate names in categorical designation")
-        cat_set = set(categorical)
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(c.strip() == "" for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: line {line_no} has {len(row)} fields, expected {len(header)}",
-                    cells=[(line_no, "", "field count")],
-                )
-            rows.append((line_no, [c.strip() for c in row]))
+    unknown = [c for c in categorical if c not in header]
+    if unknown:
+        raise SchemaError(f"{path}: categorical column(s) not in header: {unknown}")
+    if len(set(categorical)) != len(categorical):
+        raise SchemaError(f"{path}: duplicate names in categorical designation")
+    cat_set = set(categorical)
     if not rows:
         raise SchemaError(f"{path}: no data rows")
 
@@ -253,11 +271,7 @@ def write_csv(ds: MixedDataset, path) -> None:
         else:
             j = next(cat_iter)
             columns.append([str(var.levels[i]) for i in ds.categorical[:, j]])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([v.name for v in ds.schema])
-        for i in range(ds.n):
-            writer.writerow([col[i] for col in columns])
+    _write_table(path, [v.name for v in ds.schema], zip(*columns))
 
 
 def standardize(ds: MixedDataset) -> MixedDataset:
@@ -298,20 +312,15 @@ def read_schema_file(path) -> list:
     Kinds must be ``continuous`` or ``categorical``; the file may cover any
     subset of columns (unlisted columns default to continuous).
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"schema file not found: {path}")
     names = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(c.strip() == "" for c in row):
-                continue
-            if len(row) != 2:
-                raise SchemaError(f"{path}: line {line_no}: expected 'name,kind'")
-            name, kind = row[0].strip(), row[1].strip().lower()
-            if kind not in (CONTINUOUS, CATEGORICAL):
-                raise SchemaError(f"{path}: line {line_no}: unknown kind {kind!r}")
-            if kind == CATEGORICAL:
-                names.append(name)
+    for line_no, row in _read_rows(path, "schema file"):
+        if len(row) != 2:
+            raise SchemaError(f"{path}: line {line_no}: expected 'name,kind'")
+        name, kind = row[0], row[1].lower()
+        if kind not in (CONTINUOUS, CATEGORICAL):
+            raise SchemaError(f"{path}: line {line_no}: unknown kind {kind!r}")
+        if kind == CATEGORICAL:
+            names.append(name)
     return names
 
 
@@ -321,23 +330,16 @@ def load_labels(path, column=None) -> np.ndarray:
     With ``column=None`` the file must have exactly one column; otherwise the
     named column is used.  Labels are returned as strings.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"label file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty") from None
-        if column is None:
-            if len(header) != 1:
-                raise SchemaError(f"{path}: expected a single label column, got {header}")
-            j = 0
-        else:
-            if column not in header:
-                raise SchemaError(f"{path}: no column named {column!r}")
-            j = header.index(column)
-        labels = [row[j].strip() for row in reader if row and any(c.strip() for c in row)]
+    header, rows = _read_table(path, "label file")
+    if column is None:
+        if len(header) != 1:
+            raise SchemaError(f"{path}: expected a single label column, got {header}")
+        j = 0
+    else:
+        if column not in header:
+            raise SchemaError(f"{path}: no column named {column!r}")
+        j = header.index(column)
+    labels = [row[j] for _, row in rows]
     if not labels:
         raise SchemaError(f"{path}: no label rows")
     return np.array(labels, dtype=object)

@@ -200,10 +200,11 @@ def _log_kernel_blocks(ds: MixedDataset, bw: Bandwidths, out: np.ndarray):
         block = out[lo:lo + rows]
         term = tmp[:block.shape[0]]
         block.fill(0.0)
-        for col in cont:
-            np.subtract(col[lo:lo + rows, None], col, out=term)
-            np.square(term, out=term)
-            block -= term
+        with np.errstate(over="ignore"):  # a square of inf gives log K = -inf, an exact zero
+            for col in cont:
+                np.subtract(col[lo:lo + rows, None], col, out=term)
+                np.square(term, out=term)
+                block -= term
         for col, table in tables:
             np.take(table, col[lo:lo + rows], axis=0, out=term)
             block += term

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dibmix import (
+    DibmixError,
     GowerMatrix,
     ZeroVarianceError,
     ari,
@@ -310,6 +311,20 @@ def test_default_gamma():
     rng = np.random.default_rng(9)
     standardized = standardize(make_dataset(continuous=rng.standard_normal((40, 3))))
     assert default_gamma(standardized) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_default_gamma_needs_two_observations():
+    """One row has no sample variance: a typed error, not a NaN gamma."""
+    with pytest.raises(ZeroVarianceError, match="2 observations"):
+        default_gamma(make_dataset(continuous=[1.5]))
+    with pytest.raises(ZeroVarianceError):
+        kprototypes_fit(make_dataset(continuous=[1.5]), k=1)
+
+
+def test_default_gamma_refuses_an_overflowing_variance():
+    huge = make_dataset(continuous=[1e200, 2e200, -1e200, 0.0, 5e199])
+    with pytest.raises(DibmixError, match="too large for the default gamma"):
+        default_gamma(huge)
 
 
 def test_kproto_errors():

@@ -20,7 +20,7 @@ from dibmix import (
     write_aggregates_csv,
     write_results_csv,
 )
-from dibmix.errors import DegenerateSmoothingError
+from dibmix.errors import DegenerateSmoothingError, ParseError, SchemaError
 
 from conftest import kprototypes_fit_oracle, pam_fit_oracle
 
@@ -244,6 +244,18 @@ def test_results_csv_round_trip_missing_values_and_quoted_error(tmp_path):
     write_results_csv(path, rows)
     assert '"ValueError: bad ""x"", and a comma"' in path.read_text()
     assert read_results_csv(path) == rows
+
+
+def test_read_results_csv_rejects_short_rows_and_missing_columns(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text(",".join(bench.RESULT_COLUMNS) + "\n0,40\n")
+    with pytest.raises(ParseError) as info:
+        read_results_csv(path)
+    assert info.value.cells == [(2, "", "field count")]
+    # ari, effective_k, runtime_s and error have defaults; the rest do not
+    path.write_text("cell,n,method,status\n0,40,dibmix,ok\n")
+    with pytest.raises(SchemaError, match="'p_c'"):
+        read_results_csv(path)
 
 
 def test_replicate_standardized_once(monkeypatch):

@@ -20,6 +20,7 @@ from dibmix import (
     read_csv,
     standardize,
 )
+from dibmix.benchmark import RESULT_COLUMNS
 from dibmix.cli import _benchmark_plan, _write_json, build_parser, main
 
 
@@ -180,6 +181,7 @@ def test_cluster_lambda_flags(tmp_path, separated_csv, capsys):
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "invalid_argument"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_cluster_lambda_offset(tmp_path, separated_csv, capsys):
@@ -254,12 +256,13 @@ def test_continuous_only_csv(tmp_path, capsys):
 def test_missing_input_file(tmp_path, capsys):
     code = main([
         "cluster", "--input", str(tmp_path / "absent.csv"), "--k", "2",
-        "--output-dir", str(tmp_path),
+        "--output-dir", str(tmp_path / "o"),
     ])
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "input_not_found"
     assert err["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_error(tmp_path, capsys):
@@ -272,6 +275,7 @@ def test_parse_error(tmp_path, capsys):
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "parse_error"
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_finite_cell_is_parse_error(tmp_path, capsys):
@@ -284,6 +288,7 @@ def test_non_finite_cell_is_parse_error(tmp_path, capsys):
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "parse_error"
+    assert not (tmp_path / "o").exists()
     assert "not finite: 'nan'" in err["message"]
 
 
@@ -296,6 +301,7 @@ def test_schema_error(tmp_path, separated_csv, capsys):
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "schema_error"
+    assert not (tmp_path / "o").exists()
 
 
 def test_zero_variance_error(tmp_path, capsys):
@@ -312,6 +318,7 @@ def test_zero_variance_error(tmp_path, capsys):
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "zero_variance"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("values", [("1e200", "2e200", "-1e200", "0", "5e199"),
@@ -329,6 +336,52 @@ def test_column_too_large_to_standardize(tmp_path, capsys, values, command):
     err, _ = _err(capsys)
     assert err["code"] == "invalid_input"
     assert "x1" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_huge_column_without_standardizing(tmp_path, capsys):
+    """Squared distances that overflow are an exact zero of the kernel, not
+    a RuntimeWarning; a default gamma that overflows is refused."""
+    data = tmp_path / "huge.csv"
+    _write_table(data, ["x1", "c1"], zip(("1e200", "2e200", "-1e200", "0", "5e199"), "ababa"))
+    out = tmp_path / "o"
+    assert main(["cluster", "--input", str(data), "--categorical", "c1", "--k", "2",
+                 "--no-standardize", "--restarts", "2", "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    result = json.loads((out / "result.json").read_text())
+    assert all(np.isfinite(result[key]) for key in ("compression", "relevance", "objective"))
+    code = main(["baseline", "--input", str(data), "--categorical", "c1", "--method", "kproto",
+                 "--k", "2", "--no-standardize", "--output-dir", str(tmp_path / "kp")])
+    assert code == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "invalid_input"
+    assert not (tmp_path / "kp").exists()
+
+
+def test_default_gamma_of_one_row_is_zero_variance(tmp_path, capsys):
+    data = tmp_path / "one.csv"
+    data.write_text("x1\n1.5\n")
+    code = main(["baseline", "--input", str(data), "--method", "kproto", "--no-standardize",
+                 "--k", "1", "--output-dir", str(tmp_path / "o")])
+    assert code == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "zero_variance"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["cluster", "--restarts", "2"],
+                                     ["baseline", "--method", "pam"]])
+def test_truth_of_wrong_length_leaves_no_output_dir(tmp_path, separated_csv, command, capsys):
+    data, _, truth = separated_csv
+    short = tmp_path / "short.csv"
+    _write_labels(short, truth[:-1])
+    code = main([*command, "--input", str(data), "--categorical", "c1", "--k", "2",
+                 "--truth", str(short), "--output-dir", str(tmp_path / "o")])
+    assert code == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "invalid_argument"
+    assert "truth has 39 labels" in err["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_size_cap_error(tmp_path, separated_csv, capsys, monkeypatch):
@@ -341,6 +394,7 @@ def test_size_cap_error(tmp_path, separated_csv, capsys, monkeypatch):
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "size_cap"
+    assert not (tmp_path / "o").exists()
     assert "subsample" in err["message"]
 
 
@@ -352,6 +406,7 @@ def test_size_cap_is_fixed_at_10000_rows(tmp_path, capsys):
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "size_cap"
+    assert not (tmp_path / "o").exists()
     with pytest.raises(SystemExit):  # the cap is not an option
         build_parser().parse_args(["cluster", "--input", str(data), "--k", "2",
                                    "--max-n", "20000"])
@@ -366,6 +421,7 @@ def test_invalid_argument_error(tmp_path, separated_csv, capsys):
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "invalid_argument"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -381,6 +437,7 @@ def test_invalid_balance_weight_and_beta_grid(tmp_path, separated_csv, argv, cap
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "invalid_argument"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -400,7 +457,7 @@ def test_non_finite_beta_is_invalid_argument(tmp_path, separated_csv, argv, caps
     err, _ = _err(capsys)
     assert err["code"] == "invalid_argument"
     assert "beta" in err["message"]
-    assert not (out / "result.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("gamma", ["nan", "inf", "-1"])
@@ -415,7 +472,7 @@ def test_non_finite_gamma_is_invalid_argument(tmp_path, separated_csv, gamma, ca
     err, _ = _err(capsys)
     assert err["code"] == "invalid_argument"
     assert "gamma" in err["message"]
-    assert not (out / "result.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["pam", "kproto"])
@@ -432,7 +489,7 @@ def test_baseline_iteration_cap_below_one_is_invalid_argument(tmp_path, separate
     err, _ = _err(capsys)
     assert err["code"] == "invalid_argument"
     assert "max_iter" in err["message"]
-    assert not (out / "result.json").exists()
+    assert not out.exists()
 
 
 def test_write_json_rejects_nan_and_leaves_no_file(tmp_path):
@@ -601,11 +658,12 @@ def test_datagen_outputs_and_reproducibility(tmp_path, capsys):
 def test_datagen_invalid_overlap(tmp_path, capsys):
     code = main([
         "datagen", "--n", "20", "--p-c", "1", "--p-d", "1",
-        "--overlap-cont", "1.5", "--output-dir", str(tmp_path),
+        "--overlap-cont", "1.5", "--output-dir", str(tmp_path / "o"),
     ])
     assert code == 2
     err, _ = _err(capsys)
     assert err["code"] == "invalid_argument"
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +703,20 @@ def test_benchmark_tiny_run_and_aggregate_only(tmp_path, capsys):
     capsys.readouterr()
     assert (agg / "medians.csv").read_text() == medians
     assert (agg / "factor_means.csv").read_text() == (out / "factor_means.csv").read_text()
+
+
+@pytest.mark.parametrize("text, code", [
+    (",".join(RESULT_COLUMNS) + "\n0,20\n", "parse_error"),  # a short row
+    ("cell,n,method,status\n0,20,dibmix,ok\n", "schema_error"),  # missing columns
+], ids=["short_row", "missing_columns"])
+def test_aggregate_only_rejects_a_malformed_results_file(tmp_path, text, code, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(text)
+    out = tmp_path / "agg"
+    assert main(["benchmark", "--aggregate-only", str(results), "--output-dir", str(out)]) == 2
+    err, _ = _err(capsys)
+    assert err["code"] == code
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -760,6 +832,24 @@ def test_score_json(tmp_path, capsys):
     assert main(["score", "--truth", str(truth), "--pred", str(pred)]) == 0
     payload = json.loads(capsys.readouterr().out.strip())
     assert payload["ari"] == -0.5
+
+
+@pytest.mark.parametrize("text, column", [
+    ("a,b\n1,x\n2\n3,y\n", "b"),  # short row
+    ("a\n1\n2,3\n", None),  # long row
+], ids=["short_row", "long_row"])
+def test_score_rejects_a_row_off_the_header(tmp_path, text, column, capsys):
+    truth = tmp_path / "t.csv"
+    truth.write_text(text)
+    pred = tmp_path / "p.csv"
+    _write_labels(pred, [0, 1, 0])
+    argv = ["score", "--truth", str(truth), "--pred", str(pred)]
+    if column:
+        argv += ["--truth-column", column]
+    assert main(argv) == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "parse_error"
+    assert "fields, expected" in err["message"]
 
 
 def test_score_length_mismatch(tmp_path, capsys):

@@ -151,6 +151,23 @@ def test_read_csv_errors(tmp_path):
         read_csv(data, categorical=["missing"])
 
 
+def test_read_csv_skips_blank_lines_and_strips_cells(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("\n \n a , b \n1, x\n\n 2 ,y\n")
+    ds = read_csv(path, categorical=["b"])
+    assert [v.name for v in ds.schema] == ["a", "b"]
+    assert ds.categorical_vars[0].levels == ("x", "y")
+    np.testing.assert_array_equal(ds.continuous[:, 0], [1.0, 2.0])
+
+
+def test_read_csv_rejects_a_row_off_the_header(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n1,2\n3\n")
+    with pytest.raises(ParseError) as info:
+        read_csv(path)
+    assert info.value.cells == [(3, "", "field count")]
+
+
 def test_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(5)
     schema = (
@@ -227,3 +244,18 @@ def test_schema_file_and_labels(tmp_path):
         load_labels(multi)
     with pytest.raises(SchemaError):
         load_labels(multi, column="nope")
+    with pytest.raises(FileNotFoundError, match="label file"):
+        load_labels(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize("text, column, line", [
+    ("id,cls\n1,x\n\n2\n", "cls", 4),  # short; the blank line still counts
+    ("truth\na\nb,c\n", None, 3),  # long
+    ('id,cls\n"1\n2",x\n3\n', "cls", 4),  # after a quoted cell that spans two lines
+], ids=["short_row", "long_row", "after_multiline_cell"])
+def test_load_labels_rejects_a_row_off_the_header(tmp_path, text, column, line):
+    path = tmp_path / "labels.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        load_labels(path, column=column)
+    assert info.value.cells == [(line, "", "field count")]
