@@ -19,7 +19,6 @@ from .bandwidth import (
     select_lambda,
 )
 from .baselines import (
-    GowerMatrix,
     default_gamma,
     gower,
     kprototypes_chain,
@@ -105,7 +104,6 @@ __all__ = [
     "DibmixError",
     "Encoder",
     "GenSpec",
-    "GowerMatrix",
     "LabeledDataset",
     "METHOD_NAMES",
     "MixedDataset",

@@ -17,6 +17,7 @@ values are measured from the diagonal value, so the constant 1/sqrt(2 pi)
 enters only as a final factor, and block moments are merged pairwise.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -45,10 +46,12 @@ class BalanceSpec:
     s_multiplier: float = DEFAULT_S_MULTIPLIER
 
     def __post_init__(self):
-        if not self.categorical_weight > 0:
-            raise ValueError("categorical weight must be positive")
-        if self.s_value is not None and self.s_value <= 0:
-            raise ValueError("s must be positive")
+        if not 0 < self.categorical_weight < math.inf:  # NaN fails too
+            raise ValueError("categorical weight must be positive and finite")
+        if self.s_value is not None and not 0 < self.s_value < math.inf:
+            raise ValueError("s must be positive and finite")
+        if not 0 < self.s_multiplier < math.inf:
+            raise ValueError("s multiplier must be positive and finite")
 
 
 def default_s(ds: MixedDataset, multiplier: float = DEFAULT_S_MULTIPLIER) -> float:
@@ -98,7 +101,7 @@ def kernel_factor_variance_continuous(ds: MixedDataset, s) -> float:
     """
     if ds.p_cont < 1:
         raise SchemaError("no continuous variables")
-    s = Bandwidths(s=s).s_per_variable(ds.p_cont)
+    s = Bandwidths(s=s).s
     n = ds.n
     cols = np.ascontiguousarray((ds.continuous / (s * np.sqrt(2.0))).T)
     rows = _block_rows(n)

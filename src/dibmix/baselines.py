@@ -11,7 +11,6 @@ data sets with categorical values. Data Mining and Knowledge Discovery 2.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,47 +18,26 @@ from . import lockstep
 from .dataset import MixedDataset
 from .errors import DibmixError, ZeroVarianceError
 from .kernels import _block_rows
+from .lockstep import DEFAULT_MAX_ITER
 from .seeding import STREAM_RESTART, derive_seed
 
 PAM_DEFAULT_RESTARTS = 1
 KPROTO_DEFAULT_RESTARTS = 100
-DEFAULT_MAX_ITER = 100
 # One K-Prototypes cost evaluation stacks at most as many states as keep its
 # (states, n, k, continuous variables) temporaries within about this many
 # elements.
 _KPROTO_BLOCK_ELEMS = 1 << 19
 
 
-@dataclass(frozen=True)
-class GowerMatrix:
-    """Pairwise Gower dissimilarities plus the continuous ranges used."""
-
-    matrix: np.ndarray
-    ranges: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.ascontiguousarray(np.asarray(self.matrix, dtype=float))
-        ranges = np.ascontiguousarray(np.asarray(self.ranges, dtype=float))
-        matrix.flags.writeable = False
-        ranges.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "ranges", ranges)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-def gower(ds: MixedDataset) -> GowerMatrix:
-    """d(i,j) = mean over variables of range-scaled absolute difference
-    (continuous) and simple mismatch (categorical); entries lie in [0,1].
-    Every variable's term goes through one n x n scratch array, so the sum
-    and the scratch are the only n x n arrays."""
+def gower(ds: MixedDataset) -> np.ndarray:
+    """Read-only n x n array d(i,j) = mean over variables of range-scaled
+    absolute difference (continuous) and simple mismatch (categorical) in
+    [0,1].  Every variable's term goes through one n x n scratch array, so
+    the sum and the scratch are the only n x n arrays."""
     n = ds.n
     p = ds.p_cont + ds.p_cat
     total = np.zeros((n, n))
     scratch = np.empty((n, n))
-    ranges = np.zeros(ds.p_cont)
     for j in range(ds.p_cont):
         col = ds.continuous[:, j]
         rng = float(col.max() - col.min())
@@ -67,7 +45,6 @@ def gower(ds: MixedDataset) -> GowerMatrix:
             raise ZeroVarianceError(
                 f"continuous variable {ds.continuous_vars[j].name!r} has zero range"
             )
-        ranges[j] = rng
         np.subtract(col[:, None], col[None, :], out=scratch)
         np.abs(scratch, out=scratch)
         scratch /= rng
@@ -76,7 +53,8 @@ def gower(ds: MixedDataset) -> GowerMatrix:
         col = ds.categorical[:, j]
         total += np.not_equal(col[:, None], col[None, :], out=scratch)
     total /= p
-    return GowerMatrix(matrix=total, ranges=ranges)
+    total.flags.writeable = False
+    return total
 
 
 def _pam_build(d, k):
@@ -167,17 +145,18 @@ def _random_start(n, k, rng_seed, r):
 
 
 def pam_fit(
-    gm: GowerMatrix,
+    d: np.ndarray,
     k: int,
     restarts: int = PAM_DEFAULT_RESTARTS,
     max_iter: int = DEFAULT_MAX_ITER,
     rng_seed: int = 0,
 ) -> np.ndarray:
-    """PAM: restart 0 initializes with BUILD (deterministic); further
-    restarts draw random initial medoid sets.  Best final total
-    dissimilarity wins, ties to the lower restart index.  Each point is
-    labelled by its nearest medoid (ties toward the medoid earliest in sorted
-    order); labels index the sorted medoid list.
+    """PAM on the n x n dissimilarities ``d`` (as from ``gower``): restart 0
+    initializes with BUILD (deterministic); further restarts draw random
+    initial medoid sets.  Best final total dissimilarity wins, ties to the
+    lower restart index.  Each point is labelled by its nearest medoid (ties
+    toward the medoid earliest in sorted order); labels index the sorted
+    medoid list.
 
     The restarts run SWAP with ``lockstep.walk``: a node is an ordered
     medoid tuple and its successor the ``_swap_pass`` result, the node
@@ -187,7 +166,7 @@ def pam_fit(
     per fit while the cache has room.  The answer is exactly that of
     running every restart alone.
     """
-    d = gm.matrix
+    d = np.asarray(d, dtype=float)
     n = d.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")

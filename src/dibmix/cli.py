@@ -10,6 +10,7 @@ exit code 2 for usage/input problems and 1 for internal failures.
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -87,6 +88,7 @@ _BALANCES = {
 
 _ERROR_CODES = (
     (FileNotFoundError, "input_not_found"),
+    (OSError, "io_error"),
     (ParseError, "parse_error"),
     (SchemaError, "schema_error"),
     (ZeroVarianceError, "zero_variance"),
@@ -101,10 +103,30 @@ def _emit_error(code: str, message: str) -> None:
     print(json.dumps({"error": {"code": code, "message": message}}), file=sys.stderr)
 
 
-def _resolve_threads(value) -> int:
-    if value is None:
-        value = int(os.environ.get("DIBMIX_THREADS", "1"))
-    return check_threads(value)
+def _finite(value, flag) -> float:
+    """A float flag's value, or the text of one item of a float list flag, as
+    a finite float; NaN or an infinity is a ValueError that names the flag."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{flag} must be a finite number, got {value!r}")
+    return number
+
+
+def _check_args(args) -> None:
+    """Refuse, before any work, a float flag that is not finite, a --threads
+    below 1 and an --output-dir that cannot be made: its nearest existing
+    ancestor, itself included, must be a directory."""
+    for name, value in vars(args).items():
+        if isinstance(value, float):
+            _finite(value, "--" + name.replace("_", "-"))
+    if "threads" in vars(args):
+        check_threads(args.threads)
+    if "output_dir" in vars(args):
+        probe = os.path.abspath(args.output_dir)
+        while not os.path.exists(probe):
+            probe = os.path.dirname(probe)
+        if not os.path.isdir(probe):
+            raise ValueError(f"--output-dir {args.output_dir!r}: {probe!r} is not a directory")
 
 
 def _ensure_outdir(path: str) -> str:
@@ -189,7 +211,7 @@ def _resolve_bandwidths(ds, args) -> Bandwidths:
         bw = choose_bandwidths(ds, spec)
     else:
         if args.lam is not None:
-            lam = np.array(_parse_list(args.lam, float))
+            lam = np.array(_parse_floats(args.lam, "--lambda"))
             if lam.size == 1:
                 lam = np.full(ds.p_cat, lam[0])
             elif lam.size != ds.p_cat:
@@ -236,18 +258,17 @@ def _write_result(args, payload, labels, subsample_idx) -> None:
 
 
 def cmd_cluster(args) -> int:
-    threads = _resolve_threads(args.threads)
     ds, idx, bw = _preprocess(args)
     density = estimate_conditional(ds, bw)
     result = dib_fit_density(
         density, ds.weights, args.k, args.beta,
         restarts=args.restarts, max_iter=args.max_iter,
-        rng_seed=args.seed, threads=threads,
+        rng_seed=args.seed, threads=args.threads,
     )
     payload = result.to_dict()
     payload["k"] = args.k
     payload["bandwidths"] = {
-        "s": np.asarray(bw.s).tolist(),
+        "s": bw.s,
         "lambda": bw.lam.tolist(),
     }
     _write_result(args, payload, result.assign, idx)
@@ -329,6 +350,10 @@ def _parse_list(text, cast):
     return tuple(cast(tok) for tok in str(text).split(",") if tok != "")
 
 
+def _parse_floats(text, flag):
+    return _parse_list(text, lambda tok: _finite(tok, flag))
+
+
 def _benchmark_plan(args) -> BenchmarkPlan:
     """The plan from the benchmark flags that were given; an omitted flag
     keeps the plan's default.  A list flag's items are parsed like those of
@@ -339,13 +364,15 @@ def _benchmark_plan(args) -> BenchmarkPlan:
             value = getattr(args, f.name)
             if isinstance(f.default, tuple):
                 example = f.default[0]
-                value = _parse_list(value, _balance if example in _BALANCES else type(example))
+                if isinstance(example, float):
+                    value = _parse_floats(value, "--" + f.name.replace("_", "-"))
+                else:
+                    value = _parse_list(value, _balance if example in _BALANCES else type(example))
             given[f.name] = value
     return BenchmarkPlan(**given)
 
 
 def cmd_benchmark(args) -> int:
-    threads = _resolve_threads(args.threads)
     if args.aggregate_only:
         plan, rows = None, read_results_csv(args.aggregate_only)
     else:
@@ -355,7 +382,7 @@ def cmd_benchmark(args) -> int:
             if args.progress:
                 print(f"cell {cell + 1}/{n_cells} replicate {rep + 1}/{n_reps}", file=sys.stderr)
 
-        rows = run_benchmark(plan, threads=threads, progress=progress)
+        rows = run_benchmark(plan, threads=args.threads, progress=progress)
     outdir = _ensure_outdir(args.output_dir)
     if plan is not None:
         results_path = os.path.join(outdir, "results.csv")
@@ -372,12 +399,11 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_sweep_beta(args) -> int:
-    threads = _resolve_threads(args.threads)
     ds, idx, bw = _preprocess(args)
-    betas = _parse_list(args.betas, float)
+    betas = _parse_floats(args.betas, "--betas")
     sweep = beta_sweep(
         ds, args.k, bw, betas, restarts=args.restarts, max_iter=args.max_iter,
-        rng_seed=args.seed, threads=threads,
+        rng_seed=args.seed, threads=args.threads,
     )
     outdir = _ensure_outdir(args.output_dir)
     curve_path = os.path.join(outdir, "curve.csv")
@@ -434,12 +460,12 @@ def _add_bandwidth_flags(parser):
                         help="continuous bandwidth (overrides the scaled default)")
     parser.add_argument("--s-multiplier", type=float, default=DEFAULT_S_MULTIPLIER,
                         help="multiplier c in s = c * n^(-1/(4+p_c))")
-    parser.add_argument("--lambda", dest="lam", default=None,
-                        metavar="VALUE[,VALUE...]",
-                        help="categorical smoothing: one shared value or a comma "
-                             "list, one per categorical variable")
-    parser.add_argument("--lambda-offset", type=float, default=None,
-                        help="set each lambda_j to (l_j-1)/l_j minus this offset")
+    lam = parser.add_mutually_exclusive_group()
+    lam.add_argument("--lambda", dest="lam", default=None, metavar="VALUE[,VALUE...]",
+                     help="categorical smoothing: one shared value or a comma "
+                          "list, one per categorical variable")
+    lam.add_argument("--lambda-offset", type=float, default=None,
+                     help="set each lambda_j to (l_j-1)/l_j minus this offset")
     parser.add_argument("--categorical-weight", type=float, default=1.0,
                         help="target ratio of categorical to continuous kernel variance")
 
@@ -469,9 +495,9 @@ def _add_plan_flags(parser):
 
 
 def _add_threads_flag(parser):
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: DIBMIX_THREADS or 1) for the slices "
-                             "of each stacked DIB pass or for benchmark replicates")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads (default: 1) for the slices of each "
+                             "stacked DIB pass or for benchmark replicates")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,6 +574,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - map to exit codes at the boundary
         for exc_type, code in _ERROR_CODES:

@@ -54,10 +54,10 @@ from .dataset import MixedDataset
 from .errors import DegenerateSmoothingError
 from .infotheory import _as_distribution
 from .kernels import Bandwidths, ConditionalDensity, estimate_conditional
+from .lockstep import DEFAULT_MAX_ITER
 from .seeding import STREAM_RESTART, derive_seed
 
 DEFAULT_RESTARTS = 100
-DEFAULT_MAX_ITER = 100
 
 _TRACE_RISE_TOL = 1e-12
 

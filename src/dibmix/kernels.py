@@ -72,7 +72,7 @@ def aitchison_aitken(match, lam, levels):
     """Aitchison-Aitken kernel: 1 - lam on a level match, lam/(levels-1) off it.
 
     Admissible range is 0 <= lam <= (levels-1)/levels; lam = 0 recovers the
-    binary indicator.  The match value is computed as
+    binary indicator.  ``match`` is one bool.  The match value is computed as
     1 - (levels-1) * (lam / (levels-1)) so that the kernel mass over all
     levels is exactly 1 in floating point (at most one ulp from 1 - lam).
     """
@@ -87,18 +87,16 @@ def aitchison_aitken(match, lam, levels):
         )
     mismatch = lam / (levels - 1)
     match_value = 1.0 - (levels - 1) * mismatch
-    return np.where(match, match_value, mismatch) if np.ndim(match) else (
-        match_value if match else mismatch
-    )
+    return match_value if match else mismatch
 
 
 @dataclass(frozen=True)
 class Bandwidths:
     """Smoothing parameters: continuous ``s`` and categorical ``lam``.
 
-    ``s`` is a positive scalar shared by all continuous variables (the
-    normal use after standardization) or a per-variable vector.  ``lam``
-    holds one value per categorical variable, each within
+    ``s`` is one positive, finite float shared by all continuous variables,
+    which are standardized first; a non-scalar ``s`` is a ValueError.
+    ``lam`` holds one value per categorical variable, each within
     [0, (levels-1)/levels] for that variable's level count.
     """
 
@@ -106,26 +104,16 @@ class Bandwidths:
     lam: np.ndarray = ()
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        if np.any(s <= 0) or not np.all(np.isfinite(s)):
-            raise ValueError("continuous bandwidth s must be positive and finite")
+        if np.ndim(self.s) or not 0 < float(self.s) < np.inf:  # NaN fails too
+            raise ValueError("continuous bandwidth s must be one positive, finite float")
         lam = np.asarray(self.lam, dtype=float).reshape(-1)
         if np.any(lam < 0) or not np.all(np.isfinite(lam)):
             raise ValueError("categorical bandwidths must be finite and nonnegative")
         lam.flags.writeable = False
-        object.__setattr__(self, "s", float(s) if s.ndim == 0 else s)
+        object.__setattr__(self, "s", float(self.s))
         object.__setattr__(self, "lam", lam)
 
-    def s_per_variable(self, p_cont: int) -> np.ndarray:
-        s = np.asarray(self.s, dtype=float)
-        if s.ndim == 0:
-            return np.full(p_cont, float(s))
-        if s.shape != (p_cont,):
-            raise SchemaError(f"s vector has shape {s.shape}, expected ({p_cont},)")
-        return s
-
     def validate_for(self, ds: MixedDataset) -> None:
-        self.s_per_variable(ds.p_cont)
         if self.lam.shape != (ds.p_cat,):
             raise SchemaError(
                 f"lambda vector has length {self.lam.shape[0]}, expected {ds.p_cat}"
@@ -183,7 +171,7 @@ def _log_kernel_blocks(ds: MixedDataset, bw: Bandwidths, out: np.ndarray):
     ``bw`` must already be validated for ``ds``.
     """
     n = ds.n
-    scale = bw.s_per_variable(ds.p_cont) * np.sqrt(2.0)
+    scale = bw.s * np.sqrt(2.0)
     cont = np.ascontiguousarray((ds.continuous / scale).T)
     # Per categorical variable, row l holds the log term of every j against
     # level l: 0 where j has level l, log(mismatch / match) elsewhere.

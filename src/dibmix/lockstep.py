@@ -7,6 +7,9 @@ stack their work, and it never asks twice for one state, so restarts that
 meet share the rest of one trajectory.
 """
 
+# The step cap of a chain, one iteration per step, when a method is given none.
+DEFAULT_MAX_ITER = 100
+
 
 def walk(starts, advance, max_steps, stops=None):
     """Walk one chain from each of ``starts``; return each chain's path of

@@ -327,9 +327,8 @@ def pam_swap_oracle(d, medoids, max_iter):
     return medoids
 
 
-def pam_fit_oracle(gm, k, restarts, max_iter, rng_seed):
+def pam_fit_oracle(d, k, restarts, max_iter, rng_seed):
     """PAM with every restart's SWAP run from scratch."""
-    d = gm.matrix
     best = None
     for r in range(restarts):
         if r == 0:

@@ -244,11 +244,10 @@ def test_criterion_07_baseline_correctness():
     for _ in range(8):
         n = int(rng.integers(15, 51))
         ds = random_mixed_dataset(rng, n=n)
-        gm = gower(ds)
-        d = gm.matrix
+        d = gower(ds)
         k = int(rng.integers(2, 6))
         medoids = pam_swap_oracle(d, _pam_build(d, k), max_iter=100)
-        swap_optimal &= np.array_equal(pam_fit(gm, k, restarts=1),
+        swap_optimal &= np.array_equal(pam_fit(d, k, restarts=1),
                                        np.argmin(d[:, sorted(medoids)], axis=1))
         base = float(d[:, list(medoids)].min(axis=1).sum())
         for pos in range(k):

@@ -160,12 +160,11 @@ def test_variance_continuous_across_blocks_matches_brute_force():
     cont = rng.standard_normal((n, 3)) * [1.0, 4.0, 1.0]
     cont[:, 2] = 0.7  # a constant column
     ds = _dataset(continuous=cont)
-    for s in (0.3, 1.0, np.array([0.5, 2.0, 1.0])):
+    for s in (0.3, 1.0, 2.0):
         got = kernel_factor_variance_continuous(ds, s)
         assert got == pytest.approx(_stable_variance_continuous(ds, s), rel=1e-12, abs=0)
         plain = np.mean([
-            gaussian_kernel(ds.continuous[:, c, None] - ds.continuous[None, :, c],
-                            np.broadcast_to(s, (3,))[c]).var()
+            gaussian_kernel(ds.continuous[:, c, None] - ds.continuous[None, :, c], s).var()
             for c in range(3)
         ])
         assert got == pytest.approx(plain, rel=1e-12, abs=0)
@@ -341,6 +340,14 @@ def test_balance_spec_validation():
             BalanceSpec(categorical_weight=weight)
     with pytest.raises(ValueError):
         BalanceSpec(s_value=-1.0)
+
+
+def test_balance_spec_values_must_be_finite():
+    for bad in (dict(categorical_weight=float("inf")), dict(s_value=float("nan")),
+                dict(s_value=float("inf")), dict(s_multiplier=0.0),
+                dict(s_multiplier=float("nan")), dict(s_multiplier=float("inf"))):
+        with pytest.raises(ValueError, match="positive and finite"):
+            BalanceSpec(**bad)
 
 
 def test_choose_bandwidths_default_and_override():

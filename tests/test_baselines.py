@@ -13,7 +13,6 @@ import pytest
 
 from dibmix import (
     DibmixError,
-    GowerMatrix,
     ZeroVarianceError,
     ari,
     default_gamma,
@@ -72,22 +71,29 @@ def test_gower_identical_rows_zero():
     ds = make_dataset(continuous=[[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]],
                       categorical=[0, 0, 1], levels=(2,))
     gm = gower(ds)
-    assert gm.matrix[0, 1] == 0.0
-    assert gm.matrix[0, 0] == 0.0
+    assert gm[0, 1] == 0.0
+    assert gm[0, 0] == 0.0
 
 
 def test_gower_maximally_different_rows_one():
     ds = make_dataset(continuous=[0.0, 10.0], categorical=[0, 1], levels=(2,))
     gm = gower(ds)
-    assert gm.matrix[0, 1] == 1.0
+    assert gm[0, 1] == 1.0
 
 
 def test_gower_hand_case():
     # continuous range 10 with diff 5 (0.5) plus one mismatch (1) over p=2.
     ds = make_dataset(continuous=[0.0, 5.0, 10.0], categorical=[0, 1, 0], levels=(2,))
     gm = gower(ds)
-    assert gm.matrix[0, 1] == pytest.approx(0.75, rel=1e-15)
-    np.testing.assert_array_equal(gm.ranges, [10.0])
+    assert gm[0, 1] == pytest.approx(0.75, rel=1e-15)
+
+
+def test_gower_is_a_read_only_array():
+    ds = make_dataset(continuous=[0.0, 5.0, 10.0], categorical=[0, 1, 0], levels=(2,))
+    d = gower(ds)
+    assert type(d) is np.ndarray and d.shape == (3, 3) and d.dtype == float
+    with pytest.raises(ValueError, match="read-only"):
+        d[0, 1] = 0.5
 
 
 def test_gower_bounds_symmetry_random():
@@ -95,10 +101,10 @@ def test_gower_bounds_symmetry_random():
     for _ in range(10):
         ds = random_mixed_dataset(rng, n=25)
         gm = gower(ds)
-        np.testing.assert_array_equal(gm.matrix, gm.matrix.T)
-        np.testing.assert_array_equal(np.diag(gm.matrix), 0.0)
-        assert gm.matrix.min() >= 0.0
-        assert gm.matrix.max() <= 1.0 + 1e-12
+        np.testing.assert_array_equal(gm, gm.T)
+        np.testing.assert_array_equal(np.diag(gm), 0.0)
+        assert gm.min() >= 0.0
+        assert gm.max() <= 1.0 + 1e-12
 
 
 def _gower_oracle(ds):
@@ -116,7 +122,7 @@ def test_gower_matches_textbook_formula_bytes(n):
     rng = np.random.default_rng(n)
     for p_cont, p_cat in ((6, 6), (0, 3), (2, 0)):
         ds = random_mixed_dataset(rng, n=n, p_cont=p_cont, p_cat=p_cat)
-        assert np.array_equal(gower(ds).matrix, _gower_oracle(ds))
+        assert np.array_equal(gower(ds), _gower_oracle(ds))
 
 
 def test_gower_peak_memory():
@@ -147,7 +153,7 @@ def _block_matrix(sizes, within=0.1, between=0.9):
     labels = np.repeat(np.arange(len(sizes)), sizes)
     matrix = np.where(labels[:, None] == labels[None, :], within, between)
     np.fill_diagonal(matrix, 0.0)
-    return GowerMatrix(matrix=matrix, ranges=np.empty(0)), labels
+    return matrix, labels
 
 
 def test_pam_k_equals_n_zero_cost():
@@ -156,7 +162,7 @@ def test_pam_k_equals_n_zero_cost():
     gm = gower(ds)
     labels = pam_fit(gm, k=8)
     np.testing.assert_array_equal(labels, np.arange(8))
-    assert _pam_cost(gm.matrix, range(8)) == 0.0
+    assert _pam_cost(gm, range(8)) == 0.0
 
 
 def test_pam_two_blocks_recovered():
@@ -187,11 +193,10 @@ def test_pam_swap_reaches_local_optimum():
     for trial in range(5):
         n = int(rng.integers(15, 50))
         ds = random_mixed_dataset(rng, n=n)
-        gm = gower(ds)
-        d = gm.matrix
+        d = gower(ds)
         k = int(rng.integers(2, 6))
         medoids = pam_swap_oracle(d, _pam_build(d, k), max_iter=100)
-        np.testing.assert_array_equal(pam_fit(gm, k, restarts=1),
+        np.testing.assert_array_equal(pam_fit(d, k, restarts=1),
                                       np.argmin(d[:, sorted(medoids)], axis=1))
         base = _pam_cost(d, medoids)
         for pos in range(k):
@@ -223,7 +228,7 @@ def test_pam_deterministic_and_restarts_never_worse():
     build_only = pam_fit(gm, k=3, restarts=1)
     # restart 0 is the deterministic BUILD start, so adding random restarts
     # can only match or improve the objective
-    assert _labeling_cost(gm.matrix, a) <= _labeling_cost(gm.matrix, build_only) + 1e-9
+    assert _labeling_cost(gm, a) <= _labeling_cost(gm, build_only) + 1e-9
 
 
 def test_pam_errors():
@@ -401,7 +406,7 @@ def test_pam_swap_memo_budget_rule(exactness_ds):
     # of swaps, some starting where others stand after one or two swaps;
     # each must stop after its own budget, where SWAP from its start alone
     # stops.
-    d = gower(exactness_ds).matrix
+    d = gower(exactness_ds)
     n = d.shape[0]
     rng = np.random.default_rng(n)
     for k in range(1, min(n, 4) + 1):
@@ -420,7 +425,7 @@ def test_pam_swap_costs_sweep_bytes(exactness_ds, elems, monkeypatch):
     # Whatever the block size, every vector holds the bytes of one
     # unblocked sum over all points in row order.
     monkeypatch.setattr(kernels, "_BLOCK_ELEMS", elems)
-    d = gower(exactness_ds).matrix
+    d = gower(exactness_ds)
     n = d.shape[0]
     rng = np.random.default_rng(elems)
     for size in range(min(n, 4)):
@@ -452,10 +457,9 @@ def _spy_swap_costs(monkeypatch):
 def test_pam_swap_costs_match_brute_force(exactness_ds, k, monkeypatch):
     # Each candidate's cost is the swapped set's total nearest-medoid
     # dissimilarity, recomputed directly for every h.
-    gm = gower(exactness_ds)
-    d = gm.matrix
+    d = gower(exactness_ds)
     calls, _ = _spy_swap_costs(monkeypatch)
-    pam_fit(gm, k, restarts=10, rng_seed=k)
+    pam_fit(d, k, restarts=10, rng_seed=k)
     assert calls
     for rest, after in calls:
         brute = [_pam_cost(d, list(rest) + [h]) for h in range(d.shape[0])]
@@ -469,7 +473,7 @@ def test_pam_swap_costs_summed_once_per_set_per_fit(monkeypatch):
     first = [rest for rest, _ in calls]
     # below the cache bound of n sets, no set is summed twice, and each
     # lock-step round sums its sets in one sweep
-    assert len(first) == len(set(first)) <= gm.n
+    assert len(first) == len(set(first)) <= len(gm)
     assert 1 < len(sweeps) < len(first)
     # a second fit starts from an empty cache
     pam_fit(gm, k=3, restarts=10, rng_seed=3)
@@ -491,8 +495,8 @@ def test_pam_swap_cost_cache_bound_matches_oracle(monkeypatch):
     monkeypatch.setattr(baselines, "_pam_round", spy)
     calls, _ = _spy_swap_costs(monkeypatch)
     labels = pam_fit(gm, k=5, restarts=25, rng_seed=5)
-    assert max(sizes) == gm.n
-    assert len(calls) > gm.n
+    assert max(sizes) == len(gm)
+    assert len(calls) > len(gm)
     expected = pam_fit_oracle(gm, k=5, restarts=25, max_iter=100, rng_seed=5)
     assert labels.dtype == expected.dtype
     assert labels.tobytes() == expected.tobytes()

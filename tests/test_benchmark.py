@@ -93,6 +93,11 @@ def test_plan_validation():
             BenchmarkPlan(**unrunnable)
 
 
+def test_plan_refuses_an_infinite_categorical_weight():
+    with pytest.raises(ValueError, match="categorical weight must be positive and finite"):
+        BenchmarkPlan(categorical_weight=float("inf"))
+
+
 # ---------------------------------------------------------------------------
 # run_benchmark
 

@@ -21,6 +21,7 @@ from dibmix import (
     standardize,
 )
 from dibmix.benchmark import RESULT_COLUMNS
+from dibmix import cli
 from dibmix.cli import _benchmark_plan, _write_json, build_parser, main
 
 
@@ -504,25 +505,99 @@ def test_write_json_rejects_nan_and_leaves_no_file(tmp_path):
     assert json.loads(path.read_text()) == {"objective": 1.5}
 
 
-@pytest.mark.threads
-def test_threads_env_fallback(tmp_path, separated_csv, capsys, monkeypatch):
-    data, _, _ = separated_csv
-    monkeypatch.setenv("DIBMIX_THREADS", "2")
-    out = tmp_path / "env"
-    code = main([
-        "cluster", "--input", str(data), "--categorical", "c1",
-        "--k", "2", "--restarts", "3", "--output-dir", str(out),
-    ])
-    assert code == 0
-    capsys.readouterr()
-    monkeypatch.setenv("DIBMIX_THREADS", "0")
-    code = main([
-        "cluster", "--input", str(data), "--categorical", "c1",
-        "--k", "2", "--restarts", "3", "--output-dir", str(tmp_path / "o"),
-    ])
-    assert code == 2
+def _one_kind_csvs(tmp_path, mixed_csv):
+    """The categorical and the continuous columns of ``mixed_csv`` as two CSVs."""
+    with open(mixed_csv, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    cat_only, cont_only = tmp_path / "cat_only.csv", tmp_path / "cont_only.csv"
+    _write_table(cat_only, ["c1", "c2"], [row[2:] for row in rows])
+    _write_table(cont_only, ["x1", "x2"], [row[:2] for row in rows])
+    return {"mixed": mixed_csv, "cat": cat_only, "cont": cont_only}
+
+
+_TINY_BENCHMARK = ["benchmark", "--ns", "20", "--p-cs", "1", "--p-ds", "1", "--levels", "2",
+                   "--overlaps-cont", "0.3", "--overlaps-cat", "0.3", "--replicates", "1",
+                   "--restarts", "2"]
+
+
+@pytest.mark.parametrize("data, argv, flag", [
+    ("cat", ["cluster", "--s", "nan"], "--s"),
+    ("cat", ["cluster", "--s-multiplier", "nan"], "--s-multiplier"),
+    ("cont", ["cluster", "--lambda-offset", "nan"], "--lambda-offset"),
+    ("mixed", ["cluster", "--categorical-weight", "inf"], "--categorical-weight"),
+    ("cont", ["cluster", "--categorical-weight", "inf"], "--categorical-weight"),
+    ("mixed", ["cluster", "--lambda", "0.1,inf"], "--lambda"),
+    ("cat", ["sweep-beta", "--s", "nan", "--betas", "1,10"], "--s"),
+    ("mixed", ["baseline", "--method", "pam", "--gamma", "inf"], "--gamma"),
+    (None, [*_TINY_BENCHMARK, "--categorical-weight", "inf"], "--categorical-weight"),
+    (None, [*_TINY_BENCHMARK, "--overlaps-cat", "0.3,nan"], "--overlaps-cat"),
+    (None, ["datagen", "--n", "20", "--p-c", "1", "--p-d", "1", "--overlap-cont=-inf"],
+     "--overlap-cont"),
+])
+def test_non_finite_float_flag_exits_2_before_any_output(tmp_path, mixed_csv, data, argv, flag,
+                                                         capsys):
+    out = tmp_path / "o"
+    if data is not None:
+        categorical = [] if data == "cont" else ["--categorical", "c1,c2"]
+        argv = [*argv, "--input", str(_one_kind_csvs(tmp_path, mixed_csv)[data]),
+                *categorical, "--k", "2", "--restarts", "2"]
+    assert main([*argv, "--output-dir", str(out)]) == 2
     err, _ = _err(capsys)
     assert err["code"] == "invalid_argument"
+    assert err["message"].startswith(f"{flag} must be a finite number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--categorical", "c1", "--k", "2"],
+    ["baseline", "--categorical", "c1", "--method", "pam", "--k", "2"],
+    ["sweep-beta", "--categorical", "c1", "--k", "2", "--betas", "1,10"],
+    ["datagen", "--n", "20", "--p-c", "1", "--p-d", "1"],
+    _TINY_BENCHMARK,
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below_file"])
+def test_output_dir_at_or_below_a_file_exits_2(tmp_path, separated_csv, argv, below, capsys):
+    data, _, _ = separated_csv
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    if argv[0] in ("cluster", "baseline", "sweep-beta"):
+        argv = [*argv, "--input", str(data)]
+    assert main([*argv, "--output-dir", str(blocker.joinpath(*below))]) == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "invalid_argument"
+    assert "is not a directory" in err["message"]
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_benchmark_output_dir_is_checked_before_the_plan_runs(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_benchmark", lambda *a, **kw: calls.append(a))
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert main([*_TINY_BENCHMARK, "--output-dir", str(blocker / "sub")]) == 2
+    assert _err(capsys)[0]["code"] == "invalid_argument"
+    assert calls == []
+
+
+def test_unreadable_input_is_io_error(tmp_path, capsys):
+    # a directory given as the input CSV: an OSError other than a missing file
+    code = main(["cluster", "--input", str(tmp_path), "--k", "2",
+                 "--output-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert _err(capsys)[0]["code"] == "io_error"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["cluster"], ["sweep-beta", "--betas", "1"]],
+                         ids=lambda argv: argv[0])
+def test_lambda_and_lambda_offset_exclude_each_other(tmp_path, separated_csv, argv, capsys):
+    data, _, _ = separated_csv
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", str(data), "--categorical", "c1", "--k", "2",
+              "--lambda", "0.1", "--lambda-offset", "0.2", "--output-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 _IO_KEYS = {"input", "categorical", "schema_file", "subsample", "no_standardize",

@@ -145,6 +145,17 @@ def test_bandwidths_validation():
         Bandwidths(s=1.0, lam=[0.9]).validate_for(ds)  # above (3-1)/3
 
 
+def test_bandwidths_s_is_one_scalar():
+    for s in (np.array([0.5, 1.0]), [1.0]):
+        with pytest.raises(ValueError, match="one positive, finite float"):
+            Bandwidths(s=s)
+    for s in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="one positive, finite float"):
+            Bandwidths(s=s)
+    bw = Bandwidths(s=np.float64(0.5))
+    assert type(bw.s) is float and bw.s == 0.5
+
+
 # ---------------------------------------------------------------------------
 # product kernel: the scalar oracle against closed forms, then the library's
 # log-space pass against the oracle
@@ -292,7 +303,7 @@ def _multi_block_case():
         categorical=np.column_stack([rng.integers(0, 3, n), rng.integers(0, 5, n)]),
         levels=(3, 5),
     )
-    bw = Bandwidths(s=np.array([0.4, 1.5]), lam=[0.0, 0.5])  # lambda 0: exact zeros
+    bw = Bandwidths(s=0.7, lam=[0.0, 0.5])  # lambda 0: exact zeros
     check_rows = [0, rows - 1, rows, 2 * rows + 5, n - 1]
     return ds, bw, check_rows
 
