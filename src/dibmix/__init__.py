@@ -65,7 +65,6 @@ from .dib import (
     beta_sweep,
     dib_fit,
     dib_fit_density,
-    dib_step,
     init_random,
     objective,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "derive_seed",
     "dib_fit",
     "dib_fit_density",
-    "dib_step",
     "entropy",
     "estimate_conditional",
     "factor_means",

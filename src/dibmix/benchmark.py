@@ -127,17 +127,14 @@ def _run_method(method, data, standardized, plan, method_seed):
     if method == METHOD_DIBMIX:
         std = standardized()
         bw = choose_bandwidths(std, BalanceSpec(categorical_weight=plan.categorical_weight))
-        res = dib_fit(std, plan.k, plan.beta, bw, restarts=plan.restarts,
-                      max_iter=plan.max_iter, rng_seed=method_seed)
-        return res.assign, res.effective_k
+        return dib_fit(std, plan.k, plan.beta, bw, restarts=plan.restarts,
+                       max_iter=plan.max_iter, rng_seed=method_seed).assign
     if method == METHOD_KPROTOTYPES:
-        labels = kprototypes_fit(standardized(), plan.k, restarts=plan.restarts,
-                                 max_iter=plan.max_iter, rng_seed=method_seed)
-        return labels, int(np.unique(labels).size)
+        return kprototypes_fit(standardized(), plan.k, restarts=plan.restarts,
+                               max_iter=plan.max_iter, rng_seed=method_seed)
     if method == METHOD_GOWER_PAM:
-        labels = pam_fit(gower(data), plan.k, restarts=plan.restarts,
-                         max_iter=plan.max_iter, rng_seed=method_seed)
-        return labels, int(np.unique(labels).size)
+        return pam_fit(gower(data), plan.k, restarts=plan.restarts,
+                       max_iter=plan.max_iter, rng_seed=method_seed)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -154,16 +151,17 @@ def _run_replicate(plan, cell_index, factors, rep):
         )
         start = time.perf_counter()
         try:
-            labels, effective_k = _run_method(method, labeled.data, standardized, plan,
-                                              method_seed)
+            labels = _run_method(method, labeled.data, standardized, plan, method_seed)
             row = ResultRow(
                 cell=cell_index, replicate=rep, method=method, status="ok",
-                ari=float(ari(labeled.truth, labels)), effective_k=effective_k,
+                ari=float(ari(labeled.truth, labels)), effective_k=int(np.unique(labels).size),
                 runtime_s=time.perf_counter() - start, **factors,
             )
-        # A method that rejects its data fails on this dataset and becomes a
-        # row; any other exception is a fault of the program and propagates.
-        except (DibmixError, ValueError) as exc:
+        # A method that rejects its data raises a DibmixError and becomes a
+        # row.  The plan checks every setting before any work, so any other
+        # exception, a plain ValueError included, is a fault of the program
+        # and propagates.
+        except DibmixError as exc:
             row = ResultRow(
                 cell=cell_index, replicate=rep, method=method, status="error",
                 runtime_s=time.perf_counter() - start,

@@ -44,7 +44,6 @@ from .benchmark import (
 )
 from .datagen import BALANCE_EQUAL, BALANCE_IMBALANCED, GenSpec, generate
 from .dataset import (
-    MixedDataset,
     _write_table,
     load_labels,
     read_csv,
@@ -114,14 +113,30 @@ def _finite(value, flag) -> float:
 
 def _check_args(args) -> None:
     """Refuse, before any work, a float flag that is not finite, a --threads
-    below 1 and an --output-dir that cannot be made: its nearest existing
-    ancestor, itself included, must be a directory."""
-    for name, value in vars(args).items():
+    below 1, a flag that the run would ignore, and an --output-dir that is
+    empty or cannot be made: its nearest existing ancestor, itself included,
+    must be a directory."""
+    given = vars(args)
+    for name, value in given.items():
         if isinstance(value, float):
             _finite(value, "--" + name.replace("_", "-"))
-    if "threads" in vars(args):
+    if "threads" in given:
         check_threads(args.threads)
-    if "output_dir" in vars(args):
+    ignored = []
+    if given.get("method") == "pam" and args.gamma is not None:
+        ignored.append("--gamma with --method pam")
+    if given.get("truth_column") is not None and given.get("truth") is None:
+        ignored.append("--truth-column without --truth")
+    if given.get("aggregate_only") is not None:
+        ignored.extend(f"--{f.name.replace('_', '-')} with --aggregate-only"
+                       for f in fields(BenchmarkPlan) if f.name in given)
+        if args.progress:
+            ignored.append("--progress with --aggregate-only")
+    if ignored:
+        raise ValueError(f"{', '.join(ignored)} would be ignored")
+    if "output_dir" in given:
+        if not args.output_dir:
+            raise ValueError("--output-dir must not be empty")
         probe = os.path.abspath(args.output_dir)
         while not os.path.exists(probe):
             probe = os.path.dirname(probe)
@@ -179,17 +194,15 @@ def _balance(name) -> str:
         raise ValueError(f"balance must be one of {sorted(_BALANCES)}, got {name!r}") from None
 
 
-def _load_dataset(args) -> MixedDataset:
+def _load(args):
+    """The --input CSV and, when --subsample is smaller, a seeded uniform row
+    subsample of it; returns (dataset, subsample indices or None)."""
     categorical = []
     if args.schema_file:
         categorical.extend(read_schema_file(args.schema_file))
     for entry in args.categorical or ():
         categorical.extend(name.strip() for name in entry.split(",") if name.strip())
-    return read_csv(args.input, categorical=categorical)
-
-
-def _maybe_subsample(ds, args):
-    """Optional seeded uniform row subsample; returns (dataset, indices)."""
+    ds = read_csv(args.input, categorical=categorical)
     if args.subsample is None or args.subsample >= ds.n:
         return ds, None
     if args.subsample < 2:
@@ -235,18 +248,17 @@ def _truth_ari(args, labels, subsample_idx):
 
 
 def _preprocess(args):
-    ds = _load_dataset(args)
-    ds, idx = _maybe_subsample(ds, args)
-    if not args.no_standardize and ds.p_cont:
+    ds, idx = _load(args)
+    if not args.no_standardize:
         ds = standardize(ds)
-    bw = _resolve_bandwidths(ds, args)
-    return ds, idx, bw
+    return ds, idx, _resolve_bandwidths(ds, args)
 
 
-def _write_result(args, payload, labels, subsample_idx) -> None:
+def _write_result(args, command, payload, labels, subsample_idx, **resolved) -> str:
     """Write ``result.json``, with the subsample indices and the ARI against
-    --truth added when they apply, and ``assignment.csv``.  The output
-    directory is made once the --truth file has been read and checked."""
+    --truth added when they apply, ``assignment.csv`` and ``manifest.json``
+    with the ``resolved`` parameters; return the output directory.  It is
+    made once the --truth file has been read and checked."""
     if subsample_idx is not None:
         payload["subsample_indices"] = subsample_idx.tolist()
     if args.truth:
@@ -255,6 +267,14 @@ def _write_result(args, payload, labels, subsample_idx) -> None:
     _write_json(os.path.join(outdir, "result.json"), payload)
     _write_table(os.path.join(outdir, "assignment.csv"), ["assignment"],
                  ([int(label)] for label in labels))
+    _write_manifest(outdir, command, _manifest_parameters(args, **resolved))
+    return outdir
+
+
+def _print_fit(payload) -> None:
+    print(f"effective_k = {payload['effective_k']}")
+    if "ari" in payload:
+        print(f"ari = {payload['ari']:.6f}")
 
 
 def cmd_cluster(args) -> int:
@@ -271,25 +291,21 @@ def cmd_cluster(args) -> int:
         "s": bw.s,
         "lambda": bw.lam.tolist(),
     }
-    _write_result(args, payload, result.assign, idx)
+    outdir = _write_result(args, "cluster", payload, result.assign, idx)
     if args.dump_density:
-        np.savetxt(os.path.join(args.output_dir, "density.csv"), density.matrix,
+        np.savetxt(os.path.join(outdir, "density.csv"), density.matrix,
                    delimiter=",", fmt="%.17g")
-    _write_manifest(args.output_dir, "cluster", _manifest_parameters(args))
     print(f"H(T) = {result.compression:.6f}")
     print(f"I(T;Y) = {result.relevance:.6f}")
     print(f"objective = {result.objective:.6f}")
-    print(f"effective_k = {result.effective_k}")
-    if "ari" in payload:
-        print(f"ari = {payload['ari']:.6f}")
+    _print_fit(payload)
     return EXIT_OK
 
 
 def cmd_baseline(args) -> int:
-    ds = _load_dataset(args)
-    ds, idx = _maybe_subsample(ds, args)
+    ds, idx = _load(args)
     if args.method == "kproto":
-        if not args.no_standardize and ds.p_cont:
+        if not args.no_standardize:
             ds = standardize(ds)
         gamma = args.gamma if args.gamma is not None else default_gamma(ds)
         restarts = args.restarts if args.restarts is not None else KPROTO_DEFAULT_RESTARTS
@@ -299,10 +315,9 @@ def cmd_baseline(args) -> int:
         )
         detail = {"gamma": gamma}
     else:
-        gm = gower(ds)
         restarts = args.restarts if args.restarts is not None else PAM_DEFAULT_RESTARTS
         labels = pam_fit(
-            gm, args.k, restarts=restarts, max_iter=args.max_iter, rng_seed=args.seed
+            gower(ds), args.k, restarts=restarts, max_iter=args.max_iter, rng_seed=args.seed
         )
         detail = {}
     payload = {
@@ -313,12 +328,9 @@ def cmd_baseline(args) -> int:
         "seed": args.seed,
         **detail,
     }
-    _write_result(args, payload, labels, idx)
-    _write_manifest(args.output_dir, "baseline", _manifest_parameters(args, restarts=restarts))
+    _write_result(args, "baseline", payload, labels, idx, restarts=restarts)
     print(f"method = {args.method}")
-    print(f"effective_k = {payload['effective_k']}")
-    if "ari" in payload:
-        print(f"ari = {payload['ari']:.6f}")
+    _print_fit(payload)
     return EXIT_OK
 
 

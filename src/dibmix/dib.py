@@ -206,15 +206,6 @@ def check_threads(threads) -> int:
     return int(threads)
 
 
-def dib_step(enc: Encoder, density: ConditionalDensity, beta: float, weights) -> Encoder:
-    """One synchronous update of the encoder against a fixed density."""
-    if enc.assign.shape[0] != density.n:
-        raise ValueError("encoder and density dimensions differ")
-    weights = _check_weights(weights, density.n)
-    assign = _score_step(enc.masses[None], enc.decoder[None], density, beta)
-    return Encoder.from_assignment(assign[0], enc.k, density, weights)
-
-
 def _marginal(p_matrix, weights):
     """p(y) = sum_x w(x) p(y | x), summed in x order: the decoder of the
     one-cluster encoder."""

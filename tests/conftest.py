@@ -19,6 +19,8 @@ from dibmix.dib import (
     DegenerateSmoothingError,
     Encoder,
     RestartSummary,
+    _check_weights,
+    _score_step,
     init_random,
     objective,
 )
@@ -224,6 +226,16 @@ def _score_step_oracle(masses, decoder, p_matrix, row_neg_entropy, beta, has_zer
     if np.any(np.isneginf(score.max(axis=1))):
         raise DegenerateSmoothingError("no cluster with finite score")
     return np.argmax(score, axis=1)
+
+
+def dib_step(enc, density, beta, weights):
+    """One synchronous update of the encoder against a fixed density, through
+    the library's own score step and refresh."""
+    if enc.assign.shape[0] != density.n:
+        raise ValueError("encoder and density dimensions differ")
+    weights = _check_weights(weights, density.n)
+    assign = _score_step(enc.masses[None], enc.decoder[None], density, beta)
+    return Encoder.from_assignment(assign[0], enc.k, density, weights)
 
 
 def row_neg_entropy_oracle(p):

@@ -287,13 +287,10 @@ def test_criterion_08_generator_calibration():
 
 @pytest.mark.threads
 def test_criterion_09_thread_determinism(tmp_path):
-    env = dict(os.environ)
-    env.pop("DIBMIX_THREADS", None)
-
     def cli(*args):
         proc = subprocess.run(
             [sys.executable, "-m", "dibmix.cli", *args],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         return proc

@@ -146,15 +146,18 @@ def test_failed_runs_become_error_rows(monkeypatch):
     assert all(r.status == "ok" for r in rows if r.method == "kprototypes")
 
 
-def test_value_error_becomes_error_row(monkeypatch):
+@pytest.mark.threads
+def test_value_error_propagates(monkeypatch):
+    # The plan checks every setting before any work, so a plain ValueError
+    # from a method is a fault of the program, not an error row.
     def bad_k(*args, **kwargs):
         raise ValueError("need 1 <= k <= n")
 
     monkeypatch.setattr(bench, "pam_fit", bad_k)
-    rows = run_benchmark(_tiny_plan())
-    assert [r.status for r in rows] == ["ok", "error"] * 2
-    assert all(r.error == "ValueError: need 1 <= k <= n"
-               for r in rows if r.method == "gower_pam")
+    with pytest.raises(ValueError, match="need 1 <= k <= n"):
+        run_benchmark(_tiny_plan())
+    with pytest.raises(ValueError, match="need 1 <= k <= n"):
+        run_benchmark(_tiny_plan(), threads=2)
 
 
 @pytest.mark.threads

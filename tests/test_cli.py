@@ -579,6 +579,65 @@ def test_benchmark_output_dir_is_checked_before_the_plan_runs(tmp_path, monkeypa
     assert calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--categorical", "c1", "--k", "2"],
+    ["baseline", "--categorical", "c1", "--method", "pam", "--k", "2"],
+    ["sweep-beta", "--categorical", "c1", "--k", "2", "--betas", "1,10"],
+    ["datagen", "--n", "20", "--p-c", "1", "--p-d", "1"],
+    _TINY_BENCHMARK,
+], ids=lambda argv: argv[0])
+def test_empty_output_dir_exits_2_before_any_work(tmp_path, separated_csv, argv, monkeypatch,
+                                                  capsys):
+    data, _, _ = separated_csv
+    if argv[0] in ("cluster", "baseline", "sweep-beta"):
+        argv = [*argv, "--input", str(data)]
+    calls = []
+    monkeypatch.setattr(cli, "run_benchmark", lambda *a, **kw: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main([*argv, "--output-dir", ""]) == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "invalid_argument"
+    assert err["message"] == "--output-dir must not be empty"
+    assert calls == []
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["baseline", "--method", "pam", "--gamma", "5"], "--gamma"),
+    (["cluster", "--truth-column", "truth"], "--truth-column"),
+    (["baseline", "--method", "kproto", "--truth-column", "truth"], "--truth-column"),
+])
+def test_flag_the_fit_would_ignore_exits_2(tmp_path, separated_csv, argv, flag, capsys):
+    data, _, _ = separated_csv
+    out = tmp_path / "o"
+    assert main([*argv, "--input", str(data), "--categorical", "c1", "--k", "2",
+                 "--output-dir", str(out)]) == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "invalid_argument"
+    assert err["message"].startswith(f"{flag} with")
+    assert not out.exists()
+
+
+def test_aggregate_only_refuses_every_plan_flag_and_progress(tmp_path, capsys):
+    assert main([*_TINY_BENCHMARK, "--output-dir", str(tmp_path / "bench")]) == 0
+    results = str(tmp_path / "bench" / "results.csv")
+    given = [("--progress",)]
+    for f in fields(BenchmarkPlan):
+        if f.name != "k":
+            value = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else f.default
+            given.append(("--" + f.name.replace("_", "-"), str(value)))
+    out = tmp_path / "o"
+    for flag in given:
+        capsys.readouterr()
+        assert main(["benchmark", "--aggregate-only", results, *flag,
+                     "--output-dir", str(out)]) == 2, flag
+        err, _ = _err(capsys)
+        assert err["code"] == "invalid_argument"
+        assert err["message"] == f"{flag[0]} with --aggregate-only would be ignored"
+        assert not out.exists()
+
+
 def test_unreadable_input_is_io_error(tmp_path, capsys):
     # a directory given as the input CSV: an OSError other than a missing file
     code = main(["cluster", "--input", str(tmp_path), "--k", "2",

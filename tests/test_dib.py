@@ -29,7 +29,6 @@ from dibmix import (
     choose_bandwidths,
     dib_fit,
     dib_fit_density,
-    dib_step,
     estimate_conditional,
     generate,
     init_random,
@@ -38,7 +37,12 @@ from dibmix import (
 )
 
 import conftest
-from conftest import dib_chain_states_oracle, dib_fit_density_oracle, dib_objective_oracle
+from conftest import (
+    dib_chain_states_oracle,
+    dib_fit_density_oracle,
+    dib_objective_oracle,
+    dib_step,
+)
 
 
 def _mixed(continuous, categorical=None, levels=()):
