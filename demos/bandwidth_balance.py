@@ -9,7 +9,6 @@ user-chosen factor.
 import numpy as np
 
 from dibmix import (
-    BalanceSpec,
     GenSpec,
     choose_bandwidths,
     default_s,
@@ -30,7 +29,7 @@ def main():
 
     print(f"{'weight':>8} {'s':>8} {'lambda':>24} {'var cont':>10} {'var cat':>10}")
     for weight in (0.25, 1.0, 4.0):
-        bw = choose_bandwidths(ds, BalanceSpec(categorical_weight=weight))
+        bw = choose_bandwidths(ds, categorical_weight=weight)
         var_c = kernel_factor_variance_continuous(ds, bw.s)
         var_d = kernel_factor_variance_categorical(ds, bw.lam)
         lam = np.array2string(bw.lam, precision=3, floatmode="fixed")

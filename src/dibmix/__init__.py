@@ -11,7 +11,6 @@ harness support method comparisons scored by the Adjusted Rand Index.
 __version__ = "0.1.0"
 
 from .bandwidth import (
-    BalanceSpec,
     choose_bandwidths,
     default_s,
     kernel_factor_variance_categorical,
@@ -88,7 +87,6 @@ from .metrics import ari, contingency
 from .seeding import derive_seed
 
 __all__ = [
-    "BalanceSpec",
     "BALANCE_EQUAL",
     "BALANCE_IMBALANCED",
     "Bandwidths",

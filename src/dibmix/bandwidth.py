@@ -19,39 +19,16 @@ enters only as a final factor, and block moments are merged pairwise.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import MixedDataset
 from .errors import SchemaError
-from .kernels import Bandwidths, _block_rows, aitchison_aitken
+from .kernels import Bandwidths, _block_rows, _scaled_continuous, aitchison_aitken
 
 DEFAULT_S_MULTIPLIER = 3.0
 
 _FALLBACK_LAMBDA_OFFSET = 0.2
-
-
-@dataclass(frozen=True)
-class BalanceSpec:
-    """How to pick bandwidths: categorical-to-continuous weight and s.
-
-    ``categorical_weight`` scales the target categorical kernel variance
-    relative to the continuous one (1 = equal influence).  ``s_value`` pins
-    s directly; when it is None, s = ``s_multiplier`` * n^(-1/(4+p_cont)).
-    """
-
-    categorical_weight: float = 1.0
-    s_value: float = None
-    s_multiplier: float = DEFAULT_S_MULTIPLIER
-
-    def __post_init__(self):
-        if not 0 < self.categorical_weight < math.inf:  # NaN fails too
-            raise ValueError("categorical weight must be positive and finite")
-        if self.s_value is not None and not 0 < self.s_value < math.inf:
-            raise ValueError("s must be positive and finite")
-        if not 0 < self.s_multiplier < math.inf:
-            raise ValueError("s multiplier must be positive and finite")
 
 
 def default_s(ds: MixedDataset, multiplier: float = DEFAULT_S_MULTIPLIER) -> float:
@@ -103,7 +80,7 @@ def kernel_factor_variance_continuous(ds: MixedDataset, s) -> float:
         raise SchemaError("no continuous variables")
     s = Bandwidths(s=s).s
     n = ds.n
-    cols = np.ascontiguousarray((ds.continuous / (s * np.sqrt(2.0))).T)
+    cols = _scaled_continuous(ds, s)
     rows = _block_rows(n)
     tmp = np.empty(min(n, rows) * n)
     variances = np.empty(ds.p_cont)
@@ -204,18 +181,44 @@ def select_lambda(ds: MixedDataset, s, categorical_weight: float = 1.0) -> np.nd
     return (1.0 - np.sqrt(target / max_var)) * upper
 
 
-def choose_s(ds: MixedDataset, spec: BalanceSpec) -> float:
-    """The continuous bandwidth a BalanceSpec gives: ``s_value`` if pinned,
-    else ``default_s``; 1.0 (unused) without continuous variables."""
+def choose_bandwidths(
+    ds: MixedDataset,
+    s=None,
+    lam=None,
+    *,
+    s_multiplier: float = DEFAULT_S_MULTIPLIER,
+    lambda_offset=None,
+    categorical_weight: float = 1.0,
+) -> Bandwidths:
+    """Resolve the bandwidth settings into bandwidths checked for ``ds``.
+
+    ``s`` pins the continuous bandwidth; when it is None, s = ``s_multiplier``
+    * n^(-1/(4+p_cont)).  Without continuous variables s is 1.0 (unused).
+    ``lam`` pins lambda, one value for every categorical variable or one
+    each; else ``lambda_offset`` gives ``offset_lambda``; else ``select_lambda``
+    balances the categorical kernel variance against ``categorical_weight``
+    times the continuous one (1 = equal influence).
+    """
+    settings = {"categorical weight": categorical_weight, "s": s, "s multiplier": s_multiplier}
+    for name, value in settings.items():
+        if value is not None and not 0 < value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be positive and finite")
+    if lam is not None:
+        if lambda_offset is not None:
+            raise ValueError("lambda and lambda offset exclude each other")
+        lam = np.asarray(lam, dtype=float).reshape(-1)
+        if lam.size == 1:
+            lam = np.full(ds.p_cat, lam[0])
+        elif lam.size != ds.p_cat:
+            raise ValueError(f"lambda needs 1 or {ds.p_cat} values, got {lam.size}")
     if ds.p_cont < 1:
-        return 1.0
-    return spec.s_value if spec.s_value is not None else default_s(ds, spec.s_multiplier)
-
-
-def choose_bandwidths(ds: MixedDataset, spec: BalanceSpec = BalanceSpec()) -> Bandwidths:
-    """Resolve a BalanceSpec into concrete bandwidths for a dataset."""
-    s = choose_s(ds, spec)
-    lam = (
-        select_lambda(ds, s, spec.categorical_weight) if ds.p_cat >= 1 else np.empty(0)
-    )
-    return Bandwidths(s=float(s), lam=lam)
+        s = 1.0
+    elif s is None:
+        s = default_s(ds, s_multiplier)
+    if lam is None and lambda_offset is not None:
+        lam = offset_lambda(ds, lambda_offset)
+    elif lam is None and ds.p_cat >= 1:
+        lam = select_lambda(ds, s, categorical_weight)
+    bw = Bandwidths(s=s, lam=() if lam is None else lam)
+    bw.validate_for(ds)
+    return bw

@@ -18,12 +18,12 @@ from statistics import mean, median
 
 import numpy as np
 
-from .bandwidth import BalanceSpec, choose_bandwidths
+from .bandwidth import choose_bandwidths
 from .baselines import gower, kprototypes_fit, pam_fit
 from .datagen import BALANCE_EQUAL, BALANCE_IMBALANCED, GenSpec, generate
 from .dataset import _read_table, _write_table, standardize
 from .dib import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, check_threads, dib_fit
-from .errors import DibmixError, SchemaError
+from .errors import DibmixError, ParseError, SchemaError
 from .metrics import ari
 from .seeding import STREAM_DATAGEN, STREAM_METHOD, derive_seed
 
@@ -71,6 +71,8 @@ class BenchmarkPlan:
             raise ValueError("replicates, restarts and max_iter must be >= 1")
         if not 0 <= self.beta < math.inf:  # NaN fails too
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
+        if not 0 < self.categorical_weight < math.inf:
+            raise ValueError("categorical weight must be positive and finite")
         grid_axes = tuple(getattr(self, name) for name in FACTOR_FIELDS.values())
         if any(len(axis) == 0 for axis in grid_axes):
             raise ValueError("benchmark grid is empty")
@@ -85,7 +87,6 @@ class BenchmarkPlan:
             raise ValueError(f"need 1 <= k <= min(ns), got k={self.k}, min(ns)={min(self.ns)}")
         for cell in self.cells():
             GenSpec(**cell)
-        BalanceSpec(categorical_weight=self.categorical_weight)
 
     def cells(self) -> tuple:
         """Factor combinations in canonical order; the position is the cell id."""
@@ -126,7 +127,7 @@ RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 def _run_method(method, data, standardized, plan, method_seed):
     if method == METHOD_DIBMIX:
         std = standardized()
-        bw = choose_bandwidths(std, BalanceSpec(categorical_weight=plan.categorical_weight))
+        bw = choose_bandwidths(std, categorical_weight=plan.categorical_weight)
         return dib_fit(std, plan.k, plan.beta, bw, restarts=plan.restarts,
                        max_iter=plan.max_iter, rng_seed=method_seed).assign
     if method == METHOD_KPROTOTYPES:
@@ -199,12 +200,17 @@ def write_results_csv(path, rows) -> None:
     _write_table(path, RESULT_COLUMNS, (row.as_record().values() for row in rows))
 
 
-def _parse_cell(kind, text):
+def _parse_cell(path, line_no, field, text):
     """A results.csv cell as its field's type; an empty cell is None unless
-    the field is a string."""
-    if kind is str:
+    the field is a string, and a cell that does not parse is a ParseError."""
+    if field.type is str:
         return text
-    return None if text == "" else kind(text)
+    try:
+        return None if text == "" else field.type(text)
+    except ValueError:
+        why = f"not a {field.type.__name__}: {text!r}"
+        raise ParseError(f"{path}: line {line_no}, column {field.name!r}: {why}",
+                         cells=[(line_no, field.name, why)]) from None
 
 
 def read_results_csv(path) -> tuple:
@@ -215,10 +221,11 @@ def read_results_csv(path) -> tuple:
                if f.default is MISSING and f.name not in header]
     if missing:
         raise SchemaError(f"{path}: missing column(s) {missing}")
+    index = {name: j for j, name in enumerate(header)}
+    columns = [(f, index[f.name]) for f in fields(ResultRow) if f.name in index]
     return tuple(
-        ResultRow(**{f.name: _parse_cell(f.type, rec[f.name])
-                     for f in fields(ResultRow) if f.name in rec})
-        for rec in (dict(zip(header, row)) for _, row in rows)
+        ResultRow(**{f.name: _parse_cell(path, line_no, f, row[j]) for f, j in columns})
+        for line_no, row in rows
     )
 
 

@@ -20,13 +20,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bandwidth import (
-    DEFAULT_S_MULTIPLIER,
-    BalanceSpec,
-    choose_bandwidths,
-    choose_s,
-    offset_lambda,
-)
+from .bandwidth import DEFAULT_S_MULTIPLIER, choose_bandwidths
 from .baselines import (
     KPROTO_DEFAULT_RESTARTS,
     PAM_DEFAULT_RESTARTS,
@@ -67,7 +61,7 @@ from .errors import (
     SizeCapError,
     ZeroVarianceError,
 )
-from .kernels import Bandwidths, estimate_conditional
+from .kernels import estimate_conditional
 from .metrics import ari
 from .seeding import STREAM_SUBSAMPLE, derive_seed
 
@@ -123,13 +117,17 @@ def _check_args(args) -> None:
     if "threads" in given:
         check_threads(args.threads)
     ignored = []
-    if given.get("method") == "pam" and args.gamma is not None:
-        ignored.append("--gamma with --method pam")
+    if given.get("method") == "pam":
+        if args.gamma is not None:
+            ignored.append("--gamma with --method pam")
+        if args.no_standardize:
+            ignored.append("--no-standardize with --method pam")
     if given.get("truth_column") is not None and given.get("truth") is None:
         ignored.append("--truth-column without --truth")
     if given.get("aggregate_only") is not None:
-        ignored.extend(f"--{f.name.replace('_', '-')} with --aggregate-only"
-                       for f in fields(BenchmarkPlan) if f.name in given)
+        ignored.extend(f"--{name.replace('_', '-')} with --aggregate-only"
+                       for name in (*(f.name for f in fields(BenchmarkPlan)), "threads")
+                       if name in given)
         if args.progress:
             ignored.append("--progress with --aggregate-only")
     if ignored:
@@ -212,30 +210,6 @@ def _load(args):
     return ds.subsample(idx), idx
 
 
-def _resolve_bandwidths(ds, args) -> Bandwidths:
-    """``choose_bandwidths`` under the --s, --s-multiplier and
-    --categorical-weight flags; --lambda or --lambda-offset replace its lambda."""
-    spec = BalanceSpec(
-        categorical_weight=args.categorical_weight,
-        s_value=args.s,
-        s_multiplier=args.s_multiplier,
-    )
-    if args.lam is None and args.lambda_offset is None:
-        bw = choose_bandwidths(ds, spec)
-    else:
-        if args.lam is not None:
-            lam = np.array(_parse_floats(args.lam, "--lambda"))
-            if lam.size == 1:
-                lam = np.full(ds.p_cat, lam[0])
-            elif lam.size != ds.p_cat:
-                raise ValueError(f"--lambda needs 1 or {ds.p_cat} values, got {lam.size}")
-        else:
-            lam = offset_lambda(ds, args.lambda_offset)
-        bw = Bandwidths(s=choose_s(ds, spec), lam=lam)
-    bw.validate_for(ds)
-    return bw
-
-
 def _truth_ari(args, labels, subsample_idx):
     truth = load_labels(args.truth, column=args.truth_column)
     if subsample_idx is not None:
@@ -251,7 +225,12 @@ def _preprocess(args):
     ds, idx = _load(args)
     if not args.no_standardize:
         ds = standardize(ds)
-    return ds, idx, _resolve_bandwidths(ds, args)
+    lam = _parse_floats(args.lam, "--lambda") if args.lam is not None else None
+    bw = choose_bandwidths(
+        ds, args.s, lam, s_multiplier=args.s_multiplier,
+        lambda_offset=args.lambda_offset, categorical_weight=args.categorical_weight,
+    )
+    return ds, idx, bw
 
 
 def _write_result(args, command, payload, labels, subsample_idx, **resolved) -> str:
@@ -394,7 +373,7 @@ def cmd_benchmark(args) -> int:
             if args.progress:
                 print(f"cell {cell + 1}/{n_cells} replicate {rep + 1}/{n_reps}", file=sys.stderr)
 
-        rows = run_benchmark(plan, threads=args.threads, progress=progress)
+        rows = run_benchmark(plan, threads=getattr(args, "threads", 1), progress=progress)
     outdir = _ensure_outdir(args.output_dir)
     if plan is not None:
         results_path = os.path.join(outdir, "results.csv")
@@ -506,8 +485,8 @@ def _add_plan_flags(parser):
                                 help=f"default: {f.default}")
 
 
-def _add_threads_flag(parser):
-    parser.add_argument("--threads", type=int, default=1,
+def _add_threads_flag(parser, default=1):
+    parser.add_argument("--threads", type=int, default=default,
                         help="worker threads (default: 1) for the slices of each "
                              "stacked DIB pass or for benchmark replicates")
 
@@ -559,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip running; aggregate an existing results CSV")
     p.add_argument("--progress", action="store_true", help="report progress on stderr")
     p.add_argument("--output-dir", default=".", help="directory for output files")
-    _add_threads_flag(p)
+    # no default of its own, so that --aggregate-only can tell it was given
+    _add_threads_flag(p, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("sweep-beta", help="trace the relevance-compression curve")

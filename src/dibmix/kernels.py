@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import MixedDataset
-from .errors import SchemaError, SizeCapError
+from .errors import DibmixError, SchemaError, SizeCapError
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -162,6 +162,18 @@ class ConditionalDensity:
         return any(bool((self.matrix[lo:lo + rows] == 0).any()) for lo in range(0, self.n, rows))
 
 
+def _scaled_continuous(ds: MixedDataset, s: float) -> np.ndarray:
+    """The continuous columns divided by s·√2, one contiguous row per
+    variable: the distances of every Gaussian factor are differences of
+    these.  An ``s`` so small that a scaled value overflows is a DibmixError."""
+    with np.errstate(over="ignore"):
+        cols = np.ascontiguousarray((ds.continuous / (s * np.sqrt(2.0))).T)
+    if not np.isfinite(cols).all():
+        raise DibmixError(f"continuous bandwidth s={s!r} is too small for the data: "
+                          "a continuous value divided by s overflows")
+    return cols
+
+
 def _log_kernel_blocks(ds: MixedDataset, bw: Bandwidths, out: np.ndarray):
     """Fill the n x n array ``out`` with log K(i, j) - log K(i, i), one block
     of rows at a time, yielding each block (a view into ``out``) as soon as it
@@ -171,8 +183,7 @@ def _log_kernel_blocks(ds: MixedDataset, bw: Bandwidths, out: np.ndarray):
     ``bw`` must already be validated for ``ds``.
     """
     n = ds.n
-    scale = bw.s * np.sqrt(2.0)
-    cont = np.ascontiguousarray((ds.continuous / scale).T)
+    cont = _scaled_continuous(ds, bw.s)
     # Per categorical variable, row l holds the log term of every j against
     # level l: 0 where j has level l, log(mismatch / match) elsewhere.
     tables = []

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from dibmix import (
-    BalanceSpec,
     Bandwidths,
     BenchmarkPlan,
     GenSpec,

@@ -14,7 +14,6 @@ import pytest
 from dibmix import (
     CATEGORICAL,
     CONTINUOUS,
-    BalanceSpec,
     MixedDataset,
     SchemaError,
     VariableSchema,
@@ -331,23 +330,32 @@ def test_select_lambda_errors():
 
 
 # ---------------------------------------------------------------------------
-# BalanceSpec / choose_bandwidths
+# choose_bandwidths
 
 
-def test_balance_spec_validation():
-    for weight in (0.0, float("nan")):
-        with pytest.raises(ValueError):
-            BalanceSpec(categorical_weight=weight)
-    with pytest.raises(ValueError):
-        BalanceSpec(s_value=-1.0)
+_BAD_SETTINGS = [
+    (dict(categorical_weight=0.0), "positive and finite"),
+    (dict(categorical_weight=float("nan")), "positive and finite"),
+    (dict(categorical_weight=float("inf")), "positive and finite"),
+    (dict(s=-1.0), "positive and finite"),
+    (dict(s=float("nan")), "positive and finite"),
+    (dict(s=float("inf")), "positive and finite"),
+    (dict(s_multiplier=0.0), "positive and finite"),
+    (dict(s_multiplier=float("nan")), "positive and finite"),
+    (dict(s_multiplier=float("inf")), "positive and finite"),
+    (dict(lam=[0.1], lambda_offset=0.1), "exclude each other"),
+    (dict(lam=[0.1, 0.1, 0.1]), "needs 1 or 2 values, got 3"),
+]
 
 
-def test_balance_spec_values_must_be_finite():
-    for bad in (dict(categorical_weight=float("inf")), dict(s_value=float("nan")),
-                dict(s_value=float("inf")), dict(s_multiplier=0.0),
-                dict(s_multiplier=float("nan")), dict(s_multiplier=float("inf"))):
-        with pytest.raises(ValueError, match="positive and finite"):
-            BalanceSpec(**bad)
+@pytest.mark.parametrize("settings, match", _BAD_SETTINGS, ids=[
+    ",".join(f"{name}={value}" for name, value in settings.items())
+    for settings, _ in _BAD_SETTINGS
+])
+def test_choose_bandwidths_rejects_bad_settings(settings, match):
+    ds = random_mixed_dataset(np.random.default_rng(6), n=20, p_cont=1, p_cat=2)
+    with pytest.raises(ValueError, match=match):
+        choose_bandwidths(ds, **settings)
 
 
 def test_choose_bandwidths_default_and_override():
@@ -356,7 +364,7 @@ def test_choose_bandwidths_default_and_override():
     bw = choose_bandwidths(ds)
     assert bw.s == pytest.approx(default_s(ds), rel=1e-15)
     assert bw.lam.shape == (1,)
-    pinned = choose_bandwidths(ds, BalanceSpec(s_value=2.5))
+    pinned = choose_bandwidths(ds, s=2.5)
     assert pinned.s == 2.5
 
 
@@ -367,6 +375,15 @@ def test_choose_bandwidths_pure_continuous_and_pure_categorical():
     cat_only = _dataset(categorical=np.tile([0, 1, 2], 4), levels=(3,))
     bw2 = choose_bandwidths(cat_only)
     np.testing.assert_allclose(bw2.lam, [2.0 / 3.0 - 0.2])
+
+
+def test_choose_bandwidths_lambda_overrides():
+    ds = random_mixed_dataset(np.random.default_rng(7), n=30, p_cont=1, p_cat=3)
+    shared = choose_bandwidths(ds, lam=[0.25])
+    np.testing.assert_array_equal(shared.lam, [0.25, 0.25, 0.25])
+    assert shared.s == choose_bandwidths(ds).s
+    offset = choose_bandwidths(ds, lambda_offset=0.1)
+    np.testing.assert_array_equal(offset.lam, offset_lambda(ds, 0.1))
 
 
 def test_offset_lambda_clips_to_range():

@@ -14,7 +14,6 @@ import pytest
 
 from dibmix import (
     BALANCE_IMBALANCED,
-    BalanceSpec,
     BenchmarkPlan,
     choose_bandwidths,
     read_csv,
@@ -201,9 +200,8 @@ def test_cluster_lambda_offset(tmp_path, separated_csv, capsys):
 
 
 @pytest.mark.parametrize("flags, spec", [
-    ([], BalanceSpec()),
-    (["--s", "1.5", "--categorical-weight", "2"],
-     BalanceSpec(s_value=1.5, categorical_weight=2.0)),
+    ([], {}),
+    (["--s", "1.5", "--categorical-weight", "2"], dict(s=1.5, categorical_weight=2.0)),
 ])
 def test_cluster_bandwidths_are_choose_bandwidths(tmp_path, mixed_csv, flags, spec, capsys):
     out = tmp_path / "bw"
@@ -213,7 +211,7 @@ def test_cluster_bandwidths_are_choose_bandwidths(tmp_path, mixed_csv, flags, sp
     ])
     assert code == 0
     capsys.readouterr()
-    bw = choose_bandwidths(standardize(read_csv(mixed_csv, categorical=["c1", "c2"])), spec)
+    bw = choose_bandwidths(standardize(read_csv(mixed_csv, categorical=["c1", "c2"])), **spec)
     result = json.loads((out / "result.json").read_text())
     assert result["bandwidths"] == {"s": bw.s, "lambda": bw.lam.tolist()}
 
@@ -636,6 +634,66 @@ def test_aggregate_only_refuses_every_plan_flag_and_progress(tmp_path, capsys):
         assert err["code"] == "invalid_argument"
         assert err["message"] == f"{flag[0]} with --aggregate-only would be ignored"
         assert not out.exists()
+
+
+def test_no_standardize_with_pam_exits_2(tmp_path, separated_csv, capsys):
+    data, _, _ = separated_csv
+    out = tmp_path / "o"
+    assert main(["baseline", "--input", str(data), "--categorical", "c1", "--method", "pam",
+                 "--k", "2", "--no-standardize", "--output-dir", str(out)]) == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "invalid_argument"
+    assert err["message"] == "--no-standardize with --method pam would be ignored"
+    assert not out.exists()
+
+
+@pytest.mark.threads
+def test_aggregate_only_refuses_threads(tmp_path, capsys):
+    assert main([*_TINY_BENCHMARK, "--output-dir", str(tmp_path / "bench")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["benchmark", "--aggregate-only", str(tmp_path / "bench" / "results.csv"),
+                 "--threads", "1", "--output-dir", str(out)]) == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "invalid_argument"
+    assert err["message"] == "--threads with --aggregate-only would be ignored"
+    assert not out.exists()
+
+
+def test_aggregate_only_bad_cell_is_located_parse_error(tmp_path, capsys):
+    assert main([*_TINY_BENCHMARK, "--output-dir", str(tmp_path / "bench")]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "bench" / "results.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    bad = tmp_path / "bad.csv"
+    _write_table(bad, header, [row[:header.index("runtime_s")] + ["X"]
+                               + row[header.index("runtime_s") + 1:] for row in rows])
+    out = tmp_path / "o"
+    assert main(["benchmark", "--aggregate-only", str(bad), "--output-dir", str(out)]) == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "parse_error"
+    assert err["message"] == f"{bad}: line 2, column 'runtime_s': not a float: 'X'"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data", ["cont", "mixed"])
+@pytest.mark.parametrize("argv", [["cluster"], ["sweep-beta", "--betas", "0,5"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("flag", ["--s", "--s-multiplier"])
+def test_s_too_small_for_the_data_exits_2(tmp_path, mixed_csv, data, argv, flag, capsys):
+    categorical = [] if data == "cont" else ["--categorical", "c1,c2"]
+    out = tmp_path / "o"
+    assert main([*argv, "--input", str(_one_kind_csvs(tmp_path, mixed_csv)[data]),
+                 *categorical, "--k", "2", "--restarts", "2", flag, "1e-320",
+                 "--output-dir", str(out)]) == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "invalid_input"
+    assert err["message"].startswith("continuous bandwidth s=")
+    assert not out.exists()
+    # a tiny s that the data can still be divided by runs
+    assert main([*argv, "--input", str(_one_kind_csvs(tmp_path, mixed_csv)[data]),
+                 *categorical, "--k", "2", "--restarts", "2", "--s", "1e-300",
+                 "--output-dir", str(out)]) == 0
 
 
 def test_unreadable_input_is_io_error(tmp_path, capsys):
