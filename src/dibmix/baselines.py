@@ -168,10 +168,7 @@ def pam_fit(
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if restarts < 1 or max_iter < 1:
-        raise ValueError("restarts and max_iter must be >= 1")
+    lockstep.check(k, n, restarts, max_iter)
     starts = [tuple(_pam_build(d, k))]
     starts += [tuple(_random_start(n, k, rng_seed, r).tolist()) for r in range(1, restarts)]
     paths = lockstep.walk(starts, functools.partial(_pam_round, d, {}), max_iter)
@@ -230,15 +227,13 @@ def kprototypes_fit(
     reseeded with the point currently farthest from its own prototype.  Best
     objective over restarts wins, ties to the lower restart index.
 
-    The restarts walk one state graph with ``lockstep.walk`` (see
-    ``_kproto_chains``), so restarts that meet merge; each chain's labels
-    and objective are bit-identical to running it alone.
+    The restarts walk together with ``lockstep.walk``, and each round is
+    costed in ``lockstep.stacks`` (see ``_kproto_chains``), so restarts that
+    meet merge; each chain's labels and objective are bit-identical to
+    running it alone.
     """
     n = ds.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    lockstep.check(k, n, restarts, max_iter)
     if gamma is None:
         gamma = default_gamma(ds)
     starts = np.array([_random_start(n, k, rng_seed, r) for r in range(restarts)])
@@ -260,6 +255,7 @@ def kprototypes_chain(
     """Run a single K-Prototypes chain and return (labels, objective,
     per-iteration objective trace) — a diagnostics hook; the trace is
     non-increasing."""
+    lockstep.check(k, ds.n, 1, max_iter)
     if gamma is None:
         gamma = default_gamma(ds)
     start = np.random.default_rng(rng_seed).choice(ds.n, size=k, replace=False)
@@ -306,14 +302,13 @@ def _kproto_chains(ds, k, gamma, max_iter, starts):
     The chains walk one state graph with ``lockstep.walk``.  A node is the
     byte key of one ``state`` record: labels as ``np.min_scalar_type(-k)``,
     centres and modes.  A start carries labels -1, so it never converges
-    and its objective is never read.  ``advance`` costs its nodes in stacks
-    of at most ``per_block``, records each node's objective (the cost of its
-    labels under its prototypes), and refreshes and reseeds the nodes whose
-    labels moved; a node whose labels stay is its own successor.  Chains
-    that reach one state merge, and each still ends where it ends alone.
+    and its objective is never read.  ``advance`` costs its nodes in
+    ``lockstep.stacks`` of at most ``per_block`` states, records each node's
+    objective (the cost of its labels under its prototypes), and refreshes
+    and reseeds the nodes whose labels moved; a node whose labels stay is its
+    own successor.  Chains that reach one state merge, and each still ends
+    where it ends alone.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     if not 0 <= gamma < math.inf:  # NaN fails too
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     n = ds.n
@@ -322,9 +317,6 @@ def _kproto_chains(ds, k, gamma, max_iter, starts):
                       ("modes", ds.categorical.dtype, (k, ds.p_cat))])
     per_block = max(1, _KPROTO_BLOCK_ELEMS // (n * k * max(1, ds.p_cont)))
     objectives = {}
-
-    def stacks(keys):
-        return [keys[lo:lo + per_block] for lo in range(0, len(keys), per_block)]
 
     def evaluate(keys):
         """The records of ``keys``, their labels and their (states, n, k)
@@ -338,7 +330,7 @@ def _kproto_chains(ds, k, gamma, max_iter, starts):
 
     def advance(pending):
         successors = []
-        for keys in stacks(pending):
+        for keys in lockstep.stacks(pending, per_block):
             block, labels, cost = evaluate(keys)
             new_labels = np.argmin(cost, axis=2)
             moved = np.flatnonzero((new_labels != labels).any(axis=1))
@@ -367,7 +359,8 @@ def _kproto_chains(ds, k, gamma, max_iter, starts):
     first["centers"], first["modes"] = ds.continuous[starts], ds.categorical[starts]
     paths = lockstep.walk([record.tobytes() for record in first], advance, max_iter)
     # the end nodes of capped chains have not been costed yet
-    for keys in stacks(list(dict.fromkeys(p[-1] for p in paths if p[-1] not in objectives))):
+    ends = list(dict.fromkeys(p[-1] for p in paths if p[-1] not in objectives))
+    for keys in lockstep.stacks(ends, per_block):
         evaluate(keys)
     chains = []
     for path in paths:

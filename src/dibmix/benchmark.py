@@ -200,6 +200,11 @@ def write_results_csv(path, rows) -> None:
     _write_table(path, RESULT_COLUMNS, (row.as_record().values() for row in rows))
 
 
+def _cell_error(path, line_no, column, why):
+    return ParseError(f"{path}: line {line_no}, column {column!r}: {why}",
+                      cells=[(line_no, column, why)])
+
+
 def _parse_cell(path, line_no, field, text):
     """A results.csv cell as its field's type; an empty cell is None unless
     the field is a string, and a cell that does not parse is a ParseError."""
@@ -208,25 +213,46 @@ def _parse_cell(path, line_no, field, text):
     try:
         return None if text == "" else field.type(text)
     except ValueError:
-        why = f"not a {field.type.__name__}: {text!r}"
-        raise ParseError(f"{path}: line {line_no}, column {field.name!r}: {why}",
-                         cells=[(line_no, field.name, why)]) from None
+        raise _cell_error(path, line_no, field.name,
+                          f"not a {field.type.__name__}: {text!r}") from None
+
+
+def _row_fault(row):
+    """The first column of a parsed result row that no run writes, and why;
+    None for a sound row."""
+    if row.status not in ("ok", "error"):
+        return "status", f"not 'ok' or 'error': {row.status!r}"
+    if row.method not in METHOD_NAMES:
+        return "method", f"not one of {METHOD_NAMES}: {row.method!r}"
+    if row.status == "ok":
+        if row.ari is None or not -1 <= row.ari <= 1:  # NaN fails too
+            return "ari", f"an ok row needs an ARI in [-1, 1], got {row.ari!r}"
+        if row.effective_k is None or row.effective_k < 1:
+            return "effective_k", f"an ok row needs an effective_k >= 1, got {row.effective_k!r}"
+    if row.runtime_s is not None and not 0 <= row.runtime_s < math.inf:
+        return "runtime_s", f"not a finite time >= 0: {row.runtime_s!r}"
+    return None
 
 
 def read_results_csv(path) -> tuple:
     """Result rows from a results.csv table; the columns of fields without
-    a default are required."""
-    header, rows = _read_table(path, "results file")
+    a default are required, and a row that no run writes (see
+    ``_row_fault``) is a ParseError."""
+    header, lines = _read_table(path, "results file")
     missing = [f.name for f in fields(ResultRow)
                if f.default is MISSING and f.name not in header]
     if missing:
         raise SchemaError(f"{path}: missing column(s) {missing}")
     index = {name: j for j, name in enumerate(header)}
     columns = [(f, index[f.name]) for f in fields(ResultRow) if f.name in index]
-    return tuple(
-        ResultRow(**{f.name: _parse_cell(path, line_no, f, row[j]) for f, j in columns})
-        for line_no, row in rows
-    )
+    rows = []
+    for line_no, line in lines:
+        row = ResultRow(**{f.name: _parse_cell(path, line_no, f, line[j]) for f, j in columns})
+        fault = _row_fault(row)
+        if fault is not None:
+            raise _cell_error(path, line_no, *fault)
+        rows.append(row)
+    return tuple(rows)
 
 
 def method_medians(rows) -> dict:

@@ -21,21 +21,22 @@ Empty clusters score -inf and therefore stay empty, which is what lets the
 method prune clusters (reported as ``effective_k``).
 
 The update is a pure function of the hard assignment, so the restarts of
-one fit walk one shared state graph with ``lockstep.walk``.  A node is one
-exact assignment vector; it holds its masses and its objective, and its
-decoder until its successor is known.  Each round stacks the decoders of
-the distinct nodes that waiting chains stand on, so p(y | x) is read once
-to score them all, and once more to refresh the states that are new; a
-chain steps along successors already known for free.  Restarts that meet
-share the rest of one trajectory, and no state is scored or refreshed
-twice.  A chain stops when it converges, cycles or reaches its cap, and its
-trace, best state and flags are read off its path.
-A stacked pass is cut into slices within a memory budget; ``threads > 1``
-cuts it into at least that many and runs them on a thread pool.  A node's
-arithmetic does not depend on its slice, so neither the work done nor the
-result depends on the thread count.  The objective is summed per cluster in
-sorted order, so restarts that reach one partition under different labels
-tie exactly and the lowest restart index wins.
+one fit walk together with ``lockstep.walk``.  A node is one exact
+assignment vector, keyed by its labels' bytes; the fit's memo holds each
+node's masses and objective, and its decoder until its successor is known.
+Each round stacks the decoders of the distinct nodes that waiting chains
+stand on, so p(y | x) is read once to score them all, and once more to
+refresh the states that are new; a chain steps along successors already
+known for free.  Restarts that meet share the rest of one trajectory, and
+no state is scored or refreshed twice.  A chain stops when it converges,
+cycles or reaches its cap, and its trace, best state and flags are read off
+its path.  ``lockstep.stacks`` cuts a stacked pass into slices within a
+memory budget; ``threads > 1`` cuts it into at least that many and runs
+them on a thread pool.  A node's arithmetic does not depend on its slice,
+so neither the work done nor the result depends on the thread count.  The
+objective is summed per cluster in sorted order, so restarts that reach one
+partition under different labels tie exactly and the lowest restart index
+wins.
 
 Reference: Strouse, DJ and Schwab, D.J. (2017). The deterministic
 information bottleneck. Neural Computation 29.
@@ -295,73 +296,6 @@ def _project(cls, source):
     return cls(**{f.name: getattr(source, f.name) for f in fields(cls)})
 
 
-class _StateGraph:
-    """The assignment states that the chains of one fit reach, and the steps
-    between them.
-
-    A node is one exact assignment, keyed by its labels as
-    ``np.min_scalar_type(k - 1)``.  It holds its masses and its
-    (objective, H, I); its decoder is dropped once ``advance`` has scored it,
-    and ``lockstep.walk`` keeps the successors.  ``mapper`` (``map`` or a
-    thread pool's) runs the slices of a stacked pass; only the calling
-    thread reads or writes the graph.
-    """
-
-    def __init__(self, density, weights, p_y, k, beta, threads, mapper):
-        self.density, self.weights, self.p_y, self.k, self.beta = density, weights, p_y, k, beta
-        self.threads, self.mapper = threads, mapper
-        self.dtype = np.min_scalar_type(k - 1)
-        self.index = {}
-        self.keys, self.masses, self.decoders, self.scores = [], [], [], []
-
-    def _pass(self, fn, items):
-        """``fn`` over contiguous slices of the stacked ``items`` (one per
-        state), its outputs in order: at least min(threads, len(items))
-        slices, each within the stacked-array budget above."""
-        n, count = self.density.n, len(items)
-        per_slice = max(1, max(n * n // _STACK_SHARE, _STACK_FLOOR) // (n * self.k))
-        parts = max(-(-count // per_slice), min(self.threads, count))
-        return list(self.mapper(fn, [items[b * count // parts:(b + 1) * count // parts]
-                                     for b in range(parts)]))
-
-    def add(self, assign):
-        """Node ids of the rows of ``assign`` (C, n); the states not seen
-        before are refreshed and scored in one stacked pass."""
-        keys = [row.tobytes() for row in assign.astype(self.dtype)]
-        fresh = {key: row for row, key in enumerate(keys) if key not in self.index}
-
-        def refresh(new):
-            masses, decoder = _refresh(new, self.k, self.density.matrix, self.weights)
-            return masses, decoder, *_objectives(masses, decoder, self.p_y, self.beta)
-
-        states = (state for out in self._pass(refresh, assign[list(fresh.values())])
-                  for state in zip(*out))
-        for key, (masses, decoder, obj, h, i) in zip(fresh, states):
-            self.index[key] = len(self.keys)
-            self.keys.append(key)
-            self.masses.append(masses)
-            self.decoders.append(decoder)
-            self.scores.append((obj.item(), h.item(), i.item()))
-        return [self.index[key] for key in keys]
-
-    def advance(self, pending):
-        """The successors of the nodes ``pending``, scored in one stacked
-        pass; their decoders are dropped."""
-
-        def score(group):
-            return _score_step(np.stack([self.masses[u] for u in group]),
-                               np.stack([self.decoders[u] for u in group]),
-                               self.density, self.beta)
-
-        new_assign = np.concatenate(self._pass(score, pending))
-        for u in pending:
-            self.decoders[u] = None
-        return self.add(new_assign)
-
-    def assign(self, node):
-        return np.frombuffer(self.keys[node], dtype=self.dtype)
-
-
 def _rises(path, scores):
     """The cycle rule, a ``lockstep.walk`` stop: the last step of ``path``
     raised the objective by more than ``_TRACE_RISE_TOL``, checked from the
@@ -376,27 +310,6 @@ def _outcome(path, scores):
     converged = path[-1] == path[-2]
     return ([scores[u][0] for u in path[1:]], min(path[1:], key=lambda u: scores[u][0]),
             converged, not converged and _rises(path, scores))
-
-
-def _walk(graph, restarts, rng_seed, max_iter):
-    """Walk ``restarts`` chains in lock-step on ``graph`` until each stops;
-    returns one (summary, trace, best assignment) per chain."""
-    seeds = [derive_seed(rng_seed, STREAM_RESTART, r) for r in range(restarts)]
-    starts = graph.add(np.stack([init_random(graph.density.n, graph.k, s) for s in seeds]))
-    paths = lockstep.walk(starts, graph.advance, max_iter,
-                          lambda path: _rises(path, graph.scores))
-    runs = []
-    for r, (seed, path) in enumerate(zip(seeds, paths)):
-        trace, node, converged, cycle = _outcome(path, graph.scores)
-        obj, h, i = graph.scores[node]
-        summary = RestartSummary(
-            restart_index=r, seed=seed, objective=obj, compression=h,
-            relevance=i, iterations=len(trace),
-            effective_k=int(np.count_nonzero(graph.masses[node] > 0)),
-            converged=converged, cycle_detected=cycle,
-        )
-        runs.append((summary, trace, graph.assign(node)))
-    return runs
 
 
 def dib_fit_density(
@@ -417,24 +330,69 @@ def dib_fit_density(
     different labels tie exactly, so the lowest restart index among them
     wins.  ``weights`` must be n finite, nonnegative values summing to 1.
     """
-    if restarts < 1 or max_iter < 1:
-        raise ValueError("restarts and max_iter must be >= 1")
     threads = check_threads(threads)
     if not 0 <= beta < math.inf:  # NaN fails too
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     n = density.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    lockstep.check(k, n, restarts, max_iter)
     weights = _check_weights(weights, n)
     p_y = _marginal(density.matrix, weights)
+    dtype = np.min_scalar_type(k - 1)
+    per_stack = max(1, max(n * n // _STACK_SHARE, _STACK_FLOOR) // (n * k))
+    # The memo of every state the chains reach, keyed by its labels' bytes:
+    # masses, (objective, H, I), and the decoder until the state is scored.
+    # Worker threads compute slices of a pass; only this thread touches it.
+    masses, decoders, scores = {}, {}, {}
+
+    def stacked(fn, items):
+        """``fn`` over the slices of a stacked pass; the items of its outputs."""
+        return [out for part in mapper(fn, lockstep.stacks(items, per_stack, threads))
+                for out in part]
+
+    def refresh(assign):
+        q, decoder = _refresh(assign, k, density.matrix, weights)
+        return zip(q, decoder, *_objectives(q, decoder, p_y, beta))
+
+    def add(assign):
+        """The keys of the rows of ``assign`` (C, n); the states not seen
+        before are refreshed and scored in one stacked pass."""
+        keys = [row.tobytes() for row in assign.astype(dtype)]
+        fresh = {key: row for row, key in enumerate(keys) if key not in scores}
+        states = stacked(refresh, assign[list(fresh.values())])
+        for key, (q, decoder, obj, h, i) in zip(fresh, states):
+            masses[key], decoders[key], scores[key] = q, decoder, (obj.item(), h.item(), i.item())
+        return keys
+
+    def score(keys):
+        return _score_step(np.stack([masses[u] for u in keys]),
+                           np.stack([decoders[u] for u in keys]), density, beta)
+
+    def advance(pending):
+        successors = np.array(stacked(score, pending))
+        for u in pending:
+            del decoders[u]
+        return add(successors)
+
+    seeds = [derive_seed(rng_seed, STREAM_RESTART, r) for r in range(restarts)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        graph = _StateGraph(density, weights, p_y, k, beta, threads,
-                            pool.map if threads > 1 else map)
-        runs = _walk(graph, restarts, rng_seed, max_iter)
-    summary, trace, assign = min(runs, key=lambda r: (r[0].objective, r[0].restart_index))
+        mapper = pool.map if threads > 1 else map
+        starts = add(np.stack([init_random(n, k, s) for s in seeds]))
+        paths = lockstep.walk(starts, advance, max_iter, lambda path: _rises(path, scores))
+    runs = []
+    for r, (seed, path) in enumerate(zip(seeds, paths)):
+        trace, node, converged, cycle = _outcome(path, scores)
+        obj, h, i = scores[node]
+        summary = RestartSummary(
+            restart_index=r, seed=seed, objective=obj, compression=h,
+            relevance=i, iterations=len(trace),
+            effective_k=int(np.count_nonzero(masses[node] > 0)),
+            converged=converged, cycle_detected=cycle,
+        )
+        runs.append((summary, trace, node))
+    summary, trace, node = min(runs, key=lambda r: (r[0].objective, r[0].restart_index))
     return DibResult(
         **vars(summary),
-        encoder=Encoder.from_assignment(assign, k, density, weights),
+        encoder=Encoder.from_assignment(np.frombuffer(node, dtype=dtype), k, density, weights),
         beta=beta,
         objective_trace=np.array(trace),
         restart_summary=tuple(r[0] for r in runs),

@@ -4,11 +4,30 @@ Each clustering method here iterates a pure function of a hashable state
 from many starts.  ``walk`` runs all of those chains together: it asks for
 the successors of a round's distinct states in one call, so the caller can
 stack their work, and it never asks twice for one state, so restarts that
-meet share the rest of one trajectory.
+meet share the rest of one trajectory.  ``stacks`` cuts a stacked pass into
+slices, and ``check`` holds the argument rule every method shares.
 """
 
 # The step cap of a chain, one iteration per step, when a method is given none.
 DEFAULT_MAX_ITER = 100
+
+
+def check(k, n, restarts, max_iter):
+    """Refuse a fit of ``k`` clusters on ``n`` points unless 1 <= k <= n and
+    it has at least one restart and one iteration."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if restarts < 1 or max_iter < 1:
+        raise ValueError("restarts and max_iter must be >= 1")
+
+
+def stacks(items, per_stack, parts=1):
+    """Contiguous slices of ``items``, in order, for one stacked pass: at
+    least min(parts, len(items)) of them, each of at most ``per_stack``
+    items, as even in size as they can be."""
+    count = len(items)
+    parts = max(-(-count // per_stack), min(parts, count))
+    return [items[b * count // parts:(b + 1) * count // parts] for b in range(parts)]
 
 
 def walk(starts, advance, max_steps, stops=None):

@@ -343,6 +343,18 @@ def test_kproto_errors():
             kprototypes_chain(ds, k=1, gamma=gamma)
 
 
+@pytest.mark.parametrize("k, max_iter, message", [
+    (0, 100, "need 1 <= k <= n, got k=0, n=3"),
+    (4, 100, "need 1 <= k <= n, got k=4, n=3"),
+    (1, 0, "restarts and max_iter must be >= 1"),
+])
+def test_kprototypes_chain_refuses_bad_arguments(k, max_iter, message):
+    ds = make_dataset(continuous=[0.0, 1.0, 3.0])
+    with pytest.raises(ValueError) as info:
+        kprototypes_chain(ds, k=k, max_iter=max_iter)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # exactness against the per-restart oracles in conftest
 

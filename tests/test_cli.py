@@ -676,6 +676,34 @@ def test_aggregate_only_bad_cell_is_located_parse_error(tmp_path, capsys):
     assert not out.exists()
 
 
+_SOUND_RESULT = {"cell": "0", "n": "20", "p_c": "1", "p_d": "1", "levels": "2",
+                 "overlap_cont": "0.3", "overlap_cat": "0.3", "balance": "equal",
+                 "replicate": "0", "method": "dibmix", "status": "ok", "ari": "0.5",
+                 "effective_k": "2", "runtime_s": "0.010000", "error": ""}
+
+
+@pytest.mark.parametrize("column, text, why", [
+    ("ari", "nan", "an ok row needs an ARI in [-1, 1], got nan"),
+    ("ari", "7.5", "an ok row needs an ARI in [-1, 1], got 7.5"),
+    ("ari", "", "an ok row needs an ARI in [-1, 1], got None"),
+    ("status", "bogus", "not 'ok' or 'error': 'bogus'"),
+    ("method", "kmeans",
+     "not one of ('dibmix', 'kprototypes', 'gower_pam'): 'kmeans'"),
+    ("runtime_s", "inf", "not a finite time >= 0: inf"),
+], ids=["nan_ari", "ari_above_1", "empty_ari", "bogus_status", "unknown_method", "inf_runtime"])
+def test_aggregate_only_refuses_a_row_no_run_writes(tmp_path, column, text, why, capsys):
+    results = tmp_path / "results.csv"
+    bad = {**_SOUND_RESULT, column: text}
+    _write_table(results, RESULT_COLUMNS,
+                 [[row[c] for c in RESULT_COLUMNS] for row in (_SOUND_RESULT, bad)])
+    out = tmp_path / "agg"
+    assert main(["benchmark", "--aggregate-only", str(results), "--output-dir", str(out)]) == 2
+    err, _ = _err(capsys)
+    assert err["code"] == "parse_error"
+    assert err["message"] == f"{results}: line 3, column {column!r}: {why}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("data", ["cont", "mixed"])
 @pytest.mark.parametrize("argv", [["cluster"], ["sweep-beta", "--betas", "0,5"]],
                          ids=lambda argv: argv[0])

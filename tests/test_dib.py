@@ -458,18 +458,14 @@ def test_state_memo_same_for_any_thread_count(max_iter):
 @pytest.mark.threads
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_state_memo_refreshes_each_state_once(monkeypatch, threads):
-    """A fit builds one state graph at any thread count, refreshes every
-    distinct assignment once, then rebuilds the winner's encoder, and scores
-    every state at most once; its result is the per-chain oracle's."""
+    """A fit refreshes every distinct assignment once at any thread count,
+    then rebuilds the winner's encoder, and scores every state at most once;
+    its result is the per-chain oracle's."""
     from dibmix import dib
 
     density, weights = _memo_density()
-    refreshed, scored, graphs = [], [], []
-    refresh, score_step, graph_init = dib._refresh, dib._score_step, dib._StateGraph.__init__
-
-    def counted_graph_init(self, *args):
-        graphs.append(self)
-        graph_init(self, *args)
+    refreshed, scored = [], []
+    refresh, score_step = dib._refresh, dib._score_step
 
     def counted_refresh(assign, k, p_matrix, w):
         refreshed.extend(row.tobytes() for row in assign)
@@ -481,10 +477,8 @@ def test_state_memo_refreshes_each_state_once(monkeypatch, threads):
 
     monkeypatch.setattr(dib, "_refresh", counted_refresh)
     monkeypatch.setattr(dib, "_score_step", counted_score_step)
-    monkeypatch.setattr(dib._StateGraph, "__init__", counted_graph_init)
     result = dib_fit_density(density, weights, _MEMO_K, _MEMO_BETA, restarts=20, rng_seed=7,
                              threads=threads)
-    assert len(graphs) == 1
     marginal, *states, winner = refreshed
     assert len(marginal) == 8 * density.n  # the one-cluster p(y), int64 labels
     assert len(set(states)) == len(states)
@@ -706,17 +700,17 @@ def test_stacked_passes_split_by_threads_within_budget(monkeypatch, threads):
     """Every stacked call holds at most the budgeted number of states, and
     with t threads a pass of at least t states is cut into at least t calls.
     The 150 starting states of the memo fit exceed one call's budget."""
-    from dibmix import dib
+    from dibmix import dib, lockstep
 
     density, weights = _memo_density()
     per_call = max(density.n ** 2 // dib._STACK_SHARE, dib._STACK_FLOOR) // (density.n * _MEMO_K)
     assert per_call < _MEMO_RESTARTS
     events = []
-    refresh, score_step, stacked_pass = dib._refresh, dib._score_step, dib._StateGraph._pass
+    refresh, score_step, stacks = dib._refresh, dib._score_step, lockstep.stacks
 
-    def counted_pass(self, fn, items):
+    def counted_stacks(items, per_stack, parts=1):
         events.append(("pass", len(items)))
-        return stacked_pass(self, fn, items)
+        return stacks(items, per_stack, parts)
 
     def counted_refresh(assign, *args):
         events.append(("call", assign.shape[0]))
@@ -726,7 +720,7 @@ def test_stacked_passes_split_by_threads_within_budget(monkeypatch, threads):
         events.append(("call", masses.shape[0]))
         return score_step(masses, *args)
 
-    monkeypatch.setattr(dib._StateGraph, "_pass", counted_pass)
+    monkeypatch.setattr(lockstep, "stacks", counted_stacks)
     monkeypatch.setattr(dib, "_refresh", counted_refresh)
     monkeypatch.setattr(dib, "_score_step", counted_score_step)
     dib_fit_density(density, weights, _MEMO_K, _MEMO_BETA, restarts=_MEMO_RESTARTS,

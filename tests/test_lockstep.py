@@ -1,11 +1,11 @@
 """``lockstep.walk`` on a toy successor map: u -> u // 2, whose only fixed
-point is 0."""
+point is 0; and the slicing and argument rules ``stacks`` and ``check``."""
 
 import itertools
 
 import pytest
 
-from dibmix.lockstep import walk
+from dibmix.lockstep import check, stacks, walk
 
 
 class _Halving:
@@ -76,3 +76,32 @@ def test_permuting_starts_permutes_paths():
     paths = walk(starts, _Halving(), 4)
     for perm in itertools.islice(itertools.permutations(range(len(starts))), 0, None, 97):
         assert walk([starts[i] for i in perm], _Halving(), 4) == [paths[i] for i in perm]
+
+
+@pytest.mark.parametrize("count, per_stack, parts", [
+    (0, 3, 1), (0, 3, 4),  # an empty pass has no slices
+    (2, 5, 4),  # fewer items than parts
+    (7, 1, 1), (7, 1, 3),  # one item per slice
+    (10, 3, 1), (10, 3, 2), (10, 4, 5), (11, 100, 3),  # per_stack divides no count
+])
+def test_stacks_cover_items_in_order_within_budget(count, per_stack, parts):
+    items = list(range(100, 100 + count))
+    slices = stacks(items, per_stack, parts)
+    assert [u for part in slices for u in part] == items
+    assert all(1 <= len(part) <= per_stack for part in slices)
+    assert len(slices) >= min(parts, count)
+    # no more slices than the budget or the parts call for
+    assert len(slices) == max(-(-count // per_stack), min(parts, count))
+
+
+@pytest.mark.parametrize("k, n, restarts, max_iter, message", [
+    (0, 5, 1, 1, "need 1 <= k <= n, got k=0, n=5"),
+    (6, 5, 1, 1, "need 1 <= k <= n, got k=6, n=5"),
+    (2, 5, 0, 1, "restarts and max_iter must be >= 1"),
+    (2, 5, 1, 0, "restarts and max_iter must be >= 1"),
+])
+def test_check_refuses_bad_restart_arguments(k, n, restarts, max_iter, message):
+    with pytest.raises(ValueError) as info:
+        check(k, n, restarts, max_iter)
+    assert str(info.value) == message
+    check(min(max(k, 1), n), n, 1, 1)  # the same fit with good arguments passes
