@@ -86,67 +86,9 @@ from .kernels import (
 from .metrics import ari, contingency
 from .seeding import derive_seed
 
-__all__ = [
-    "BALANCE_EQUAL",
-    "BALANCE_IMBALANCED",
-    "Bandwidths",
-    "BenchmarkPlan",
-    "BetaSweepResult",
-    "BetaSweepRow",
-    "CATEGORICAL",
-    "CONTINUOUS",
-    "ConditionalDensity",
-    "DegenerateSmoothingError",
-    "DibResult",
-    "DibmixError",
-    "Encoder",
-    "GenSpec",
-    "LabeledDataset",
-    "METHOD_NAMES",
-    "MixedDataset",
-    "ParseError",
-    "RestartSummary",
-    "ResultRow",
-    "SchemaError",
-    "SizeCapError",
-    "VariableSchema",
-    "ZeroVarianceError",
-    "aitchison_aitken",
-    "ari",
-    "beta_sweep",
-    "categorical_masses",
-    "choose_bandwidths",
-    "contingency",
-    "continuous_separation",
-    "default_gamma",
-    "default_s",
-    "derive_seed",
-    "dib_fit",
-    "dib_fit_density",
-    "entropy",
-    "estimate_conditional",
-    "factor_means",
-    "gaussian_kernel",
-    "generate",
-    "gower",
-    "init_random",
-    "kernel_factor_variance_categorical",
-    "kernel_factor_variance_continuous",
-    "kl_divergence",
-    "kprototypes_chain",
-    "kprototypes_fit",
-    "load_labels",
-    "method_medians",
-    "mutual_information",
-    "objective",
-    "pam_fit",
-    "read_csv",
-    "read_results_csv",
-    "read_schema_file",
-    "run_benchmark",
-    "select_lambda",
-    "standardize",
-    "write_aggregates_csv",
-    "write_csv",
-    "write_results_csv",
-]
+import types
+
+# The public API is every name bound by the imports above: each global that
+# is neither private nor a module (a submodule, or ``types`` itself).
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -12,7 +12,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import product
 from statistics import mean, median
 
@@ -69,6 +69,8 @@ class BenchmarkPlan:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if min(self.replicates, self.restarts, self.max_iter) < 1:
             raise ValueError("replicates, restarts and max_iter must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.beta < math.inf:  # NaN fails too
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
         if not 0 < self.categorical_weight < math.inf:
@@ -217,9 +219,35 @@ def _parse_cell(path, line_no, field, text):
                           f"not a {field.type.__name__}: {text!r}") from None
 
 
+# The first cell of the default grid: a valid GenSpec into which _factor_fault
+# puts a row's factors one at a time.
+_DEFAULT_CELL = {column: getattr(BenchmarkPlan, plan_field)[0]
+                 for column, plan_field in FACTOR_FIELDS.items()}
+
+
+@lru_cache(maxsize=1024)  # a results file repeats each cell's factors many times
+def _factor_fault(factors):
+    """The first of the (column, value) pairs ``factors`` that is empty, or
+    that GenSpec refuses once put into the default cell with the pairs before
+    it, and why; None when GenSpec takes them all."""
+    cell = dict(_DEFAULT_CELL)
+    for column, value in factors:
+        if value is None:
+            return column, "a factor cell must not be empty"
+        cell[column] = value
+        try:
+            GenSpec(**cell)
+        except ValueError as exc:
+            return column, str(exc)
+    return None
+
+
 def _row_fault(row):
     """The first column of a parsed result row that no run writes, and why;
     None for a sound row."""
+    fault = _factor_fault(tuple((column, getattr(row, column)) for column in FACTOR_COLUMNS))
+    if fault is not None:
+        return fault
     if row.status not in ("ok", "error"):
         return "status", f"not 'ok' or 'error': {row.status!r}"
     if row.method not in METHOD_NAMES:

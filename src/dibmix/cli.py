@@ -98,22 +98,46 @@ def _emit_error(code: str, message: str) -> None:
 
 def _finite(value, flag) -> float:
     """A float flag's value, or the text of one item of a float list flag, as
-    a finite float; NaN or an infinity is a ValueError that names the flag."""
-    number = float(value)
+    a finite float; text that is no number, NaN or an infinity is a
+    ValueError that names the flag."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise ValueError(f"{flag}: {value!r} is not a number") from None
     if not math.isfinite(number):
         raise ValueError(f"{flag} must be a finite number, got {value!r}")
     return number
 
 
+def _integer(value, flag) -> int:
+    """The text of one item of an integer list flag as an int; text that is
+    no integer is a ValueError that names the flag."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{flag}: {value!r} is not an integer") from None
+
+
+def _parse_list(text, flag, cast):
+    """The non-empty items of a comma list flag, each as ``cast(item, flag)``."""
+    return tuple(cast(tok, flag) for tok in str(text).split(",") if tok != "")
+
+
 def _check_args(args) -> None:
-    """Refuse, before any work, a float flag that is not finite, a --threads
-    below 1, a flag that the run would ignore, and an --output-dir that is
-    empty or cannot be made: its nearest existing ancestor, itself included,
-    must be a directory."""
+    """Refuse, before any work, a float flag or an item of --lambda or
+    --betas that is not a finite number, a --seed below 0, a --threads below
+    1, a flag that the run would ignore, and an --output-dir that is empty or
+    cannot be made: its nearest existing ancestor, itself included, must be
+    a directory."""
     given = vars(args)
     for name, value in given.items():
         if isinstance(value, float):
             _finite(value, "--" + name.replace("_", "-"))
+    for name, flag in (("lam", "--lambda"), ("betas", "--betas")):
+        if given.get(name) is not None:
+            _parse_list(given[name], flag, _finite)
+    if given.get("seed") is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if "threads" in given:
         check_threads(args.threads)
     ignored = []
@@ -185,11 +209,11 @@ def _write_manifest(outdir, command, parameters) -> None:
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
-def _balance(name) -> str:
+def _balance(name, flag) -> str:
     try:
         return _BALANCES[name]
     except KeyError:
-        raise ValueError(f"balance must be one of {sorted(_BALANCES)}, got {name!r}") from None
+        raise ValueError(f"{flag}: {name!r} is not one of {sorted(_BALANCES)}") from None
 
 
 def _load(args):
@@ -225,7 +249,7 @@ def _preprocess(args):
     ds, idx = _load(args)
     if not args.no_standardize:
         ds = standardize(ds)
-    lam = _parse_floats(args.lam, "--lambda") if args.lam is not None else None
+    lam = _parse_list(args.lam, "--lambda", _finite) if args.lam is not None else None
     bw = choose_bandwidths(
         ds, args.s, lam, s_multiplier=args.s_multiplier,
         lambda_offset=args.lambda_offset, categorical_weight=args.categorical_weight,
@@ -315,7 +339,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_datagen(args) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(GenSpec)}
-    spec = GenSpec(**given | {"balance": _balance(args.balance)})
+    spec = GenSpec(**given | {"balance": _balance(args.balance, "--balance")})
     labeled = generate(spec)
     outdir = _ensure_outdir(args.output_dir)
     data_path = os.path.join(outdir, "data.csv")
@@ -337,14 +361,6 @@ def cmd_datagen(args) -> int:
     return EXIT_OK
 
 
-def _parse_list(text, cast):
-    return tuple(cast(tok) for tok in str(text).split(",") if tok != "")
-
-
-def _parse_floats(text, flag):
-    return _parse_list(text, lambda tok: _finite(tok, flag))
-
-
 def _benchmark_plan(args) -> BenchmarkPlan:
     """The plan from the benchmark flags that were given; an omitted flag
     keeps the plan's default.  A list flag's items are parsed like those of
@@ -355,10 +371,10 @@ def _benchmark_plan(args) -> BenchmarkPlan:
             value = getattr(args, f.name)
             if isinstance(f.default, tuple):
                 example = f.default[0]
-                if isinstance(example, float):
-                    value = _parse_floats(value, "--" + f.name.replace("_", "-"))
-                else:
-                    value = _parse_list(value, _balance if example in _BALANCES else type(example))
+                cast = (_finite if isinstance(example, float)
+                        else _integer if isinstance(example, int)
+                        else _balance if example in _BALANCES else lambda tok, flag: tok)
+                value = _parse_list(value, "--" + f.name.replace("_", "-"), cast)
             given[f.name] = value
     return BenchmarkPlan(**given)
 
@@ -391,7 +407,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_sweep_beta(args) -> int:
     ds, idx, bw = _preprocess(args)
-    betas = _parse_floats(args.betas, "--betas")
+    betas = _parse_list(args.betas, "--betas", _finite)
     sweep = beta_sweep(
         ds, args.k, bw, betas, restarts=args.restarts, max_iter=args.max_iter,
         rng_seed=args.seed, threads=args.threads,

@@ -186,8 +186,9 @@ def _score_step(masses, decoder, density, beta):
     best = np.argmax(score, axis=2)  # ties resolve to the smallest cluster index
     if np.any(np.isneginf(np.take_along_axis(score, best[:, :, None], axis=2))):
         raise DegenerateSmoothingError(
-            "some observation has no cluster with finite score; categorical "
-            "support is disconnected under zero-lambda smoothing"
+            "some observation has no cluster with finite score: p(y|x) has "
+            "exact zeros, from a zero lambda or from an s so small that the "
+            "Gaussian kernel underflows; try a larger --s or --lambda"
         )
     return best.T
 

@@ -26,8 +26,9 @@ class ZeroVarianceError(DibmixError):
 
 
 class DegenerateSmoothingError(DibmixError):
-    """Smoothing parameters leave some observation with no admissible cluster
-    (only possible with zero categorical bandwidths)."""
+    """Smoothing parameters leave some observation with no admissible cluster:
+    p(y|x) holds exact zeros, from a zero categorical bandwidth or from a
+    continuous bandwidth s small enough that the Gaussian kernel underflows."""
 
 
 class SizeCapError(DibmixError):

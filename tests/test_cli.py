@@ -546,6 +546,27 @@ def test_non_finite_float_flag_exits_2_before_any_output(tmp_path, mixed_csv, da
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cluster", "--k", "2", "--lambda", "0.1,abc"], "--lambda: 'abc' is not a number"),
+    (["sweep-beta", "--k", "2", "--betas", "1,abc"], "--betas: 'abc' is not a number"),
+    ([*_TINY_BENCHMARK, "--overlaps-cat", "0.3,abc"], "--overlaps-cat: 'abc' is not a number"),
+    ([*_TINY_BENCHMARK, "--ns", "20,x"], "--ns: 'x' is not an integer"),
+    ([*_TINY_BENCHMARK, "--balances", "equal,bogus"],
+     "--balances: 'bogus' is not one of ['equal', 'imbalanced', 'imbalanced-3:1']"),
+], ids=["lambda", "betas", "overlaps_cat", "ns", "balances"])
+def test_list_flag_item_that_does_not_parse_exits_2_before_any_work(tmp_path, argv, message,
+                                                                     capsys):
+    # the --input file does not exist, so a check made after the CSV is
+    # read would exit with input_not_found instead
+    if argv[0] != "benchmark":
+        argv = [*argv, "--input", str(tmp_path / "missing.csv")]
+    out = tmp_path / "o"
+    assert main([*argv, "--output-dir", str(out)]) == 2
+    err, _ = _err(capsys)
+    assert err == {"code": "invalid_argument", "message": message}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["cluster", "--categorical", "c1", "--k", "2"],
     ["baseline", "--categorical", "c1", "--method", "pam", "--k", "2"],
@@ -565,6 +586,30 @@ def test_output_dir_at_or_below_a_file_exits_2(tmp_path, separated_csv, argv, be
     assert err["code"] == "invalid_argument"
     assert "is not a directory" in err["message"]
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--categorical", "c1", "--k", "2"],
+    ["baseline", "--categorical", "c1", "--method", "pam", "--k", "2"],
+    ["sweep-beta", "--categorical", "c1", "--k", "2", "--betas", "1,10"],
+    ["datagen", "--n", "20", "--p-c", "1", "--p-d", "1"],
+    _TINY_BENCHMARK,
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_2_before_any_work(tmp_path, argv, capsys):
+    # the --input file does not exist, so a check made after the CSV is
+    # read would exit with input_not_found instead
+    if argv[0] in ("cluster", "baseline", "sweep-beta"):
+        argv = [*argv, "--input", str(tmp_path / "missing.csv")]
+    out = tmp_path / "o"
+    assert main([*argv, "--seed", "-1", "--output-dir", str(out)]) == 2
+    err, _ = _err(capsys)
+    assert err == {"code": "invalid_argument", "message": "--seed must be >= 0, got -1"}
+    assert not out.exists()
+
+
+def test_benchmark_plan_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        BenchmarkPlan(seed=-3)
 
 
 def test_benchmark_output_dir_is_checked_before_the_plan_runs(tmp_path, monkeypatch, capsys):
@@ -690,7 +735,13 @@ _SOUND_RESULT = {"cell": "0", "n": "20", "p_c": "1", "p_d": "1", "levels": "2",
     ("method", "kmeans",
      "not one of ('dibmix', 'kprototypes', 'gower_pam'): 'kmeans'"),
     ("runtime_s", "inf", "not a finite time >= 0: inf"),
-], ids=["nan_ari", "ari_above_1", "empty_ari", "bogus_status", "unknown_method", "inf_runtime"])
+    ("balance", "bogus", "balance must be 'equal' or 'imbalanced-3:1'"),
+    ("n", "-7", "n must be at least 4"),
+    ("overlap_cat", "1.5", "overlap_cat must lie strictly between 0 and 1, got 1.5"),
+    ("levels", "1", "every categorical variable needs at least 2 levels"),
+    ("n", "", "a factor cell must not be empty"),
+], ids=["nan_ari", "ari_above_1", "empty_ari", "bogus_status", "unknown_method", "inf_runtime",
+        "bogus_balance", "negative_n", "overlap_above_1", "one_level", "empty_n"])
 def test_aggregate_only_refuses_a_row_no_run_writes(tmp_path, column, text, why, capsys):
     results = tmp_path / "results.csv"
     bad = {**_SOUND_RESULT, column: text}
