@@ -17,7 +17,6 @@ values are measured from the diagonal value, so the constant 1/sqrt(2 pi)
 enters only as a final factor, and block moments are merged pairwise.
 """
 
-import math
 import warnings
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from .dataset import MixedDataset
 from .errors import SchemaError
 from .kernels import Bandwidths, _block_rows, _scaled_continuous, aitchison_aitken
+from .lockstep import check_range
 
 DEFAULT_S_MULTIPLIER = 3.0
 
@@ -43,8 +43,7 @@ def default_s(ds: MixedDataset, multiplier: float = DEFAULT_S_MULTIPLIER) -> flo
         raise SchemaError("default_s needs at least one continuous variable")
     if ds.n < 2:
         raise SchemaError("default_s needs at least 2 observations")
-    if multiplier <= 0:
-        raise ValueError("multiplier must be positive")
+    check_range("s multiplier", multiplier)
     return float(multiplier * ds.n ** (-1.0 / (4 + ds.p_cont)))
 
 
@@ -156,8 +155,7 @@ def select_lambda(ds: MixedDataset, s, categorical_weight: float = 1.0) -> np.nd
     """
     if ds.p_cat < 1:
         raise SchemaError("select_lambda needs at least one categorical variable")
-    if not categorical_weight > 0:
-        raise ValueError("categorical weight must be positive")
+    check_range("categorical weight", categorical_weight)
     if ds.p_cont == 0:
         return offset_lambda(ds, _FALLBACK_LAMBDA_OFFSET)
     upper = _max_lambda(ds)
@@ -201,8 +199,8 @@ def choose_bandwidths(
     """
     settings = {"categorical weight": categorical_weight, "s": s, "s multiplier": s_multiplier}
     for name, value in settings.items():
-        if value is not None and not 0 < value < math.inf:  # NaN fails too
-            raise ValueError(f"{name} must be positive and finite")
+        if value is not None:
+            check_range(name, value)
     if lam is not None:
         if lambda_offset is not None:
             raise ValueError("lambda and lambda offset exclude each other")

@@ -168,7 +168,7 @@ def pam_fit(
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
-    lockstep.check(k, n, restarts, max_iter)
+    lockstep.check(k, n, restarts, max_iter, rng_seed)
     starts = [tuple(_pam_build(d, k))]
     starts += [tuple(_random_start(n, k, rng_seed, r).tolist()) for r in range(1, restarts)]
     paths = lockstep.walk(starts, functools.partial(_pam_round, d, {}), max_iter)
@@ -233,9 +233,8 @@ def kprototypes_fit(
     running it alone.
     """
     n = ds.n
-    lockstep.check(k, n, restarts, max_iter)
-    if gamma is None:
-        gamma = default_gamma(ds)
+    lockstep.check(k, n, restarts, max_iter, rng_seed)
+    gamma = default_gamma(ds) if gamma is None else lockstep.check_range("gamma", gamma)
     starts = np.array([_random_start(n, k, rng_seed, r) for r in range(restarts)])
     chains = _kproto_chains(ds, k, gamma, max_iter, starts)
     best = chains[0]
@@ -255,9 +254,8 @@ def kprototypes_chain(
     """Run a single K-Prototypes chain and return (labels, objective,
     per-iteration objective trace) — a diagnostics hook; the trace is
     non-increasing."""
-    lockstep.check(k, ds.n, 1, max_iter)
-    if gamma is None:
-        gamma = default_gamma(ds)
+    lockstep.check(k, ds.n, 1, max_iter, rng_seed)
+    gamma = default_gamma(ds) if gamma is None else lockstep.check_range("gamma", gamma)
     start = np.random.default_rng(rng_seed).choice(ds.n, size=k, replace=False)
     [(labels, objective, trace)] = _kproto_chains(ds, k, gamma, max_iter, start[None])
     return labels, objective, tuple(trace)
@@ -309,8 +307,6 @@ def _kproto_chains(ds, k, gamma, max_iter, starts):
     own successor.  Chains that reach one state merge, and each still ends
     where it ends alone.
     """
-    if not 0 <= gamma < math.inf:  # NaN fails too
-        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     n = ds.n
     state = np.dtype([("labels", np.min_scalar_type(-k), n),
                       ("centers", ds.continuous.dtype, (k, ds.p_cont)),

@@ -22,8 +22,9 @@ from .bandwidth import choose_bandwidths
 from .baselines import gower, kprototypes_fit, pam_fit
 from .datagen import BALANCE_EQUAL, BALANCE_IMBALANCED, GenSpec, generate
 from .dataset import _read_table, _write_table, standardize
-from .dib import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, check_threads, dib_fit
+from .dib import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, dib_fit
 from .errors import DibmixError, ParseError, SchemaError
+from .lockstep import check, check_range, check_threads
 from .metrics import ari
 from .seeding import STREAM_DATAGEN, STREAM_METHOD, derive_seed
 
@@ -67,17 +68,14 @@ class BenchmarkPlan:
         # not an error row for every replicate of some cell.
         for name in (*FACTOR_FIELDS.values(), "methods"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if min(self.replicates, self.restarts, self.max_iter) < 1:
-            raise ValueError("replicates, restarts and max_iter must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0 <= self.beta < math.inf:  # NaN fails too
-            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
-        if not 0 < self.categorical_weight < math.inf:
-            raise ValueError("categorical weight must be positive and finite")
+        if self.replicates < 1:
+            raise ValueError("replicates must be >= 1")
+        check_range("beta", self.beta)
+        check_range("categorical weight", self.categorical_weight)
         grid_axes = tuple(getattr(self, name) for name in FACTOR_FIELDS.values())
         if any(len(axis) == 0 for axis in grid_axes):
             raise ValueError("benchmark grid is empty")
+        check(self.k, min(self.ns), self.restarts, self.max_iter, self.seed)
         unknown = set(self.methods) - set(METHOD_NAMES)
         if unknown or not self.methods:
             raise ValueError(f"methods must be a non-empty subset of {METHOD_NAMES}")
@@ -85,8 +83,6 @@ class BenchmarkPlan:
         for axis in (*grid_axes, self.methods):
             if len(set(axis)) < len(axis):
                 raise ValueError(f"factor levels and methods must be distinct, got {axis}")
-        if not 1 <= self.k <= min(self.ns):
-            raise ValueError(f"need 1 <= k <= min(ns), got k={self.k}, min(ns)={min(self.ns)}")
         for cell in self.cells():
             GenSpec(**cell)
 

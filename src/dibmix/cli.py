@@ -50,7 +50,6 @@ from .dib import (
     DEFAULT_RESTARTS,
     BetaSweepRow,
     beta_sweep,
-    check_threads,
     dib_fit_density,
 )
 from .errors import (
@@ -62,12 +61,16 @@ from .errors import (
     ZeroVarianceError,
 )
 from .kernels import estimate_conditional
+from .lockstep import check_range, check_threads
 from .metrics import ari
 from .seeding import STREAM_SUBSAMPLE, derive_seed
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
+
+# Flags that check_range rules; each dest is its setting's name, "_" for " ".
+_RANGED = ("seed", "beta", "gamma", "s", "s_multiplier", "categorical_weight")
 
 # Parsed flags that choose where output goes or how many workers run, not
 # what the outputs hold, so they stay out of the manifest.
@@ -125,19 +128,22 @@ def _parse_list(text, flag, cast):
 
 def _check_args(args) -> None:
     """Refuse, before any work, a float flag or an item of --lambda or
-    --betas that is not a finite number, a --seed below 0, a --threads below
-    1, a flag that the run would ignore, and an --output-dir that is empty or
-    cannot be made: its nearest existing ancestor, itself included, must be
-    a directory."""
+    --betas that is not a finite number, a setting or --betas item outside
+    its range (``check_range``), a --threads below 1, a flag that the run
+    would ignore, and an --output-dir that is empty or cannot be made: its
+    nearest existing ancestor, itself included, must be a directory."""
     given = vars(args)
     for name, value in given.items():
+        flag = "--" + name.replace("_", "-")
         if isinstance(value, float):
-            _finite(value, "--" + name.replace("_", "-"))
-    for name, flag in (("lam", "--lambda"), ("betas", "--betas")):
-        if given.get(name) is not None:
-            _parse_list(given[name], flag, _finite)
-    if given.get("seed") is not None and args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+            _finite(value, flag)
+        if name in _RANGED and value is not None:
+            check_range(name.replace("_", " "), value, flag)
+    if given.get("lam") is not None:
+        _parse_list(args.lam, "--lambda", _finite)
+    if given.get("betas") is not None:
+        for beta in _parse_list(args.betas, "--betas", _finite):
+            check_range("beta", beta, "--betas")
     if "threads" in given:
         check_threads(args.threads)
     ignored = []
@@ -146,6 +152,12 @@ def _check_args(args) -> None:
             ignored.append("--gamma with --method pam")
         if args.no_standardize:
             ignored.append("--no-standardize with --method pam")
+    if given.get("s") is not None and args.s_multiplier != DEFAULT_S_MULTIPLIER:
+        ignored.append("--s-multiplier with --s")
+    if given.get("categorical_weight", 1.0) != 1.0:
+        for name, flag in (("lam", "--lambda"), ("lambda_offset", "--lambda-offset")):
+            if given.get(name) is not None:
+                ignored.append(f"--categorical-weight with {flag}")
     if given.get("truth_column") is not None and given.get("truth") is None:
         ignored.append("--truth-column without --truth")
     if given.get("aggregate_only") is not None:

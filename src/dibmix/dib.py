@@ -42,8 +42,6 @@ Reference: Strouse, DJ and Schwab, D.J. (2017). The deterministic
 information bottleneck. Neural Computation 29.
 """
 
-import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -134,8 +132,7 @@ def _refresh(assign, k, p_matrix, weights):
 def init_random(n: int, k: int, rng_seed: int) -> np.ndarray:
     """Assign each observation independently and uniformly to one of k
     clusters; returns the int64 assignment vector."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    lockstep.check(k, n, 1, 1, rng_seed)
     return np.random.default_rng(rng_seed).integers(0, k, size=n)
 
 
@@ -199,13 +196,6 @@ def _check_weights(weights, n):
     if weights.shape != (n,):
         raise ValueError(f"weights have length {weights.shape[0]}, expected {n}")
     return weights
-
-
-def check_threads(threads) -> int:
-    """``threads`` as an int; anything but an integer >= 1 is a ValueError."""
-    if not isinstance(threads, numbers.Integral) or threads < 1:
-        raise ValueError("threads must be >= 1")
-    return int(threads)
 
 
 def _marginal(p_matrix, weights):
@@ -331,11 +321,10 @@ def dib_fit_density(
     different labels tie exactly, so the lowest restart index among them
     wins.  ``weights`` must be n finite, nonnegative values summing to 1.
     """
-    threads = check_threads(threads)
-    if not 0 <= beta < math.inf:  # NaN fails too
-        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+    threads = lockstep.check_threads(threads)
+    lockstep.check_range("beta", beta)
     n = density.n
-    lockstep.check(k, n, restarts, max_iter)
+    lockstep.check(k, n, restarts, max_iter, rng_seed)
     weights = _check_weights(weights, n)
     p_y = _marginal(density.matrix, weights)
     dtype = np.min_scalar_type(k - 1)
@@ -457,11 +446,9 @@ def beta_sweep(
     """Fit once per beta (same seed, so initializations are shared) and
     tabulate H(T), I(T, Y) and the effective cluster count.  ``betas`` must
     be strictly increasing, so that grid neighbours are curve neighbours."""
-    betas = [float(b) for b in betas]
+    betas = [lockstep.check_range("beta", float(b)) for b in betas]
     if not betas:
         raise ValueError("betas must be non-empty")
-    if not all(0 <= b < math.inf for b in betas):  # NaN fails too
-        raise ValueError("betas must be finite and nonnegative")
     if not all(lo < hi for lo, hi in zip(betas, betas[1:])):
         raise ValueError("betas must be strictly increasing")
     density = estimate_conditional(ds, bw)

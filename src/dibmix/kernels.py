@@ -34,6 +34,7 @@ import numpy as np
 
 from .dataset import MixedDataset
 from .errors import DibmixError, SchemaError, SizeCapError
+from .lockstep import check_range
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -60,9 +61,7 @@ def gaussian_kernel(diff, s):
     N(0, s^2) density at ``diff``; the leftover 1/s belongs to the overall
     estimator prefactor, which cancels under row normalization.
     """
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0):
-        raise ValueError("continuous bandwidth s must be positive")
+    s = np.asarray(check_range("s", s), dtype=float)
     d = np.asarray(diff, dtype=float)
     out = np.exp(-(d * d) / (2.0 * s * s)) / _SQRT_2PI
     return out if out.ndim else float(out)
@@ -104,8 +103,9 @@ class Bandwidths:
     lam: np.ndarray = ()
 
     def __post_init__(self):
-        if np.ndim(self.s) or not 0 < float(self.s) < np.inf:  # NaN fails too
+        if np.ndim(self.s):
             raise ValueError("continuous bandwidth s must be one positive, finite float")
+        check_range("s", float(self.s))
         lam = np.asarray(self.lam, dtype=float).reshape(-1)
         if np.any(lam < 0) or not np.all(np.isfinite(lam)):
             raise ValueError("categorical bandwidths must be finite and nonnegative")

@@ -5,20 +5,43 @@ from many starts.  ``walk`` runs all of those chains together: it asks for
 the successors of a round's distinct states in one call, so the caller can
 stack their work, and it never asks twice for one state, so restarts that
 meet share the rest of one trajectory.  ``stacks`` cuts a stacked pass into
-slices, and ``check`` holds the argument rule every method shares.
+slices.  ``check``, ``check_range`` and ``check_threads`` hold every rule on
+the settings of a run, and no other module restates them.
 """
+
+import numbers
 
 # The step cap of a chain, one iteration per step, when a method is given none.
 DEFAULT_MAX_ITER = 100
 
 
-def check(k, n, restarts, max_iter):
-    """Refuse a fit of ``k`` clusters on ``n`` points unless 1 <= k <= n and
-    it has at least one restart and one iteration."""
+def check(k, n, restarts, max_iter, seed):
+    """Refuse a fit of ``k`` clusters on ``n`` points unless 1 <= k <= n, it
+    has at least one restart and one iteration, and ``seed`` is in range."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if restarts < 1 or max_iter < 1:
         raise ValueError("restarts and max_iter must be >= 1")
+    check_range("seed", seed)
+
+
+def check_range(name, value, label=None):
+    """The setting ``name``'s ``value``, unchanged, if it lies in (0, 1e100] for s,
+    the s multiplier and the categorical weight, in [0, 1e100] for the seed,
+    beta and gamma; else (NaN too) a ValueError naming ``label`` or ``name``."""
+    # The cap keeps beta * |log q| (|log q| <= 745), gamma times a mismatch
+    # count, and their sums over any array far below the largest float, 1.8e308.
+    kind = "positive" if name in ("s", "s multiplier", "categorical weight") else "nonnegative"
+    if not (0 < value <= 1e100 if kind == "positive" else 0 <= value <= 1e100):
+        raise ValueError(f"{label or name} must be {kind} and finite, at most 1e100, got {value}")
+    return value
+
+
+def check_threads(threads) -> int:
+    """``threads`` as an int; anything but an integer >= 1 is a ValueError."""
+    if not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError("threads must be >= 1")
+    return int(threads)
 
 
 def stacks(items, per_stack, parts=1):

@@ -603,12 +603,14 @@ def test_negative_seed_exits_2_before_any_work(tmp_path, argv, capsys):
     out = tmp_path / "o"
     assert main([*argv, "--seed", "-1", "--output-dir", str(out)]) == 2
     err, _ = _err(capsys)
-    assert err == {"code": "invalid_argument", "message": "--seed must be >= 0, got -1"}
+    assert err == {"code": "invalid_argument",
+                   "message": "--seed must be nonnegative and finite, at most 1e100, got -1"}
     assert not out.exists()
 
 
 def test_benchmark_plan_refuses_a_negative_seed():
-    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+    with pytest.raises(ValueError,
+                       match="seed must be nonnegative and finite, at most 1e100, got -3"):
         BenchmarkPlan(seed=-3)
 
 
@@ -650,6 +652,9 @@ def test_empty_output_dir_exits_2_before_any_work(tmp_path, separated_csv, argv,
     (["baseline", "--method", "pam", "--gamma", "5"], "--gamma"),
     (["cluster", "--truth-column", "truth"], "--truth-column"),
     (["baseline", "--method", "kproto", "--truth-column", "truth"], "--truth-column"),
+    (["cluster", "--s", "0.5", "--s-multiplier", "2"], "--s-multiplier"),
+    (["cluster", "--lambda", "0.2", "--categorical-weight", "5"], "--categorical-weight"),
+    (["cluster", "--lambda-offset", "0.1", "--categorical-weight", "5"], "--categorical-weight"),
 ])
 def test_flag_the_fit_would_ignore_exits_2(tmp_path, separated_csv, argv, flag, capsys):
     data, _, _ = separated_csv

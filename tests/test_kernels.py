@@ -150,7 +150,7 @@ def test_bandwidths_s_is_one_scalar():
         with pytest.raises(ValueError, match="one positive, finite float"):
             Bandwidths(s=s)
     for s in (np.nan, -np.inf):
-        with pytest.raises(ValueError, match="one positive, finite float"):
+        with pytest.raises(ValueError, match="s must be positive and finite"):
             Bandwidths(s=s)
     bw = Bandwidths(s=np.float64(0.5))
     assert type(bw.s) is float and bw.s == 0.5

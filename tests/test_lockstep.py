@@ -1,11 +1,30 @@
 """``lockstep.walk`` on a toy successor map: u -> u // 2, whose only fixed
-point is 0; and the slicing and argument rules ``stacks`` and ``check``."""
+point is 0; the slicing rule ``stacks``; and the argument and range rules
+``check`` and ``check_range``, directly and through every caller."""
 
 import itertools
+import math
+import re
+import warnings
 
 import pytest
 
-from dibmix.lockstep import check, stacks, walk
+from dibmix import (
+    BenchmarkPlan,
+    GenSpec,
+    choose_bandwidths,
+    default_s,
+    dib_fit,
+    generate,
+    gower,
+    init_random,
+    kprototypes_chain,
+    kprototypes_fit,
+    pam_fit,
+    select_lambda,
+    standardize,
+)
+from dibmix.lockstep import check, check_range, stacks, walk
 
 
 class _Halving:
@@ -94,14 +113,63 @@ def test_stacks_cover_items_in_order_within_budget(count, per_stack, parts):
     assert len(slices) == max(-(-count // per_stack), min(parts, count))
 
 
-@pytest.mark.parametrize("k, n, restarts, max_iter, message", [
-    (0, 5, 1, 1, "need 1 <= k <= n, got k=0, n=5"),
-    (6, 5, 1, 1, "need 1 <= k <= n, got k=6, n=5"),
-    (2, 5, 0, 1, "restarts and max_iter must be >= 1"),
-    (2, 5, 1, 0, "restarts and max_iter must be >= 1"),
+@pytest.mark.parametrize("k, n, restarts, max_iter, message, seed", [
+    (0, 5, 1, 1, "need 1 <= k <= n, got k=0, n=5", 0),
+    (6, 5, 1, 1, "need 1 <= k <= n, got k=6, n=5", 0),
+    (2, 5, 0, 1, "restarts and max_iter must be >= 1", 0),
+    (2, 5, 1, 0, "restarts and max_iter must be >= 1", 0),
+    (2, 5, 1, 1, "seed must be nonnegative and finite, at most 1e100, got -1", -1),
 ])
-def test_check_refuses_bad_restart_arguments(k, n, restarts, max_iter, message):
+def test_check_refuses_bad_restart_arguments(k, n, restarts, max_iter, message, seed):
     with pytest.raises(ValueError) as info:
-        check(k, n, restarts, max_iter)
+        check(k, n, restarts, max_iter, seed)
     assert str(info.value) == message
-    check(min(max(k, 1), n), n, 1, 1)  # the same fit with good arguments passes
+    check(min(max(k, 1), n), n, 1, 1, 0)  # the same fit with good arguments passes
+
+
+@pytest.mark.parametrize("name, value, ok", [
+    ("seed", 0, True), ("beta", 0.0, True), ("gamma", 1e100, True), ("s", 1e100, True),
+    ("s", 0.0, False), ("s multiplier", -1.0, False), ("categorical weight", 0.0, False),
+    ("beta", math.nextafter(1e100, math.inf), False), ("gamma", -1e-300, False),
+    ("seed", 10**101, False), ("s", math.nan, False), ("beta", math.nan, False),
+])
+def test_check_range_bounds(name, value, ok):
+    if ok:
+        assert check_range(name, value) is value
+    else:
+        message = rf"^--flag must be .* at most 1e100, got {re.escape(str(value))}$"
+        with pytest.raises(ValueError, match=message):
+            check_range(name, value, "--flag")
+
+
+def _mixed():
+    spec = GenSpec(n=40, p_c=2, p_d=2, levels=3, overlap_cont=0.3, overlap_cat=0.3, seed=3)
+    return standardize(generate(spec).data)
+
+
+@pytest.mark.parametrize("setting, call", [
+    pytest.param("seed", lambda ds: dib_fit(ds, 2, 10.0, choose_bandwidths(ds), rng_seed=-1),
+                 id="dib_fit-seed"),
+    pytest.param("seed", lambda ds: kprototypes_fit(ds, 2, rng_seed=-1),
+                 id="kprototypes_fit-seed"),
+    pytest.param("seed", lambda ds: kprototypes_chain(ds, 2, rng_seed=-1),
+                 id="kprototypes_chain-seed"),
+    pytest.param("seed", lambda ds: pam_fit(gower(ds), 2, restarts=1, rng_seed=-1),
+                 id="pam_fit-seed"),
+    pytest.param("seed", lambda ds: init_random(10, 2, -1), id="init_random-seed"),
+    pytest.param("s multiplier", lambda ds: default_s(ds, math.nan), id="default_s-nan"),
+    pytest.param("s multiplier", lambda ds: default_s(ds, math.inf), id="default_s-inf"),
+    pytest.param("categorical weight", lambda ds: select_lambda(ds, 1.0, math.inf),
+                 id="select_lambda-inf"),
+    pytest.param("beta", lambda ds: dib_fit(ds, 2, 1e308, choose_bandwidths(ds)),
+                 id="dib_fit-beta"),
+    pytest.param("gamma", lambda ds: kprototypes_fit(ds, 2, gamma=1e308),
+                 id="kprototypes_fit-gamma"),
+    pytest.param("beta", lambda ds: BenchmarkPlan(beta=1e308), id="BenchmarkPlan-beta"),
+])
+def test_out_of_range_setting_is_refused_by_name(setting, call):
+    ds = _mixed()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning, no clamping
+        with pytest.raises(ValueError, match=f"^{setting} must be"):
+            call(ds)
