@@ -32,12 +32,12 @@ _KPROTO_BLOCK_ELEMS = 1 << 19
 def gower(ds: MixedDataset) -> np.ndarray:
     """Read-only n x n array d(i,j) = mean over variables of range-scaled
     absolute difference (continuous) and simple mismatch (categorical) in
-    [0,1].  Every variable's term goes through one n x n scratch array, so
-    the sum and the scratch are the only n x n arrays."""
+    [0,1].  The output is filled one ``kernels._block_rows`` block of rows
+    at a time, each variable's term formed in one block-sized scratch, so
+    the output is the only n x n array."""
     n = ds.n
     p = ds.p_cont + ds.p_cat
-    total = np.zeros((n, n))
-    scratch = np.empty((n, n))
+    ranges = []
     for j in range(ds.p_cont):
         col = ds.continuous[:, j]
         rng = float(col.max() - col.min())
@@ -45,14 +45,24 @@ def gower(ds: MixedDataset) -> np.ndarray:
             raise ZeroVarianceError(
                 f"continuous variable {ds.continuous_vars[j].name!r} has zero range"
             )
-        np.subtract(col[:, None], col[None, :], out=scratch)
-        np.abs(scratch, out=scratch)
-        scratch /= rng
-        total += scratch
-    for j in range(ds.p_cat):
-        col = ds.categorical[:, j]
-        total += np.not_equal(col[:, None], col[None, :], out=scratch)
-    total /= p
+        ranges.append(rng)
+    total = np.empty((n, n))
+    rows = _block_rows(n)
+    scratch = np.empty((min(n, rows), n))
+    for lo in range(0, n, rows):
+        block = total[lo:lo + rows]
+        tmp = scratch[:block.shape[0]]
+        block.fill(0.0)
+        for j, rng in enumerate(ranges):
+            col = ds.continuous[:, j]
+            np.subtract(col[lo:lo + rows, None], col[None, :], out=tmp)
+            np.abs(tmp, out=tmp)
+            tmp /= rng
+            block += tmp
+        for j in range(ds.p_cat):
+            col = ds.categorical[:, j]
+            block += np.not_equal(col[lo:lo + rows, None], col[None, :], out=tmp)
+        block /= p
     total.flags.writeable = False
     return total
 

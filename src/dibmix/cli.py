@@ -61,7 +61,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .kernels import estimate_conditional
-from .lockstep import check_range, check_threads
+from .lockstep import check, check_range, check_threads
 from .metrics import ari
 from .seeding import STREAM_SUBSAMPLE, derive_seed
 
@@ -129,9 +129,11 @@ def _parse_list(text, flag, cast):
 def _check_args(args) -> None:
     """Refuse, before any work, a float flag or an item of --lambda or
     --betas that is not a finite number, a setting or --betas item outside
-    its range (``check_range``), a --threads below 1, a flag that the run
-    would ignore, and an --output-dir that is empty or cannot be made: its
-    nearest existing ancestor, itself included, must be a directory."""
+    its range (``check_range``), a --threads below 1, a --k, --restarts or
+    --max-iter below 1 (``check``; k > n waits for the data), a --subsample
+    below 2, a flag that the run would ignore, and an --output-dir that is
+    empty or cannot be made: its nearest existing ancestor, itself
+    included, must be a directory."""
     given = vars(args)
     for name, value in given.items():
         flag = "--" + name.replace("_", "-")
@@ -146,6 +148,13 @@ def _check_args(args) -> None:
             check_range("beta", beta, "--betas")
     if "threads" in given:
         check_threads(args.threads)
+    if "k" in given:
+        # n is not known before --input is read; baseline resolves an
+        # omitted --restarts to its method's default, which is at least 1
+        restarts = 1 if args.restarts is None else args.restarts
+        check(args.k, None, restarts, args.max_iter, args.seed)
+    if given.get("subsample") is not None and args.subsample < 2:
+        raise ValueError("subsample size must be at least 2")
     ignored = []
     if given.get("method") == "pam":
         if args.gamma is not None:
@@ -239,8 +248,6 @@ def _load(args):
     ds = read_csv(args.input, categorical=categorical)
     if args.subsample is None or args.subsample >= ds.n:
         return ds, None
-    if args.subsample < 2:
-        raise ValueError("subsample size must be at least 2")
     rng = np.random.default_rng(derive_seed(args.seed, STREAM_SUBSAMPLE))
     idx = np.sort(rng.choice(ds.n, size=args.subsample, replace=False))
     return ds.subsample(idx), idx

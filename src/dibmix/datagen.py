@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .dataset import CATEGORICAL, CONTINUOUS, MixedDataset, VariableSchema
+from .lockstep import check_range
 
 BALANCE_EQUAL = "equal"
 BALANCE_IMBALANCED = "imbalanced-3:1"
@@ -54,6 +55,7 @@ class GenSpec:
                 raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
         if self.balance not in (BALANCE_EQUAL, BALANCE_IMBALANCED):
             raise ValueError(f"balance must be {BALANCE_EQUAL!r} or {BALANCE_IMBALANCED!r}")
+        check_range("seed", self.seed)
 
     def cluster_sizes(self) -> tuple:
         if self.balance == BALANCE_EQUAL:

@@ -399,7 +399,11 @@ def dib_fit(
     rng_seed: int = 0,
     threads: int = 1,
 ) -> DibResult:
-    """Estimate the conditional density for ``ds`` and fit the encoder."""
+    """Estimate the conditional density for ``ds`` and fit the encoder.  The
+    arguments are checked before the density is built."""
+    lockstep.check_threads(threads)
+    lockstep.check_range("beta", beta)
+    lockstep.check(k, ds.n, restarts, max_iter, rng_seed)
     density = estimate_conditional(ds, bw)
     return dib_fit_density(
         density, ds.weights, k, beta, restarts=restarts, max_iter=max_iter,
@@ -451,6 +455,8 @@ def beta_sweep(
         raise ValueError("betas must be non-empty")
     if not all(lo < hi for lo, hi in zip(betas, betas[1:])):
         raise ValueError("betas must be strictly increasing")
+    lockstep.check_threads(threads)
+    lockstep.check(k, ds.n, restarts, max_iter, rng_seed)
     density = estimate_conditional(ds, bw)
     rows = []
     for beta in betas:

@@ -17,9 +17,10 @@ DEFAULT_MAX_ITER = 100
 
 def check(k, n, restarts, max_iter, seed):
     """Refuse a fit of ``k`` clusters on ``n`` points unless 1 <= k <= n, it
-    has at least one restart and one iteration, and ``seed`` is in range."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    has at least one restart and one iteration, and ``seed`` is in range.
+    ``n`` None means that n is not known yet; k must then be at least 1."""
+    if k < 1 or (n is not None and k > n):
+        raise ValueError(f"need 1 <= k <= n, got k={k}" + ("" if n is None else f", n={n}"))
     if restarts < 1 or max_iter < 1:
         raise ValueError("restarts and max_iter must be >= 1")
     check_range("seed", seed)

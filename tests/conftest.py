@@ -26,6 +26,11 @@ from dibmix.dib import (
 )
 from dibmix.seeding import STREAM_RESTART, derive_seed
 
+# The argv of a two-cell benchmark (six rows) that runs in well under a second.
+TINY_BENCHMARK = ["benchmark", "--ns", "20", "--p-cs", "1", "--p-ds", "1", "--levels", "2",
+                  "--overlaps-cont", "0.3", "--overlaps-cat", "0.3", "--replicates", "1",
+                  "--restarts", "2"]
+
 
 def make_dataset(continuous=None, categorical=None, levels=(), weights=None):
     """Small literal-dataset factory for hand-constructed cases."""

@@ -54,6 +54,12 @@ def test_genspec_rejects_levels_that_are_not_integers(levels):
         GenSpec(n=10, p_c=1, p_d=1, levels=levels, overlap_cont=0.3, overlap_cat=0.3)
 
 
+def test_genspec_refuses_a_negative_seed():
+    with pytest.raises(ValueError,
+                       match="^seed must be nonnegative and finite, at most 1e100, got -1$"):
+        GenSpec(n=10, p_c=1, p_d=0, levels=(), overlap_cont=0.3, overlap_cat=0.3, seed=-1)
+
+
 def test_genspec_cluster_sizes():
     equal = GenSpec(n=200, p_c=1, p_d=0, levels=(), overlap_cont=0.3, overlap_cat=0.3)
     assert equal.cluster_sizes() == (100, 100)

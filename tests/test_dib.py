@@ -808,6 +808,31 @@ def test_dib_fit_validation_errors():
             dib_fit(ds, k=2, beta=1.0, bw=bw, threads=threads)
 
 
+@pytest.mark.parametrize("fit", ["dib_fit", "beta_sweep"])
+@pytest.mark.parametrize("bad, message", [
+    (dict(k=0), "need 1 <= k <= n, got k=0, n=10"),
+    (dict(restarts=0), "restarts and max_iter must be >= 1"),
+    (dict(max_iter=0), "restarts and max_iter must be >= 1"),
+    (dict(rng_seed=-1), "seed must be nonnegative and finite, at most 1e100, got -1"),
+    (dict(beta=1e308), "beta must be nonnegative and finite, at most 1e100, got 1e+308"),
+    (dict(threads=0), "threads must be >= 1"),
+], ids=["k", "restarts", "max_iter", "seed", "beta", "threads"])
+def test_bad_arguments_are_refused_before_the_density_is_built(monkeypatch, fit, bad, message):
+    def build(*args, **kwargs):
+        raise AssertionError("the density was built")
+
+    monkeypatch.setattr("dibmix.dib.estimate_conditional", build)
+    ds = _mixed(np.random.default_rng(0).standard_normal(10))
+    given = dict(k=2, beta=1.0, restarts=1, max_iter=1, rng_seed=0, threads=1) | bad
+    beta = given.pop("beta")
+    with pytest.raises(ValueError) as info:
+        if fit == "dib_fit":
+            dib_fit(ds, beta=beta, bw=Bandwidths(s=1.0), **given)
+        else:
+            beta_sweep(ds, bw=Bandwidths(s=1.0), betas=[beta], **given)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # beta_sweep
 
