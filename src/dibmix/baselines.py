@@ -25,8 +25,9 @@ PAM_DEFAULT_RESTARTS = 1
 KPROTO_DEFAULT_RESTARTS = 100
 # One K-Prototypes cost evaluation stacks at most as many states as keep its
 # (states, n, k, continuous variables) temporaries within about this many
-# elements.
-_KPROTO_BLOCK_ELEMS = 1 << 19
+# elements (512 KiB of doubles).  Eight times as many ran no faster on the
+# benchmark grid's cells and held eight times the memory.
+_KPROTO_BLOCK_ELEMS = 1 << 16
 
 
 def gower(ds: MixedDataset) -> np.ndarray:
@@ -73,12 +74,34 @@ def _pam_build(d, k):
     medoids = [int(np.argmin(d.sum(axis=0)))]
     nearest = d[:, medoids[0]].copy()
     while len(medoids) < k:
-        gains = np.maximum(nearest[:, None] - d, 0.0).sum(axis=0)
+        gains = _build_gains(d, nearest)
         gains[medoids] = -np.inf
         best = int(np.argmax(gains))
         medoids.append(best)
         nearest = np.minimum(nearest, d[:, best])
     return medoids
+
+
+def _build_gains(d, nearest):
+    """BUILD's gain of every candidate h: sum_i max(nearest_i - d(i,h), 0).
+
+    Each entry is added over i in row order, so its bytes equal those of
+    ``np.maximum(nearest[:, None] - d, 0).sum(axis=0)``.  The terms are
+    formed one ``kernels._block_rows`` block of rows at a time in one
+    scratch, each block's first row carrying the rows above, as in
+    ``_swap_costs``."""
+    n = d.shape[0]
+    rows = _block_rows(n)
+    block = np.empty((min(n, rows), n))
+    gains = np.empty(n)
+    for i in range(0, n, rows):
+        part = block[:min(rows, n - i)]
+        np.subtract(nearest[i:i + rows, None], d[i:i + rows], out=part)
+        np.maximum(part, 0.0, out=part)
+        if i:
+            part[0] += gains
+        part.sum(axis=0, out=gains)
+    return gains
 
 
 def _pam_cost(d, medoids):
@@ -95,19 +118,24 @@ def _swap_costs(d, rests):
     Each entry is added over i in row order, so its bytes equal those of
     ``np.minimum(e[:, None], d).sum(axis=0)``.  The sweep takes the rows of
     ``d`` in ``kernels._block_rows`` blocks, small enough to stay in cache
-    while every set reads them, and its one temporary is a block's size.
+    while every set reads them.  Each block's e_vi and terms are formed in
+    scratch the size of a block, so the output, one n-vector per set, is
+    the only array that grows with n.
     """
     n, m = d.shape[0], len(rests)
-    e = np.full((m, n), np.inf)
-    for medoid in np.array(rests).T:
-        np.minimum(e, d[:, medoid].T, out=e)
+    members = np.array(rests).T
     out = np.empty((m, n))
     rows = _block_rows(n)
-    block = np.empty((rows, n))
+    block = np.empty((min(n, rows), n))
+    nearest = np.empty((m, min(n, rows)))
     for i in range(0, n, rows):
         part = block[:min(rows, n - i)]
+        e = nearest[:, :len(part)]
+        e.fill(np.inf)
+        for medoid in members:
+            np.minimum(e, d[i:i + rows, medoid].T, out=e)
         for v in range(m):
-            np.minimum(e[v, i:i + rows, None], d[i:i + rows], out=part)
+            np.minimum(e[v, :, None], d[i:i + rows], out=part)
             if i:
                 part[0] += out[v]  # the rows above, then this block's rows in order
             part.sum(axis=0, out=out[v])
@@ -194,10 +222,11 @@ def pam_fit(
 def _kproto_costs(ds, centers, modes, gamma):
     """cost[c, i, t] = squared Euclidean distance from point i to chain c's
     centre t + gamma * point i's mismatch count against chain c's mode t."""
-    cost = np.zeros((centers.shape[0], ds.n, centers.shape[1]))
     if ds.p_cont:
         diff = ds.continuous[None, :, None, :] - centers[:, None, :, :]
-        cost += np.einsum("citj,citj->cit", diff, diff)
+        cost = np.einsum("citj,citj->cit", diff, diff)
+    else:
+        cost = np.zeros((centers.shape[0], ds.n, centers.shape[1]))
     if ds.p_cat:
         # Integer counts are exact in any order, so one variable at a time.
         mismatches = np.zeros(cost.shape, dtype=np.min_scalar_type(ds.p_cat))

@@ -24,7 +24,7 @@ from .datagen import BALANCE_EQUAL, BALANCE_IMBALANCED, GenSpec, generate
 from .dataset import _read_table, _write_table, standardize
 from .dib import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, dib_fit
 from .errors import DibmixError, ParseError, SchemaError
-from .lockstep import check, check_range, check_threads
+from .lockstep import check, check_count, check_range
 from .metrics import ari
 from .seeding import STREAM_DATAGEN, STREAM_METHOD, derive_seed
 
@@ -173,7 +173,7 @@ def _run_replicate(plan, cell_index, factors, rep):
 def run_benchmark(plan: BenchmarkPlan, threads: int = 1, progress=None) -> tuple:
     """Run the plan; rows come back sorted by (cell, replicate, method order)
     so output is independent of scheduling."""
-    threads = check_threads(threads)
+    threads = check_count("threads", threads)
     cells = plan.cells()
     tasks = [(ci, factors, rep)
              for ci, factors in enumerate(cells)

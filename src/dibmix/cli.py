@@ -61,7 +61,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .kernels import estimate_conditional
-from .lockstep import check, check_range, check_threads
+from .lockstep import check_count, check_range
 from .metrics import ari
 from .seeding import STREAM_SUBSAMPLE, derive_seed
 
@@ -71,6 +71,10 @@ EXIT_USAGE = 2
 
 # Flags that check_range rules; each dest is its setting's name, "_" for " ".
 _RANGED = ("seed", "beta", "gamma", "s", "s_multiplier", "categorical_weight")
+# Flags that take an integer >= 1 (``check_count``).  k > n waits until
+# --input is read; baseline resolves an omitted --restarts (None) to its
+# method's default.
+_COUNTED = ("threads", "k", "restarts", "max_iter")
 
 # Parsed flags that choose where output goes or how many workers run, not
 # what the outputs hold, so they stay out of the manifest.
@@ -129,8 +133,8 @@ def _parse_list(text, flag, cast):
 def _check_args(args) -> None:
     """Refuse, before any work, a float flag or an item of --lambda or
     --betas that is not a finite number, a setting or --betas item outside
-    its range (``check_range``), a --threads below 1, a --k, --restarts or
-    --max-iter below 1 (``check``; k > n waits for the data), a --subsample
+    its range (``check_range``), a --threads, --k, --restarts or --max-iter
+    below 1 (``check_count``; k > n waits for the data), a --subsample
     below 2, a flag that the run would ignore, and an --output-dir that is
     empty or cannot be made: its nearest existing ancestor, itself
     included, must be a directory."""
@@ -141,18 +145,13 @@ def _check_args(args) -> None:
             _finite(value, flag)
         if name in _RANGED and value is not None:
             check_range(name.replace("_", " "), value, flag)
+        if name in _COUNTED and value is not None:
+            check_count(name, value, flag)
     if given.get("lam") is not None:
         _parse_list(args.lam, "--lambda", _finite)
     if given.get("betas") is not None:
         for beta in _parse_list(args.betas, "--betas", _finite):
             check_range("beta", beta, "--betas")
-    if "threads" in given:
-        check_threads(args.threads)
-    if "k" in given:
-        # n is not known before --input is read; baseline resolves an
-        # omitted --restarts to its method's default, which is at least 1
-        restarts = 1 if args.restarts is None else args.restarts
-        check(args.k, None, restarts, args.max_iter, args.seed)
     if given.get("subsample") is not None and args.subsample < 2:
         raise ValueError("subsample size must be at least 2")
     ignored = []

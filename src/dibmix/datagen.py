@@ -6,13 +6,17 @@ variances; the mean gap is chosen so the overlap area of the two densities,
 two-component multinomial mixture whose point masses are constructed so the
 summed minimum of the two mass vectors equals the requested level exactly.
 The cluster count is fixed at two.
+
+Phi^{-1} is ``_ndtri``, an exact port of the Cephes ``ndtri`` that SciPy
+ships as ``scipy.special.ndtri``: it returns the same bits, so dibmix
+imports SciPy only for ``scipy.sparse``.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .dataset import CATEGORICAL, CONTINUOUS, MixedDataset, VariableSchema
 from .lockstep import check_range
@@ -83,12 +87,64 @@ class LabeledDataset:
         object.__setattr__(self, "truth", truth)
 
 
+# Cephes ndtri (Stephen L. Moshier, as shipped in SciPy, BSD-3-Clause):
+# sqrt(2 pi), exp(-2), and the coefficients of its three rational
+# approximations, highest power first; a Q's leading 1 is left out.
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x, coefs, monic=False):
+    """Cephes ``polevl`` (or ``p1evl`` when ``monic``, with a leading 1 not
+    stored): the polynomial at x, highest power first, by Horner's rule."""
+    value = x + coefs[0] if monic else coefs[0]
+    for c in coefs[1:]:
+        value = value * x + c
+    return value
+
+
+def _ndtri(y: float) -> float:
+    """Phi^{-1}(y) for 0 < y < 1, bit for bit as Cephes ``ndtri`` computes it
+    (Copyright 1984-2000 Stephen L. Moshier; scipy.special, BSD-3-Clause):
+    a rational function of y - 1/2 in the centre, else of 1/sqrt(-2 log y)
+    on the tail nearer y, reflected for y > 1 - exp(-2)."""
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        return (y + y * (y2 * _horner(y2, _P0) / _horner(y2, _Q0, True))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - z * _horner(z, p) / _horner(z, q, True)
+    return x if upper else -x
+
+
 def continuous_separation(overlap: float) -> float:
     """Mean gap delta such that two unit-variance normals delta apart share
     overlap area 2*Phi(-delta/2); inverts to delta = -2*Phi^{-1}(overlap/2)."""
     if not 0 < overlap < 1:
         raise ValueError(f"overlap must lie strictly between 0 and 1, got {overlap}")
-    return float(-2.0 * ndtri(overlap / 2.0))
+    return float(-2.0 * _ndtri(overlap / 2.0))
 
 
 def categorical_masses(overlap: float, levels: int) -> tuple:

@@ -168,10 +168,13 @@ def _score_step(masses, decoder, density, beta):
     if beta > 0:
         p = density.matrix
         if k > 1:
-            log_decoder = np.log(np.where(decoder > 0, decoder, 1.0))
-            relative = (log_decoder[:, 1:] - log_decoder[:, :1]).reshape(chains * (k - 1), n)
+            # log q(y|t) in place, dropped once the relative columns exist
+            relative = np.where(decoder > 0, decoder, 1.0)
+            np.log(relative, out=relative)
+            relative = (relative[:, 1:] - relative[:, :1]).reshape(chains * (k - 1), n)
             cross = _row_dots(p, relative).reshape(n, chains, k - 1)
-            score.reshape(n, chains, k)[:, :, 1:] += beta * cross
+            cross *= beta
+            score.reshape(n, chains, k)[:, :, 1:] += cross
         if density.has_zeros:
             # p(y|x) > 0 meeting q(y|t) = 0 makes the KL infinite for that
             # pair.  A sum of nonnegative terms is positive exactly when one
@@ -321,7 +324,7 @@ def dib_fit_density(
     different labels tie exactly, so the lowest restart index among them
     wins.  ``weights`` must be n finite, nonnegative values summing to 1.
     """
-    threads = lockstep.check_threads(threads)
+    threads = lockstep.check_count("threads", threads)
     lockstep.check_range("beta", beta)
     n = density.n
     lockstep.check(k, n, restarts, max_iter, rng_seed)
@@ -401,7 +404,7 @@ def dib_fit(
 ) -> DibResult:
     """Estimate the conditional density for ``ds`` and fit the encoder.  The
     arguments are checked before the density is built."""
-    lockstep.check_threads(threads)
+    lockstep.check_count("threads", threads)
     lockstep.check_range("beta", beta)
     lockstep.check(k, ds.n, restarts, max_iter, rng_seed)
     density = estimate_conditional(ds, bw)
@@ -455,7 +458,7 @@ def beta_sweep(
         raise ValueError("betas must be non-empty")
     if not all(lo < hi for lo, hi in zip(betas, betas[1:])):
         raise ValueError("betas must be strictly increasing")
-    lockstep.check_threads(threads)
+    lockstep.check_count("threads", threads)
     lockstep.check(k, ds.n, restarts, max_iter, rng_seed)
     density = estimate_conditional(ds, bw)
     rows = []

@@ -5,7 +5,7 @@ from many starts.  ``walk`` runs all of those chains together: it asks for
 the successors of a round's distinct states in one call, so the caller can
 stack their work, and it never asks twice for one state, so restarts that
 meet share the rest of one trajectory.  ``stacks`` cuts a stacked pass into
-slices.  ``check``, ``check_range`` and ``check_threads`` hold every rule on
+slices.  ``check``, ``check_range`` and ``check_count`` hold every rule on
 the settings of a run, and no other module restates them.
 """
 
@@ -17,12 +17,11 @@ DEFAULT_MAX_ITER = 100
 
 def check(k, n, restarts, max_iter, seed):
     """Refuse a fit of ``k`` clusters on ``n`` points unless 1 <= k <= n, it
-    has at least one restart and one iteration, and ``seed`` is in range.
-    ``n`` None means that n is not known yet; k must then be at least 1."""
-    if k < 1 or (n is not None and k > n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}" + ("" if n is None else f", n={n}"))
-    if restarts < 1 or max_iter < 1:
-        raise ValueError("restarts and max_iter must be >= 1")
+    has at least one restart and one iteration, and ``seed`` is in range."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_count("restarts", restarts)
+    check_count("max_iter", max_iter)
     check_range("seed", seed)
 
 
@@ -38,11 +37,15 @@ def check_range(name, value, label=None):
     return value
 
 
-def check_threads(threads) -> int:
-    """``threads`` as an int; anything but an integer >= 1 is a ValueError."""
-    if not isinstance(threads, numbers.Integral) or threads < 1:
-        raise ValueError("threads must be >= 1")
-    return int(threads)
+def check_count(name, value, label=None) -> int:
+    """The count ``name`` (threads, restarts, max_iter; k before n is known)
+    as an int; anything but an integer >= 1 is a ValueError naming ``label``
+    or ``name``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{label or name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{label or name} must be >= 1, got {value}")
+    return int(value)
 
 
 def stacks(items, per_stack, parts=1):

@@ -1,7 +1,12 @@
-"""The public API is declared once, by the package's relative imports."""
+"""The public API is declared once, by the package's relative imports, and
+importing it loads no more of SciPy than ``scipy.sparse``."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import dibmix
 
@@ -25,3 +30,21 @@ def test_all_is_the_names_the_package_imports_from_its_modules():
     namespace = {}
     exec("from dibmix import *", namespace)
     assert set(namespace) - {"__builtins__"} == imported
+
+
+def test_the_cli_imports_no_scipy_module_beyond_scipy_sparse():
+    # scipy.sparse first, so only modules that it does not load count; an
+    # older SciPy whose sparse loads more only widens what is allowed.
+    probe = ("import sys\n"
+             "import scipy.sparse\n"
+             "def scipy_modules():\n"
+             "    return {m for m in sys.modules if m.split('.')[0] == 'scipy'}\n"
+             "before = scipy_modules()\n"
+             "import dibmix.cli\n"
+             "print(sorted(scipy_modules() - before))\n")
+    src = str(Path(dibmix.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -23,7 +23,9 @@ from dibmix import (
     standardize,
 )
 from dibmix import baselines, kernels
-from dibmix.baselines import _kproto_chains, _pam_build, _pam_round, _swap_costs
+from dibmix.baselines import (
+    _build_gains, _kproto_chains, _pam_build, _pam_round, _swap_costs,
+)
 from dibmix.lockstep import walk
 
 from conftest import (
@@ -346,7 +348,7 @@ def test_kproto_errors():
 @pytest.mark.parametrize("k, max_iter, message", [
     (0, 100, "need 1 <= k <= n, got k=0, n=3"),
     (4, 100, "need 1 <= k <= n, got k=4, n=3"),
-    (1, 0, "restarts and max_iter must be >= 1"),
+    (1, 0, "max_iter must be >= 1, got 0"),
 ])
 def test_kprototypes_chain_refuses_bad_arguments(k, max_iter, message):
     ds = make_dataset(continuous=[0.0, 1.0, 3.0])
@@ -447,6 +449,57 @@ def test_pam_swap_costs_sweep_bytes(exactness_ds, elems, monkeypatch):
         for rest, vector in zip(rests, got):
             e = d[:, list(rest)].min(axis=1) if rest else np.full(n, np.inf)
             assert vector.tobytes() == np.minimum(e[:, None], d).sum(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("elems", [1, 7, 1 << 10, 1 << 20])
+def test_pam_build_gains_bytes(exactness_ds, elems, monkeypatch):
+    # Whatever the block size, BUILD's gains hold the bytes of the one-shot
+    # expression, summed over all points in row order.
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", elems)
+    d = gower(exactness_ds)
+    rng = np.random.default_rng(elems)
+    for medoids in ([0], rng.choice(d.shape[0], size=min(3, d.shape[0]), replace=False)):
+        nearest = d[:, medoids].min(axis=1)
+        expected = np.maximum(nearest[:, None] - d, 0.0).sum(axis=0)
+        assert _build_gains(d, nearest).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [333, 1000])
+def test_pam_build_gains_bytes_over_many_default_blocks(n):
+    rng = np.random.default_rng(n)
+    raw = rng.uniform(0.0, 1.0, size=(n, n))
+    d = (raw + raw.T) / 2
+    np.fill_diagonal(d, 0.0)
+    assert kernels._block_rows(n) < n
+    nearest = d[:, rng.choice(n, size=3, replace=False)].min(axis=1)
+    expected = np.maximum(nearest[:, None] - d, 0.0).sum(axis=0)
+    assert _build_gains(d, nearest).tobytes() == expected.tobytes()
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Bytes that ``fn(*args, **kwargs)`` holds at its peak, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pam_fit_makes_no_n_by_n_temporary():
+    # BUILD and SWAP sum a block of rows at a time, so the whole fit holds
+    # less than one more copy of its input.
+    d = gower(random_mixed_dataset(np.random.default_rng(8), n=400, p_cont=2, p_cat=2))
+    assert _traced_peak(pam_fit, d, 3, restarts=20, rng_seed=1) < d.nbytes
+
+
+def test_kprototypes_fit_peak_stays_within_its_stack_budget():
+    # One state of n=400, k=3 and 3 continuous variables is 3600 elements of
+    # each (states, n, k, variables) temporary, so 100 restarts take several
+    # stacks of 1 << 16 doubles (512 KiB) each; the whole fit, its state
+    # graph included, peaks below six such budgets.
+    ds = random_mixed_dataset(np.random.default_rng(9), n=400, p_cont=3, p_cat=2)
+    assert _traced_peak(kprototypes_fit, ds, 3, restarts=100, rng_seed=1) < 6 * (8 << 16)
 
 
 def _spy_swap_costs(monkeypatch):

@@ -193,8 +193,9 @@ def test_baselines_match_per_restart_oracles(monkeypatch):
 
 @pytest.mark.threads
 def test_run_benchmark_rejects_bad_threads():
-    for threads in (0, -5, 2.5):
-        with pytest.raises(ValueError, match="threads must be >= 1"):
+    for threads, message in ((0, "must be >= 1, got 0"), (-5, "must be >= 1, got -5"),
+                             (2.5, "must be an integer, got 2.5")):
+        with pytest.raises(ValueError, match=f"^threads {message}$"):
             run_benchmark(_tiny_plan(), threads=threads)
 
 

@@ -188,21 +188,21 @@ ROWS = [
     # a flag refused before any work; where --input is missing, a check
     # made after the CSV is read would exit with input_not_found instead
     _refused("k_zero", "cluster --input {mixed} --categorical c1,c2 --k 0 --output-dir {out}",
-             "invalid_argument", "need 1 <= k <= n, got k=0"),
+             "invalid_argument", "--k must be >= 1, got 0"),
     *(_refused(f"{name}_before_input", f"{cmd} --input {{missing}} {flags} --output-dir {{out}}",
                "invalid_argument", message)
       for name, cmd, flags, message in (
-          ("k_zero", "cluster", "--k 0", "need 1 <= k <= n, got k=0"),
-          ("k_zero_sweep", "sweep-beta", "--betas 1 --k 0", "need 1 <= k <= n, got k=0"),
-          ("restarts_zero", "cluster", "--k 2 --restarts 0", "restarts and max_iter must be >= 1"),
+          ("k_zero", "cluster", "--k 0", "--k must be >= 1, got 0"),
+          ("k_zero_sweep", "sweep-beta", "--betas 1 --k 0", "--k must be >= 1, got 0"),
+          ("restarts_zero", "cluster", "--k 2 --restarts 0", "--restarts must be >= 1, got 0"),
           ("restarts_zero_pam", "baseline", "--method pam --k 2 --restarts 0",
-           "restarts and max_iter must be >= 1"),
-          ("max_iter_zero", "cluster", "--k 2 --max-iter 0", "restarts and max_iter must be >= 1"),
+           "--restarts must be >= 1, got 0"),
+          ("max_iter_zero", "cluster", "--k 2 --max-iter 0", "--max-iter must be >= 1, got 0"),
           ("subsample_one", "cluster", "--k 2 --subsample 1",
            "subsample size must be at least 2"))),
     *(_refused(f"max_iter_{max_iter}_{method}", f"baseline --input {{mixed}} --categorical c1,c2 "
                f"--method {method} --k 2 --max-iter {max_iter} --output-dir {{out}}",
-               "invalid_argument", "max_iter", "part")
+               "invalid_argument", f"--max-iter must be >= 1, got {max_iter}")
       for method in ("pam", "kproto") for max_iter in ("0", "-3")),
     *(_refused(f"{name}_not_finite", f"{cmd} --input {{mixed}} --categorical c1,c2 --k 2 "
                f"--restarts 2 {flag} --output-dir {{out}}", "invalid_argument", "beta", "part")
@@ -317,7 +317,7 @@ ROWS = [
           ("one_level", "--levels 2,1", "every categorical variable needs at least 2 levels"),
           ("overlap_above_1", "--overlaps-cont 0.3,1.5",
            "overlap_cont must lie strictly between 0 and 1, got 1.5"),
-          ("threads_zero", "--threads 0", "threads must be >= 1"))),
+          ("threads_zero", "--threads 0", "--threads must be >= 1, got 0"))),
 ]
 
 

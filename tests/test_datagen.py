@@ -7,6 +7,7 @@ Monte Carlo histogram estimate of the realized overlap.
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from dibmix import (
     BALANCE_EQUAL,
@@ -16,6 +17,7 @@ from dibmix import (
     continuous_separation,
     generate,
 )
+from dibmix.datagen import _ndtri
 
 from conftest import overlap_quadrature
 
@@ -75,9 +77,30 @@ def test_genspec_cluster_sizes():
 
 
 def test_continuous_separation_frozen_values():
-    # Inversion of 2*Phi(-delta/2) = overlap, cross-checked by quadrature below.
-    assert continuous_separation(0.3) == pytest.approx(2.0728667789875797, rel=1e-12)
-    assert continuous_separation(0.6) == pytest.approx(1.0488010254160813, rel=1e-12)
+    # Inversion of 2*Phi(-delta/2) = overlap, cross-checked by quadrature
+    # below; the bits are SciPy's.
+    assert continuous_separation(0.3) == 2.0728667789875797 == -2.0 * ndtri(0.15)
+    assert continuous_separation(0.6) == 1.0488010254160818 == -2.0 * ndtri(0.3)
+
+
+def test_ndtri_port_is_bitwise_scipy():
+    # Both rational branches of the tail (x = sqrt(-2 log y) below 8 and from
+    # 8 on, down to subnormal y), the central branch, the reflection above
+    # 1 - exp(-2), and the edges between them.
+    rng = np.random.default_rng(0)
+    edge = np.exp(-2.0)
+    ys = np.concatenate([
+        rng.uniform(edge, 1.0 - edge, 40_000),
+        np.exp(-rng.uniform(2.0, 32.0, 30_000)),
+        np.exp(-rng.uniform(32.0, 745.0, 20_000)),
+        1.0 - edge * rng.uniform(0.0, 1.0, 20_000),
+        [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0), 1.0 - edge,
+         np.nextafter(1.0 - edge, 1.0), np.exp(-32.0), 0.5, 5e-324, np.nextafter(1.0, 0.0)],
+    ])
+    ys = ys[(ys > 0.0) & (ys < 1.0)]
+    assert len(ys) >= 100_000
+    ours = np.array([_ndtri(float(y)) for y in ys])
+    assert ours.tobytes() == ndtri(ys).tobytes()
 
 
 def test_continuous_separation_limit_full_overlap():

@@ -803,19 +803,20 @@ def test_dib_fit_validation_errors():
         dib_fit(ds, k=2, beta=1.0, bw=bw, restarts=0)
     with pytest.raises(ValueError):
         dib_fit(ds, k=2, beta=1.0, bw=bw, max_iter=0)
-    for threads in (0, -5, 2.5):
-        with pytest.raises(ValueError, match="threads must be >= 1"):
+    for threads, message in ((0, "must be >= 1, got 0"), (-5, "must be >= 1, got -5"),
+                             (2.5, "must be an integer, got 2.5")):
+        with pytest.raises(ValueError, match=f"^threads {message}$"):
             dib_fit(ds, k=2, beta=1.0, bw=bw, threads=threads)
 
 
 @pytest.mark.parametrize("fit", ["dib_fit", "beta_sweep"])
 @pytest.mark.parametrize("bad, message", [
     (dict(k=0), "need 1 <= k <= n, got k=0, n=10"),
-    (dict(restarts=0), "restarts and max_iter must be >= 1"),
-    (dict(max_iter=0), "restarts and max_iter must be >= 1"),
+    (dict(restarts=0), "restarts must be >= 1, got 0"),
+    (dict(max_iter=0), "max_iter must be >= 1, got 0"),
     (dict(rng_seed=-1), "seed must be nonnegative and finite, at most 1e100, got -1"),
     (dict(beta=1e308), "beta must be nonnegative and finite, at most 1e100, got 1e+308"),
-    (dict(threads=0), "threads must be >= 1"),
+    (dict(threads=0), "threads must be >= 1, got 0"),
 ], ids=["k", "restarts", "max_iter", "seed", "beta", "threads"])
 def test_bad_arguments_are_refused_before_the_density_is_built(monkeypatch, fit, bad, message):
     def build(*args, **kwargs):

@@ -116,8 +116,9 @@ def test_stacks_cover_items_in_order_within_budget(count, per_stack, parts):
 @pytest.mark.parametrize("k, n, restarts, max_iter, message, seed", [
     (0, 5, 1, 1, "need 1 <= k <= n, got k=0, n=5", 0),
     (6, 5, 1, 1, "need 1 <= k <= n, got k=6, n=5", 0),
-    (2, 5, 0, 1, "restarts and max_iter must be >= 1", 0),
-    (2, 5, 1, 0, "restarts and max_iter must be >= 1", 0),
+    (2, 5, 0, 1, "restarts must be >= 1, got 0", 0),
+    (2, 5, 1, 0, "max_iter must be >= 1, got 0", 0),
+    (2, 5, 2.5, 1, "restarts must be an integer, got 2.5", 0),
     (2, 5, 1, 1, "seed must be nonnegative and finite, at most 1e100, got -1", -1),
 ])
 def test_check_refuses_bad_restart_arguments(k, n, restarts, max_iter, message, seed):
