@@ -127,17 +127,21 @@ def test_gower_matches_textbook_formula_bytes(n):
         assert np.array_equal(gower(ds), _gower_oracle(ds))
 
 
+def _traced_peak(fn, *args, **kwargs):
+    """Bytes that ``fn(*args, **kwargs)`` holds at its peak, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_gower_peak_memory():
     # The output is the only n x n array; the scratch is one block of rows.
     n = 600
     ds = random_mixed_dataset(np.random.default_rng(6), n=n, p_cont=6, p_cat=6)
-    tracemalloc.start()
-    try:
-        gower(ds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * n * n * 8
+    assert _traced_peak(gower, ds) <= 1.25 * n * n * 8
 
 
 def test_gower_zero_range_error():
@@ -474,16 +478,6 @@ def test_pam_build_gains_bytes_over_many_default_blocks(n):
     nearest = d[:, rng.choice(n, size=3, replace=False)].min(axis=1)
     expected = np.maximum(nearest[:, None] - d, 0.0).sum(axis=0)
     assert _build_gains(d, nearest).tobytes() == expected.tobytes()
-
-
-def _traced_peak(fn, *args, **kwargs):
-    """Bytes that ``fn(*args, **kwargs)`` holds at its peak, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_pam_fit_makes_no_n_by_n_temporary():
