@@ -57,7 +57,6 @@ from .dataset import (
 )
 from .dib import (
     BetaSweepResult,
-    BetaSweepRow,
     DibResult,
     Encoder,
     RestartSummary,

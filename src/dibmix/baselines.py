@@ -322,11 +322,12 @@ def _kproto_refresh(ds, labels, centers, modes):
         ], axis=1).reshape(chains, k, ds.p_cont)
         centers[filled] = sums[filled] / counts[filled][:, None]
     if ds.p_cat:
+        # One variable at a time, so the tallies stay (chains * n) long.
         levels = int(ds.categorical.max()) + 1
-        code = (group[:, None] * ds.p_cat + np.arange(ds.p_cat)) * levels + np.tile(
-            ds.categorical, (chains, 1))
-        tally = np.bincount(code.ravel(), minlength=chains * k * ds.p_cat * levels)
-        modes[filled] = tally.reshape(chains, k, ds.p_cat, levels).argmax(axis=3)[filled]
+        for j, col in enumerate(ds.categorical.T):
+            tally = np.bincount(group * levels + np.tile(col, chains),
+                                minlength=chains * k * levels)
+            modes[:, :, j][filled] = tally.reshape(chains, k, levels).argmax(axis=2)[filled]
     return filled
 
 

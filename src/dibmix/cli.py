@@ -14,7 +14,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import scipy
@@ -48,7 +48,7 @@ from .dataset import (
 from .dib import (
     DEFAULT_MAX_ITER,
     DEFAULT_RESTARTS,
-    BetaSweepRow,
+    CURVE_COLUMNS,
     beta_sweep,
     dib_fit_density,
 )
@@ -432,10 +432,10 @@ def cmd_sweep_beta(args) -> int:
     )
     outdir = _ensure_outdir(args.output_dir)
     curve_path = os.path.join(outdir, "curve.csv")
-    _write_table(curve_path, [f.name for f in fields(BetaSweepRow)],
-                 (astuple(row) for row in sweep.rows))
+    curve = sweep.as_columns()
+    _write_table(curve_path, CURVE_COLUMNS, zip(*curve.values()))
     payload = {
-        "curve": sweep.as_columns(),
+        "curve": curve,
         "suggested_beta": sweep.suggested_beta,
     }
     if idx is not None:

@@ -177,9 +177,10 @@ def _score_step(masses, decoder, density, beta):
             score.reshape(n, chains, k)[:, :, 1:] += cross
         if density.has_zeros:
             # p(y|x) > 0 meeting q(y|t) = 0 makes the KL infinite for that
-            # pair.  A sum of nonnegative terms is positive exactly when one
-            # term is, so p itself serves as the support indicator.
-            hits = _row_dots(p, (decoder == 0).reshape(chains * k, n).astype(float))
+            # pair.  A sum of nonnegative terms is positive, in any order,
+            # exactly when one term is, so one BLAS product decides it the
+            # same at any thread count or stack width.
+            hits = p @ (decoder == 0).reshape(chains * k, n).T
             score[(hits > 0) & (masses > 0)[None, :]] = -np.inf
     score[:, masses == 0] = -np.inf
     score = score.reshape(n, chains, k)
@@ -283,11 +284,6 @@ class DibResult(RestartSummary):
             ],
         )
         return record
-
-
-def _project(cls, source):
-    """An instance of dataclass ``cls`` holding the same-named fields of ``source``."""
-    return cls(**{f.name: getattr(source, f.name) for f in fields(cls)})
 
 
 def _rises(path, scores):
@@ -402,32 +398,23 @@ def dib_fit(
     rng_seed: int = 0,
     threads: int = 1,
 ) -> DibResult:
-    """Estimate the conditional density for ``ds`` and fit the encoder.  The
-    arguments are checked before the density is built."""
-    lockstep.check_count("threads", threads)
-    lockstep.check_range("beta", beta)
-    lockstep.check(k, ds.n, restarts, max_iter, rng_seed)
-    density = estimate_conditional(ds, bw)
-    return dib_fit_density(
-        density, ds.weights, k, beta, restarts=restarts, max_iter=max_iter,
-        rng_seed=rng_seed, threads=threads,
-    )
+    """Estimate the conditional density for ``ds`` and fit the encoder: the
+    one-point ``beta_sweep``, so the arguments are checked before the
+    density is built."""
+    return beta_sweep(ds, k, bw, [beta], restarts=restarts, max_iter=max_iter,
+                      rng_seed=rng_seed, threads=threads).rows[0]
 
 
-@dataclass(frozen=True)
-class BetaSweepRow:
-    beta: float
-    compression: float
-    relevance: float
-    objective: float
-    effective_k: int
-    iterations: int
+# The columns of a sweep's curve, in order: attributes of each row's fit.
+CURVE_COLUMNS = ("beta", "compression", "relevance", "objective", "effective_k", "iterations")
 
 
 @dataclass(frozen=True)
 class BetaSweepResult:
     """Relevance-compression curve over a beta grid.
 
+    ``rows`` holds the ``DibResult`` of each beta, in grid order, so the
+    partition at a beta picked from the curve needs no second fit.
     ``suggested_beta`` marks the largest-magnitude second difference of
     I(T, Y) along the grid (a curvature hint, not a decision); None when the
     grid has fewer than three points.
@@ -437,7 +424,7 @@ class BetaSweepResult:
     suggested_beta: float = None
 
     def as_columns(self) -> dict:
-        return {f.name: [getattr(r, f.name) for r in self.rows] for f in fields(BetaSweepRow)}
+        return {name: [getattr(r, name) for r in self.rows] for name in CURVE_COLUMNS}
 
 
 def beta_sweep(
@@ -450,9 +437,11 @@ def beta_sweep(
     rng_seed: int = 0,
     threads: int = 1,
 ) -> BetaSweepResult:
-    """Fit once per beta (same seed, so initializations are shared) and
-    tabulate H(T), I(T, Y) and the effective cluster count.  ``betas`` must
-    be strictly increasing, so that grid neighbours are curve neighbours."""
+    """Fit once per beta on one density (same seed, so initializations are
+    shared) and keep each fit, the curve of H(T), I(T, Y) and the effective
+    cluster count.  ``betas`` must be strictly increasing, so that grid
+    neighbours are curve neighbours.  The arguments are checked before the
+    density is built."""
     betas = [lockstep.check_range("beta", float(b)) for b in betas]
     if not betas:
         raise ValueError("betas must be non-empty")
@@ -461,20 +450,18 @@ def beta_sweep(
     lockstep.check_count("threads", threads)
     lockstep.check(k, ds.n, restarts, max_iter, rng_seed)
     density = estimate_conditional(ds, bw)
-    rows = []
-    for beta in betas:
-        res = dib_fit_density(
-            density, ds.weights, k, beta, restarts=restarts, max_iter=max_iter,
-            rng_seed=rng_seed, threads=threads,
-        )
-        rows.append(_project(BetaSweepRow, res))
+    rows = tuple(
+        dib_fit_density(density, ds.weights, k, beta, restarts=restarts, max_iter=max_iter,
+                        rng_seed=rng_seed, threads=threads)
+        for beta in betas
+    )
     suggested = None
     if len(rows) >= 3:
         b = np.array([r.beta for r in rows])
         i_ty = np.array([r.relevance for r in rows])
         curv = np.abs(_second_divided_difference(b, i_ty))
         suggested = float(b[1:-1][int(np.argmax(curv))])
-    return BetaSweepResult(rows=tuple(rows), suggested_beta=suggested)
+    return BetaSweepResult(rows=rows, suggested_beta=suggested)
 
 
 def _second_divided_difference(x, y):

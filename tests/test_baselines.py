@@ -496,6 +496,33 @@ def test_kprototypes_fit_peak_stays_within_its_stack_budget():
     assert _traced_peak(kprototypes_fit, ds, 3, restarts=100, rng_seed=1) < 6 * (8 << 16)
 
 
+def test_kproto_refresh_modes_match_per_cluster_tallies():
+    """With 6 categorical variables of 6 levels, each filled cluster's modes
+    are its members' most frequent levels, the lowest on a tie, byte for
+    byte; an empty cluster keeps its prototype."""
+    rng = np.random.default_rng(12)
+    n, k, chains, p_cat = 90, 4, 5, 6
+    ds = make_dataset(continuous=rng.standard_normal((n, 2)),
+                      categorical=rng.integers(0, 6, size=(n, p_cat)), levels=(6,) * p_cat)
+    labels = rng.integers(0, k, size=(chains, n))
+    labels[1][labels[1] == 2] = 0
+    labels[3] = 1
+    centers = rng.standard_normal((chains, k, 2))
+    modes = rng.integers(0, 6, size=(chains, k, p_cat)).astype(ds.categorical.dtype)
+    before = modes.copy()
+    filled = baselines._kproto_refresh(ds, labels, centers, modes)
+    assert filled.sum() == chains * k - 4
+    for c in range(chains):
+        for t in range(k):
+            members = labels[c] == t
+            assert filled[c, t] == members.any()
+            expected = before[c, t]
+            if members.any():
+                expected = np.array([np.argmax(np.bincount(ds.categorical[members, j]))
+                                     for j in range(p_cat)], dtype=modes.dtype)
+            assert modes[c, t].tobytes() == expected.tobytes()
+
+
 def _spy_swap_costs(monkeypatch):
     """Record every (remaining-medoid set, candidate-cost vector) that SWAP
     sums, and the sets of each sweep."""

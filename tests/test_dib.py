@@ -8,7 +8,7 @@ compared against direct joint summation (conftest.dib_objective_oracle).
 import os
 import subprocess
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -551,9 +551,8 @@ def test_score_step_matches_kl_oracle(lam, k, beta):
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("lam", [[0.3, 0.2], [0.0, 0.2]])
 def test_score_step_sends_k_minus_1_columns_per_state(monkeypatch, lam, k):
-    """Each state scored sends k - 1 relative columns to ``_row_dots``, and
-    k more for the support test when p has zeros; k = 1 without zeros sends
-    none."""
+    """Each state scored sends k - 1 relative columns to ``_row_dots``, so
+    k = 1 sends none; the support test, when p has zeros, sends none."""
     from dibmix import dib
 
     density, weights = _equivalence_density(lam, 48)
@@ -571,14 +570,18 @@ def test_score_step_sends_k_minus_1_columns_per_state(monkeypatch, lam, k):
     monkeypatch.setattr(dib, "_row_dots", counted_row_dots)
     monkeypatch.setattr(dib, "_score_step", counted_score_step)
     dib_fit_density(density, weights, k, 5.0, restarts=7, rng_seed=7)
-    per_state = k - 1 + (k if density.has_zeros else 0)
     assert sum(states) > 0
-    assert sum(columns) == sum(states) * per_state
-    assert len(columns) == len(states) * ((k > 1) + density.has_zeros)
+    assert sum(columns) == sum(states) * (k - 1)
+    assert len(columns) == len(states) * (k > 1)
 
 
+# Fits at the worker thread count given as argv[1].  A lambda of 0 puts exact
+# zeros into p(y|x), so that fit runs the support test; its winner has an
+# empty decoder entry that some p(.|x) covers.  The cross products are taken
+# on the last density, lambda = 0.2, which has no zeros.
 _BLAS_THREADS_FIT = """
 import hashlib
+import sys
 from dataclasses import astuple
 import numpy as np
 from dibmix import Bandwidths, MixedDataset, VariableSchema, CONTINUOUS, CATEGORICAL
@@ -589,10 +592,14 @@ n = 500
 ds = MixedDataset(
     schema=(VariableSchema("x", CONTINUOUS), VariableSchema("c", CATEGORICAL, ("a", "b", "c"))),
     continuous=rng.standard_normal((n, 1)), categorical=rng.integers(0, 3, size=(n, 1)))
-density = estimate_conditional(ds, Bandwidths(s=0.5, lam=[0.2]))
-result = dib_fit_density(density, ds.weights, 3, 20.0, restarts=8, rng_seed=2)
-print(hashlib.sha256(result.assign.tobytes()).hexdigest())
-print([repr(astuple(r)) for r in result.restart_summary])
+for lam in (0.0, 0.2):
+    density = estimate_conditional(ds, Bandwidths(s=0.5, lam=[lam]))
+    result = dib_fit_density(density, ds.weights, 3, 20.0, restarts=8, rng_seed=2,
+                             threads=int(sys.argv[1]))
+    assert density.has_zeros == (lam == 0.0)
+    assert density.has_zeros == np.any(density.matrix @ (result.encoder.decoder == 0).T > 0)
+    print(hashlib.sha256(result.assign.tobytes()).hexdigest())
+    print([repr(astuple(r)) for r in result.restart_summary])
 _, decoder = _refresh(rng.integers(0, 3, size=(4, n)), 3, density.matrix, ds.weights)
 cross = _row_dots(density.matrix, np.log(decoder.reshape(12, n)))
 print(hashlib.sha256(cross.tobytes()).hexdigest())
@@ -601,19 +608,22 @@ print(hashlib.sha256(cross.tobytes()).hexdigest())
 
 @pytest.mark.threads
 def test_dib_fit_density_same_for_any_blas_thread_count():
-    """No product in the fit is threaded by BLAS: one OpenBLAS thread and two
-    give the same assignment, restart summaries and score cross products.
+    """One OpenBLAS thread and two, and 1 and 3 worker threads, give the
+    same assignments, restart summaries and score cross products.  The
+    cross terms use no threaded BLAS product; the support test of the
+    lambda = 0 fit is one, but only whether each entry is positive is read.
     With OpenBLAS 0.3.31 on a 2-core host, a BLAS matrix product for the
-    cross term already differs between the two at this size."""
+    cross term already differs between one thread and two at this size."""
     src = Path(__file__).resolve().parent.parent / "src"
-    outputs = []
+    outputs = set()
     for blas_threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=blas_threads)
-        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_FIT], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+        for threads in ("1", "3"):
+            proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_FIT, threads], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 def _bad_weights(case, n):
@@ -799,6 +809,10 @@ def test_dib_fit_validation_errors():
     for beta in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="beta"):
             dib_fit(ds, k=2, beta=beta, bw=bw)
+    # beta is read as a float, as each point of a sweep's grid is
+    with pytest.raises(ValueError, match=r"^beta must be .*, got -1\.0$"):
+        dib_fit(ds, k=2, beta=-1, bw=bw)
+    assert type(dib_fit(ds, k=2, beta=1, bw=bw, restarts=1).beta) is float
     with pytest.raises(ValueError):
         dib_fit(ds, k=2, beta=1.0, bw=bw, restarts=0)
     with pytest.raises(ValueError):
@@ -849,17 +863,37 @@ def test_beta_sweep_zero_beta_row():
     assert sweep.suggested_beta is None
 
 
-def test_beta_sweep_single_beta_matches_dib_fit():
+def _fit_fields(result):
+    """Every field of a ``DibResult`` as exact text: arrays by their bytes,
+    the encoder by its three arrays', everything else by repr."""
+    out = {}
+    for f in fields(result):
+        value = getattr(result, f.name)
+        if f.name == "encoder":
+            value = [a.tobytes() for a in (value.assign, value.masses, value.decoder)]
+        elif f.name == "objective_trace":
+            value = value.tobytes()
+        out[f.name] = repr(value)
+    return out
+
+
+def test_beta_sweep_rows_are_the_fits_and_dib_fit_is_one_row():
+    """Each row is, field for field, the fit of ``dib_fit_density`` on the
+    sweep's density at its beta, and ``dib_fit`` at a beta is the one-point
+    sweep's row."""
     rng = np.random.default_rng(10)
     ds = _mixed(rng.standard_normal(50), rng.integers(0, 3, size=50), levels=(3,))
     bw = Bandwidths(s=1.0, lam=[0.3])
-    sweep = beta_sweep(ds, k=3, bw=bw, betas=(12.0,), restarts=4, rng_seed=5)
-    fit = dib_fit(ds, k=3, beta=12.0, bw=bw, restarts=4, rng_seed=5)
-    row = sweep.rows[0]
-    assert row.objective == fit.objective
-    assert row.relevance == fit.relevance
-    assert row.compression == fit.compression
-    assert row.effective_k == fit.effective_k
+    betas = (0.0, 5.0, 20.0, 100.0)
+    sweep = beta_sweep(ds, k=3, bw=bw, betas=betas, restarts=4, rng_seed=5)
+    density = estimate_conditional(ds, bw)
+    assert len(sweep.rows) == len(betas)
+    for beta, row in zip(betas, sweep.rows):
+        fit = dib_fit_density(density, ds.weights, 3, beta, restarts=4, rng_seed=5)
+        assert _fit_fields(row) == _fit_fields(fit)
+        [one_point] = beta_sweep(ds, k=3, bw=bw, betas=[beta], restarts=4, rng_seed=5).rows
+        alone = dib_fit(ds, k=3, beta=beta, bw=bw, restarts=4, rng_seed=5)
+        assert _fit_fields(alone) == _fit_fields(one_point)
 
 
 def test_beta_sweep_relevance_monotone_on_separated_data():
