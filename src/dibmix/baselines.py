@@ -222,11 +222,9 @@ def pam_fit(
 def _kproto_costs(ds, centers, modes, gamma):
     """cost[c, i, t] = squared Euclidean distance from point i to chain c's
     centre t + gamma * point i's mismatch count against chain c's mode t."""
-    if ds.p_cont:
-        diff = ds.continuous[None, :, None, :] - centers[:, None, :, :]
-        cost = np.einsum("citj,citj->cit", diff, diff)
-    else:
-        cost = np.zeros((centers.shape[0], ds.n, centers.shape[1]))
+    # with no continuous variable, the sum over j is empty and gives zeros
+    diff = ds.continuous[None, :, None, :] - centers[:, None, :, :]
+    cost = np.einsum("citj,citj->cit", diff, diff)
     if ds.p_cat:
         # Integer counts are exact in any order, so one variable at a time.
         mismatches = np.zeros(cost.shape, dtype=np.min_scalar_type(ds.p_cat))

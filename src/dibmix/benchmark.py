@@ -68,8 +68,7 @@ class BenchmarkPlan:
         # not an error row for every replicate of some cell.
         for name in (*FACTOR_FIELDS.values(), "methods"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        check_count("replicates", self.replicates)
         check_range("beta", self.beta)
         check_range("categorical weight", self.categorical_weight)
         grid_axes = tuple(getattr(self, name) for name in FACTOR_FIELDS.values())
@@ -151,22 +150,16 @@ def _run_replicate(plan, cell_index, factors, rep):
         start = time.perf_counter()
         try:
             labels = _run_method(method, labeled.data, standardized, plan, method_seed)
-            row = ResultRow(
-                cell=cell_index, replicate=rep, method=method, status="ok",
-                ari=float(ari(labeled.truth, labels)), effective_k=int(np.unique(labels).size),
-                runtime_s=time.perf_counter() - start, **factors,
-            )
+            outcome = {"status": "ok", "ari": float(ari(labeled.truth, labels)),
+                       "effective_k": int(np.unique(labels).size)}
         # A method that rejects its data raises a DibmixError and becomes a
         # row.  The plan checks every setting before any work, so any other
         # exception, a plain ValueError included, is a fault of the program
         # and propagates.
         except DibmixError as exc:
-            row = ResultRow(
-                cell=cell_index, replicate=rep, method=method, status="error",
-                runtime_s=time.perf_counter() - start,
-                error=f"{type(exc).__name__}: {exc}", **factors,
-            )
-        rows.append(row)
+            outcome = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+        rows.append(ResultRow(cell=cell_index, replicate=rep, method=method,
+                              runtime_s=time.perf_counter() - start, **outcome, **factors))
     return rows
 
 

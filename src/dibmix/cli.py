@@ -50,7 +50,7 @@ from .dib import (
     DEFAULT_RESTARTS,
     CURVE_COLUMNS,
     beta_sweep,
-    dib_fit_density,
+    dib_fit,
 )
 from .errors import (
     DegenerateSmoothingError,
@@ -300,12 +300,8 @@ def _print_fit(payload) -> None:
 
 def cmd_cluster(args) -> int:
     ds, idx, bw = _preprocess(args)
-    density = estimate_conditional(ds, bw)
-    result = dib_fit_density(
-        density, ds.weights, args.k, args.beta,
-        restarts=args.restarts, max_iter=args.max_iter,
-        rng_seed=args.seed, threads=args.threads,
-    )
+    result = dib_fit(ds, args.k, args.beta, bw, restarts=args.restarts,
+                     max_iter=args.max_iter, rng_seed=args.seed, threads=args.threads)
     payload = result.to_dict()
     payload["k"] = args.k
     payload["bandwidths"] = {
@@ -314,7 +310,8 @@ def cmd_cluster(args) -> int:
     }
     outdir = _write_result(args, "cluster", payload, result.assign, idx)
     if args.dump_density:
-        np.savetxt(os.path.join(outdir, "density.csv"), density.matrix,
+        # built again: the fit keeps no density, and the build is cheap beside the writing
+        np.savetxt(os.path.join(outdir, "density.csv"), estimate_conditional(ds, bw).matrix,
                    delimiter=",", fmt="%.17g")
     print(f"H(T) = {result.compression:.6f}")
     print(f"I(T;Y) = {result.relevance:.6f}")

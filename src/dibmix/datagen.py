@@ -43,6 +43,9 @@ class GenSpec:
             raise ValueError("n must be at least 4")
         if self.p_c < 0 or self.p_d < 0 or self.p_c + self.p_d == 0:
             raise ValueError("need nonnegative variable counts with at least one variable")
+        for name in ("n", "p_c", "p_d"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         levels = self.levels
         if np.ndim(levels) == 0:
             levels = (levels,) * self.p_d

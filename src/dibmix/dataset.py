@@ -11,7 +11,7 @@ cells are rejected with row/column diagnostics.
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -16,10 +16,12 @@ DEFAULT_MAX_ITER = 100
 
 
 def check(k, n, restarts, max_iter, seed):
-    """Refuse a fit of ``k`` clusters on ``n`` points unless 1 <= k <= n, it
-    has at least one restart and one iteration, and ``seed`` is in range."""
+    """Refuse a fit of ``k`` clusters on ``n`` points unless k is an integer
+    with 1 <= k <= n, it has at least one restart and one iteration, and
+    ``seed`` is an integer in range."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_count("k", k)
     check_count("restarts", restarts)
     check_count("max_iter", max_iter)
     check_range("seed", seed)
@@ -28,12 +30,15 @@ def check(k, n, restarts, max_iter, seed):
 def check_range(name, value, label=None):
     """The setting ``name``'s ``value``, unchanged, if it lies in (0, 1e100] for s,
     the s multiplier and the categorical weight, in [0, 1e100] for the seed,
-    beta and gamma; else (NaN too) a ValueError naming ``label`` or ``name``."""
+    beta and gamma, and is an integer for the seed; else (NaN too) a
+    ValueError naming ``label`` or ``name``."""
     # The cap keeps beta * |log q| (|log q| <= 745), gamma times a mismatch
     # count, and their sums over any array far below the largest float, 1.8e308.
     kind = "positive" if name in ("s", "s multiplier", "categorical weight") else "nonnegative"
     if not (0 < value <= 1e100 if kind == "positive" else 0 <= value <= 1e100):
         raise ValueError(f"{label or name} must be {kind} and finite, at most 1e100, got {value}")
+    if name == "seed" and not isinstance(value, numbers.Integral):
+        raise ValueError(f"{label or name} must be an integer, got {value!r}")
     return value
 
 

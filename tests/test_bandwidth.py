@@ -12,11 +12,7 @@ import numpy as np
 import pytest
 
 from dibmix import (
-    CATEGORICAL,
-    CONTINUOUS,
-    MixedDataset,
     SchemaError,
-    VariableSchema,
     choose_bandwidths,
     default_s,
     gaussian_kernel,
@@ -27,27 +23,7 @@ from dibmix import (
 from dibmix.bandwidth import offset_lambda
 from dibmix.kernels import _block_rows
 
-from conftest import random_mixed_dataset
-
-
-def _dataset(continuous=None, categorical=None, levels=()):
-    cont = np.empty((0, 0)) if continuous is None else np.asarray(continuous, dtype=float)
-    if cont.ndim == 1:
-        cont = cont[:, None]
-    cat = None if categorical is None else np.asarray(categorical, dtype=np.int64)
-    if cat is not None and cat.ndim == 1:
-        cat = cat[:, None]
-    n = cont.shape[0] if cont.size or cat is None else cat.shape[0]
-    if cont.size == 0:
-        cont = np.empty((n, 0))
-    if cat is None:
-        cat = np.empty((n, 0), dtype=np.int64)
-    schema = [VariableSchema(f"x{j}", CONTINUOUS) for j in range(cont.shape[1])]
-    schema += [
-        VariableSchema(f"c{j}", CATEGORICAL, tuple(f"v{v}" for v in range(l)))
-        for j, l in enumerate(levels)
-    ]
-    return MixedDataset(schema=tuple(schema), continuous=cont, categorical=cat)
+from conftest import make_dataset, random_mixed_dataset
 
 
 def _brute_variance_continuous(ds, s):
@@ -85,18 +61,18 @@ def _brute_variance_categorical(ds, lam):
 
 
 def test_default_s_examples():
-    ds = _dataset(continuous=np.zeros((500, 2)))
+    ds = make_dataset(continuous=np.zeros((500, 2)))
     assert default_s(ds) == pytest.approx(1.0648609979266712, rel=1e-15)
     assert default_s(ds, multiplier=1.0) == pytest.approx(0.35495366597555705, rel=1e-15)
 
 
 def test_default_s_errors():
     with pytest.raises(SchemaError):
-        default_s(_dataset(categorical=[0, 1], levels=(2,)))  # no continuous vars
+        default_s(make_dataset(categorical=[0, 1], levels=(2,)))  # no continuous vars
     with pytest.raises(SchemaError):
-        default_s(_dataset(continuous=[[1.0]]))  # n = 1
+        default_s(make_dataset(continuous=[[1.0]]))  # n = 1
     with pytest.raises(ValueError):
-        default_s(_dataset(continuous=np.zeros((10, 1))), multiplier=0.0)
+        default_s(make_dataset(continuous=np.zeros((10, 1))), multiplier=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +80,13 @@ def test_default_s_errors():
 
 
 def test_variance_continuous_constant_column_is_zero():
-    ds = _dataset(continuous=np.full((6, 1), 2.5))
+    ds = make_dataset(continuous=np.full((6, 1), 2.5))
     # identical kernel values everywhere; only mean-accumulation ulps remain
     assert kernel_factor_variance_continuous(ds, 1.0) == pytest.approx(0.0, abs=1e-30)
 
 
 def test_variance_continuous_two_point_hand_case():
-    ds = _dataset(continuous=[0.0, 1.0])
+    ds = make_dataset(continuous=[0.0, 1.0])
     assert kernel_factor_variance_continuous(ds, 1.0) == pytest.approx(
         0.006160017339026671, rel=1e-12
     )
@@ -118,7 +94,7 @@ def test_variance_continuous_two_point_hand_case():
 
 def test_variance_continuous_vanishes_for_huge_s():
     rng = np.random.default_rng(1)
-    ds = _dataset(continuous=rng.standard_normal((30, 2)))
+    ds = make_dataset(continuous=rng.standard_normal((30, 2)))
     assert kernel_factor_variance_continuous(ds, 1e6) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -158,7 +134,7 @@ def test_variance_continuous_across_blocks_matches_brute_force():
     rng = np.random.default_rng(17)
     cont = rng.standard_normal((n, 3)) * [1.0, 4.0, 1.0]
     cont[:, 2] = 0.7  # a constant column
-    ds = _dataset(continuous=cont)
+    ds = make_dataset(continuous=cont)
     for s in (0.3, 1.0, 2.0):
         got = kernel_factor_variance_continuous(ds, s)
         assert got == pytest.approx(_stable_variance_continuous(ds, s), rel=1e-12, abs=0)
@@ -171,14 +147,14 @@ def test_variance_continuous_across_blocks_matches_brute_force():
     # own rounding is ~1e-17: only the shifted brute force resolves them.
     huge = kernel_factor_variance_continuous(ds, 1e6)
     assert 0 < huge == pytest.approx(_stable_variance_continuous(ds, 1e6), rel=1e-12, abs=0)
-    constant = _dataset(continuous=np.full((n, 2), -1.25))
+    constant = make_dataset(continuous=np.full((n, 2), -1.25))
     assert abs(kernel_factor_variance_continuous(constant, 0.8)) <= 1e-30
 
 
 def test_variance_continuous_peak_memory():
     # The pass allocates no n x n array.
     n = 1200
-    ds = _dataset(continuous=np.random.default_rng(6).standard_normal((n, 3)))
+    ds = make_dataset(continuous=np.random.default_rng(6).standard_normal((n, 3)))
     tracemalloc.start()
     try:
         kernel_factor_variance_continuous(ds, 0.9)
@@ -206,10 +182,10 @@ def test_variance_categorical_scales_as_one_minus_alpha_squared():
 
 def test_variance_errors():
     with pytest.raises(SchemaError):
-        kernel_factor_variance_continuous(_dataset(categorical=[0, 1], levels=(2,)), 1.0)
+        kernel_factor_variance_continuous(make_dataset(categorical=[0, 1], levels=(2,)), 1.0)
     with pytest.raises(SchemaError):
-        kernel_factor_variance_categorical(_dataset(continuous=[0.0, 1.0]), [])
-    ds = _dataset(continuous=[0.0, 1.0], categorical=[0, 1], levels=(2,))
+        kernel_factor_variance_categorical(make_dataset(continuous=[0.0, 1.0]), [])
+    ds = make_dataset(continuous=[0.0, 1.0], categorical=[0, 1], levels=(2,))
     with pytest.raises(SchemaError):
         kernel_factor_variance_categorical(ds, [0.1, 0.2])
 
@@ -221,7 +197,7 @@ def test_variance_errors():
 def test_select_lambda_zero_target_returns_upper_bounds():
     # Constant continuous column: continuous kernel variance 0, so the
     # matching variance must be 0, reached at the constant kernel.
-    ds = _dataset(
+    ds = make_dataset(
         continuous=np.zeros(8),
         categorical=[0, 1, 2, 0, 1, 2, 0, 1],
         levels=(3,),
@@ -232,7 +208,7 @@ def test_select_lambda_zero_target_returns_upper_bounds():
 
 def test_select_lambda_clamps_to_zero_with_warning():
     rng = np.random.default_rng(2)
-    ds = _dataset(
+    ds = make_dataset(
         continuous=rng.standard_normal(20),
         categorical=rng.integers(0, 2, size=20),
         levels=(2,),
@@ -243,7 +219,7 @@ def test_select_lambda_clamps_to_zero_with_warning():
 
 
 def test_select_lambda_constant_categorical_warns_midrange():
-    ds = _dataset(
+    ds = make_dataset(
         continuous=np.arange(6.0),
         categorical=np.zeros(6, dtype=int),
         levels=(4,),
@@ -254,7 +230,7 @@ def test_select_lambda_constant_categorical_warns_midrange():
 
 
 def test_select_lambda_no_continuous_fallback():
-    ds = _dataset(categorical=np.array([[0, 0], [1, 1], [2, 0], [3, 1]]), levels=(4, 2))
+    ds = make_dataset(categorical=np.array([[0, 0], [1, 1], [2, 0], [3, 1]]), levels=(4, 2))
     lam = select_lambda(ds, s=1.0)
     np.testing.assert_allclose(lam, [0.75 - 0.2, max(0.0, 0.5 - 0.2)])
 
@@ -262,7 +238,7 @@ def test_select_lambda_no_continuous_fallback():
 def test_select_lambda_hits_target_variance():
     # Balanced binary column, n=4; ask for half the maximum categorical
     # variance by scaling the weight accordingly.
-    ds = _dataset(
+    ds = make_dataset(
         continuous=[0.0, 1.0, 2.0, 3.0],
         categorical=[0, 0, 1, 1],
         levels=(2,),
@@ -320,10 +296,10 @@ def test_select_lambda_monotone_in_weight():
 
 
 def test_select_lambda_errors():
-    ds = _dataset(continuous=[0.0, 1.0])
+    ds = make_dataset(continuous=[0.0, 1.0])
     with pytest.raises(SchemaError):
         select_lambda(ds, s=1.0)
-    ds2 = _dataset(continuous=[0.0, 1.0], categorical=[0, 1], levels=(2,))
+    ds2 = make_dataset(continuous=[0.0, 1.0], categorical=[0, 1], levels=(2,))
     for weight in (0.0, float("nan")):
         with pytest.raises(ValueError):
             select_lambda(ds2, s=1.0, categorical_weight=weight)
@@ -369,10 +345,10 @@ def test_choose_bandwidths_default_and_override():
 
 
 def test_choose_bandwidths_pure_continuous_and_pure_categorical():
-    cont_only = _dataset(continuous=np.random.default_rng(0).standard_normal((20, 2)))
+    cont_only = make_dataset(continuous=np.random.default_rng(0).standard_normal((20, 2)))
     bw = choose_bandwidths(cont_only)
     assert bw.lam.shape == (0,)
-    cat_only = _dataset(categorical=np.tile([0, 1, 2], 4), levels=(3,))
+    cat_only = make_dataset(categorical=np.tile([0, 1, 2], 4), levels=(3,))
     bw2 = choose_bandwidths(cat_only)
     np.testing.assert_allclose(bw2.lam, [2.0 / 3.0 - 0.2])
 
@@ -387,7 +363,7 @@ def test_choose_bandwidths_lambda_overrides():
 
 
 def test_offset_lambda_clips_to_range():
-    ds = _dataset(categorical=np.column_stack([np.tile([0, 1], 6), np.arange(12) % 5]),
+    ds = make_dataset(categorical=np.column_stack([np.tile([0, 1], 6), np.arange(12) % 5]),
                   levels=(2, 5))
     np.testing.assert_allclose(offset_lambda(ds, 0.2), [0.3, 0.6])
     np.testing.assert_allclose(offset_lambda(ds, 0.7), [0.0, 0.1])

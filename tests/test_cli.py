@@ -17,6 +17,7 @@ from dibmix import (
     BALANCE_IMBALANCED,
     BenchmarkPlan,
     choose_bandwidths,
+    estimate_conditional,
     read_csv,
     standardize,
 )
@@ -130,17 +131,40 @@ def test_cluster_k1_trivial(tmp_path, separated_csv, capsys):
 
 def test_cluster_dump_files(tmp_path, separated_csv, capsys):
     data, _, _ = separated_csv
-    out = tmp_path / "dump"
-    code = main([
-        "cluster", "--input", str(data), "--categorical", "c1",
-        "--k", "2", "--restarts", "2", "--output-dir", str(out),
-        "--dump-density",
-    ])
-    assert code == 0
-    capsys.readouterr()
-    density = np.loadtxt(out / "density.csv", delimiter=",")
-    assert density.shape == (40, 40)
-    np.testing.assert_allclose(density.sum(axis=1), 1.0, atol=1e-9)
+    for subsample in (None, 12):
+        out = tmp_path / f"dump{subsample}"
+        code = main([
+            "cluster", "--input", str(data), "--categorical", "c1",
+            "--k", "2", "--restarts", "2", "--output-dir", str(out),
+            "--dump-density", *(["--subsample", str(subsample)] if subsample else []),
+        ])
+        assert code == 0
+        capsys.readouterr()
+        ds = read_csv(data, categorical=["c1"])
+        if subsample:
+            ds = ds.subsample(json.loads((out / "result.json").read_text())["subsample_indices"])
+        ds = standardize(ds)
+        expected = estimate_conditional(ds, choose_bandwidths(ds)).matrix
+        assert expected.shape == (subsample or 40,) * 2
+        # %.17g round-trips every double, so the file holds the density exactly
+        np.testing.assert_array_equal(np.loadtxt(out / "density.csv", delimiter=","), expected)
+
+
+def test_cluster_refuses_k_above_n_before_any_density(tmp_path, separated_csv, capsys,
+                                                      monkeypatch):
+    def no_density(*args, **kwargs):
+        raise AssertionError("a density was built before k was checked")
+
+    monkeypatch.setattr("dibmix.cli.estimate_conditional", no_density)
+    monkeypatch.setattr("dibmix.dib.estimate_conditional", no_density)
+    data, _, _ = separated_csv
+    out = tmp_path / "out"
+    code = main(["cluster", "--input", str(data), "--categorical", "c1", "--k", "50",
+                 "--output-dir", str(out)])
+    assert code == 2
+    err, _ = _err(capsys)
+    assert err == {"code": "invalid_argument", "message": "need 1 <= k <= n, got k=50, n=40"}
+    assert not out.exists()
 
 
 def test_cluster_subsample_deterministic(tmp_path, separated_csv, capsys):

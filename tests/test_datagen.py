@@ -56,6 +56,16 @@ def test_genspec_rejects_levels_that_are_not_integers(levels):
         GenSpec(n=10, p_c=1, p_d=1, levels=levels, overlap_cont=0.3, overlap_cat=0.3)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n", 10.0), ("p_c", 1.0), ("p_d", np.float64(1.0)), ("seed", 1.5),
+])
+def test_genspec_refuses_counts_and_seeds_that_are_not_integers(name, value):
+    spec = dict(n=10, p_c=1, p_d=1, levels=2, overlap_cont=0.3, overlap_cat=0.3, seed=0)
+    with pytest.raises(ValueError) as info:
+        GenSpec(**spec | {name: value})
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
 def test_genspec_refuses_a_negative_seed():
     with pytest.raises(ValueError,
                        match="^seed must be nonnegative and finite, at most 1e100, got -1$"):

@@ -15,15 +15,11 @@ import numpy as np
 import pytest
 
 from dibmix import (
-    CATEGORICAL,
-    CONTINUOUS,
     Bandwidths,
     ConditionalDensity,
     DegenerateSmoothingError,
     Encoder,
     GenSpec,
-    MixedDataset,
-    VariableSchema,
     ari,
     beta_sweep,
     choose_bandwidths,
@@ -42,27 +38,8 @@ from conftest import (
     dib_fit_density_oracle,
     dib_objective_oracle,
     dib_step,
+    make_dataset,
 )
-
-
-def _mixed(continuous, categorical=None, levels=()):
-    cont = np.asarray(continuous, dtype=float)
-    if cont.ndim == 1:
-        cont = cont[:, None]
-    n = cont.shape[0]
-    cat = (
-        np.empty((n, 0), dtype=np.int64)
-        if categorical is None
-        else np.asarray(categorical, dtype=np.int64)
-    )
-    if cat.ndim == 1:
-        cat = cat[:, None]
-    schema = [VariableSchema(f"x{j}", CONTINUOUS) for j in range(cont.shape[1])]
-    schema += [
-        VariableSchema(f"c{j}", CATEGORICAL, tuple(f"v{v}" for v in range(l)))
-        for j, l in enumerate(levels)
-    ]
-    return MixedDataset(schema=tuple(schema), continuous=cont, categorical=cat)
 
 
 def _score_oracle(masses, decoder, p_matrix, beta):
@@ -128,7 +105,7 @@ def test_init_random_errors():
 
 def test_encoder_from_assignment_invariants():
     rng = np.random.default_rng(4)
-    ds = _mixed(rng.standard_normal(30), rng.integers(0, 3, size=30), levels=(3,))
+    ds = make_dataset(rng.standard_normal(30), rng.integers(0, 3, size=30), levels=(3,))
     density = estimate_conditional(ds, Bandwidths(s=1.0, lam=[0.2]))
     assign = rng.integers(0, 4, size=30)
     assign[assign == 3] = 0  # leave cluster 3 empty on purpose
@@ -149,7 +126,7 @@ def test_encoder_from_assignment_invariants():
 
 def test_dib_step_beta_zero_collapses_to_heaviest_cluster():
     rng = np.random.default_rng(9)
-    ds = _mixed(rng.standard_normal(50))
+    ds = make_dataset(rng.standard_normal(50))
     density = estimate_conditional(ds, Bandwidths(s=1.0))
     enc = Encoder.from_assignment(init_random(50, 4, rng_seed=1), 4, density, ds.weights)
     counts = np.bincount(enc.assign, minlength=4)
@@ -163,7 +140,7 @@ def test_dib_step_beta_zero_collapses_to_heaviest_cluster():
 
 def test_dib_step_k1_is_identity():
     rng = np.random.default_rng(2)
-    ds = _mixed(rng.standard_normal(20))
+    ds = make_dataset(rng.standard_normal(20))
     density = estimate_conditional(ds, Bandwidths(s=1.0))
     enc = Encoder.from_assignment(np.zeros(20, dtype=int), 1, density, ds.weights)
     stepped = dib_step(enc, density, beta=50.0, weights=ds.weights)
@@ -172,7 +149,7 @@ def test_dib_step_k1_is_identity():
 
 def test_dib_step_four_point_fixed_point_and_score_oracle():
     # Two well-separated pairs; the correct split must be a fixed point.
-    ds = _mixed([0.0, 0.3, 10.0, 10.3])
+    ds = make_dataset([0.0, 0.3, 10.0, 10.3])
     density = estimate_conditional(ds, Bandwidths(s=1.0))
     enc = Encoder.from_assignment([0, 0, 1, 1], 2, density, ds.weights)
     stepped = dib_step(enc, density, beta=100.0, weights=ds.weights)
@@ -190,7 +167,7 @@ def test_dib_step_matches_score_oracle_random():
     rng = np.random.default_rng(31)
     for _ in range(10):
         n = int(rng.integers(5, 25))
-        ds = _mixed(rng.standard_normal(n), rng.integers(0, 3, size=n), levels=(3,))
+        ds = make_dataset(rng.standard_normal(n), rng.integers(0, 3, size=n), levels=(3,))
         density = estimate_conditional(ds, Bandwidths(s=0.6, lam=[0.25]))
         k = int(rng.integers(1, 5))
         enc = Encoder.from_assignment(rng.integers(0, k, size=n), k, density, ds.weights)
@@ -226,7 +203,7 @@ def test_dib_step_dimension_mismatch():
 
 def test_objective_k1_is_zero():
     rng = np.random.default_rng(0)
-    ds = _mixed(rng.standard_normal(12))
+    ds = make_dataset(rng.standard_normal(12))
     density = estimate_conditional(ds, Bandwidths(s=1.0))
     enc = Encoder.from_assignment(np.zeros(12, dtype=int), 1, density, ds.weights)
     obj, h, i = objective(enc, density, 37.0, ds.weights)
@@ -238,7 +215,7 @@ def test_objective_k1_is_zero():
 def test_objective_singletons_entropy_log_n():
     rng = np.random.default_rng(1)
     n = 9
-    ds = _mixed(rng.standard_normal(n))
+    ds = make_dataset(rng.standard_normal(n))
     density = estimate_conditional(ds, Bandwidths(s=1.0))
     enc = Encoder.from_assignment(np.arange(n), n, density, ds.weights)
     _, h, _ = objective(enc, density, 1.0, ds.weights)
@@ -249,7 +226,7 @@ def test_objective_matches_direct_summation_oracle():
     rng = np.random.default_rng(14)
     for _ in range(10):
         n = int(rng.integers(4, 40))
-        ds = _mixed(rng.standard_normal(n), rng.integers(0, 4, size=n), levels=(4,))
+        ds = make_dataset(rng.standard_normal(n), rng.integers(0, 4, size=n), levels=(4,))
         density = estimate_conditional(ds, Bandwidths(s=0.8, lam=[0.3]))
         k = int(rng.integers(1, 5))
         assign = rng.integers(0, k, size=n)
@@ -266,7 +243,7 @@ def test_objective_matches_direct_summation_oracle():
 def test_objective_label_permutation_invariance():
     rng = np.random.default_rng(6)
     n = 30
-    ds = _mixed(rng.standard_normal(n))
+    ds = make_dataset(rng.standard_normal(n))
     density = estimate_conditional(ds, Bandwidths(s=1.0))
     assign = rng.integers(0, 3, size=n)
     enc = Encoder.from_assignment(assign, 3, density, ds.weights)
@@ -292,7 +269,7 @@ def _separated_dataset(seed=0, n=200):
     cat = np.where(
         rng.uniform(size=n) < 0.9, truth, rng.integers(2, 4, size=n)
     )
-    return _mixed(x, cat, levels=(4,)), truth
+    return make_dataset(x, cat, levels=(4,)), truth
 
 
 def test_dib_fit_recovers_separated_clusters():
@@ -308,7 +285,7 @@ def test_dib_fit_recovers_separated_clusters():
 
 def test_dib_fit_beta_zero_collapses_fast():
     rng = np.random.default_rng(3)
-    ds = _mixed(rng.standard_normal(80), rng.integers(0, 3, size=80), levels=(3,))
+    ds = make_dataset(rng.standard_normal(80), rng.integers(0, 3, size=80), levels=(3,))
     result = dib_fit(ds, k=5, beta=0.0, bw=Bandwidths(s=1.0, lam=[0.3]),
                      restarts=3, rng_seed=1)
     assert result.effective_k == 1
@@ -330,7 +307,7 @@ def test_dib_fit_is_fixed_point():
 @pytest.mark.threads
 def test_dib_fit_thread_determinism():
     rng = np.random.default_rng(8)
-    ds = _mixed(rng.standard_normal(90), rng.integers(0, 4, size=90), levels=(4,))
+    ds = make_dataset(rng.standard_normal(90), rng.integers(0, 4, size=90), levels=(4,))
     kw = dict(k=3, beta=25.0, bw=Bandwidths(s=0.8, lam=[0.4]), restarts=8, rng_seed=11)
     serial = dib_fit(ds, threads=1, **kw)
     threaded = dib_fit(ds, threads=4, **kw)
@@ -344,10 +321,9 @@ def _equivalence_density(lam, n=48):
     """Mixed data on n points with non-uniform weights; a zero lambda puts
     exact zeros into p(y|x)."""
     rng = np.random.default_rng(31)
-    ds = _mixed(rng.standard_normal((n, 2)), rng.integers(0, 3, size=(n, 2)), levels=(3, 3))
+    cont, cat = rng.standard_normal((n, 2)), rng.integers(0, 3, size=(n, 2))
     weights = rng.uniform(0.2, 1.0, size=n)
-    ds = MixedDataset(schema=ds.schema, continuous=ds.continuous,
-                      categorical=ds.categorical, weights=weights / weights.sum())
+    ds = make_dataset(cont, cat, levels=(3, 3), weights=weights / weights.sum())
     return estimate_conditional(ds, Bandwidths(s=0.8, lam=lam)), ds.weights
 
 
@@ -754,7 +730,7 @@ def test_stacked_passes_split_by_threads_within_budget(monkeypatch, threads):
 
 def test_dib_fit_weight_scale_invariance():
     rng = np.random.default_rng(13)
-    ds = _mixed(rng.standard_normal(60), rng.integers(0, 3, size=60), levels=(3,))
+    ds = make_dataset(rng.standard_normal(60), rng.integers(0, 3, size=60), levels=(3,))
     density = estimate_conditional(ds, Bandwidths(s=1.0, lam=[0.3]))
     w = ds.weights
     scaled = (7.0 * w) / (7.0 * w).sum()
@@ -765,7 +741,7 @@ def test_dib_fit_weight_scale_invariance():
 
 def test_dib_fit_objective_identity_and_restart_summary():
     rng = np.random.default_rng(19)
-    ds = _mixed(rng.standard_normal(70), rng.integers(0, 3, size=70), levels=(3,))
+    ds = make_dataset(rng.standard_normal(70), rng.integers(0, 3, size=70), levels=(3,))
     result = dib_fit(ds, k=3, beta=40.0, bw=Bandwidths(s=1.0, lam=[0.3]),
                      restarts=6, rng_seed=3)
     assert result.objective == pytest.approx(
@@ -787,7 +763,7 @@ def test_dib_fit_trace_non_increasing_when_no_cycle_flag():
     checked = 0
     for seed in range(15):
         n = int(rng.integers(20, 60))
-        ds = _mixed(rng.standard_normal(n), rng.integers(0, 3, size=n), levels=(3,))
+        ds = make_dataset(rng.standard_normal(n), rng.integers(0, 3, size=n), levels=(3,))
         result = dib_fit(ds, k=3, beta=20.0, bw=Bandwidths(s=1.0, lam=[0.3]),
                          restarts=1, rng_seed=seed)
         if result.cycle_detected:
@@ -800,7 +776,7 @@ def test_dib_fit_trace_non_increasing_when_no_cycle_flag():
 
 def test_dib_fit_validation_errors():
     rng = np.random.default_rng(1)
-    ds = _mixed(rng.standard_normal(10))
+    ds = make_dataset(rng.standard_normal(10))
     bw = Bandwidths(s=1.0)
     with pytest.raises(ValueError):
         dib_fit(ds, k=11, beta=1.0, bw=bw)
@@ -831,13 +807,15 @@ def test_dib_fit_validation_errors():
     (dict(rng_seed=-1), "seed must be nonnegative and finite, at most 1e100, got -1"),
     (dict(beta=1e308), "beta must be nonnegative and finite, at most 1e100, got 1e+308"),
     (dict(threads=0), "threads must be >= 1, got 0"),
-], ids=["k", "restarts", "max_iter", "seed", "beta", "threads"])
+    (dict(k=2.5), "k must be an integer, got 2.5"),
+    (dict(rng_seed=1.5), "seed must be an integer, got 1.5"),
+], ids=["k", "restarts", "max_iter", "seed", "beta", "threads", "k_integer", "seed_integer"])
 def test_bad_arguments_are_refused_before_the_density_is_built(monkeypatch, fit, bad, message):
     def build(*args, **kwargs):
         raise AssertionError("the density was built")
 
     monkeypatch.setattr("dibmix.dib.estimate_conditional", build)
-    ds = _mixed(np.random.default_rng(0).standard_normal(10))
+    ds = make_dataset(np.random.default_rng(0).standard_normal(10))
     given = dict(k=2, beta=1.0, restarts=1, max_iter=1, rng_seed=0, threads=1) | bad
     beta = given.pop("beta")
     with pytest.raises(ValueError) as info:
@@ -854,7 +832,7 @@ def test_bad_arguments_are_refused_before_the_density_is_built(monkeypatch, fit,
 
 def test_beta_sweep_zero_beta_row():
     rng = np.random.default_rng(7)
-    ds = _mixed(rng.standard_normal(40), rng.integers(0, 3, size=40), levels=(3,))
+    ds = make_dataset(rng.standard_normal(40), rng.integers(0, 3, size=40), levels=(3,))
     sweep = beta_sweep(ds, k=4, bw=Bandwidths(s=1.0, lam=[0.3]), betas=(0.0,),
                        restarts=3, rng_seed=0)
     assert len(sweep.rows) == 1
@@ -882,7 +860,7 @@ def test_beta_sweep_rows_are_the_fits_and_dib_fit_is_one_row():
     sweep's density at its beta, and ``dib_fit`` at a beta is the one-point
     sweep's row."""
     rng = np.random.default_rng(10)
-    ds = _mixed(rng.standard_normal(50), rng.integers(0, 3, size=50), levels=(3,))
+    ds = make_dataset(rng.standard_normal(50), rng.integers(0, 3, size=50), levels=(3,))
     bw = Bandwidths(s=1.0, lam=[0.3])
     betas = (0.0, 5.0, 20.0, 100.0)
     sweep = beta_sweep(ds, k=3, bw=bw, betas=betas, restarts=4, rng_seed=5)
@@ -913,7 +891,7 @@ def test_beta_sweep_relevance_monotone_on_separated_data():
 
 def test_beta_sweep_errors():
     rng = np.random.default_rng(0)
-    ds = _mixed(rng.standard_normal(10))
+    ds = make_dataset(rng.standard_normal(10))
     with pytest.raises(ValueError):
         beta_sweep(ds, k=2, bw=Bandwidths(s=1.0), betas=())
     with pytest.raises(ValueError):

@@ -10,13 +10,9 @@ import numpy as np
 import pytest
 
 from dibmix import (
-    CATEGORICAL,
-    CONTINUOUS,
     Bandwidths,
-    MixedDataset,
     SchemaError,
     SizeCapError,
-    VariableSchema,
     aitchison_aitken,
     estimate_conditional,
     gaussian_kernel,
@@ -24,30 +20,11 @@ from dibmix import (
 from dibmix.kernels import ConditionalDensity, _block_rows, _log_kernel_blocks
 
 from conftest import (
+    make_dataset,
     product_kernel_oracle,
     random_bandwidths,
     random_mixed_dataset,
 )
-
-
-def _dataset(continuous=None, categorical=None, levels=()):
-    cont = np.empty((0, 0)) if continuous is None else np.asarray(continuous, dtype=float)
-    if cont.ndim == 1:
-        cont = cont[:, None]
-    cat = None if categorical is None else np.asarray(categorical, dtype=np.int64)
-    if cat is not None and cat.ndim == 1:
-        cat = cat[:, None]
-    n = cont.shape[0] if cont.size or cat is None else cat.shape[0]
-    if cont.size == 0:
-        cont = np.empty((n, 0))
-    if cat is None:
-        cat = np.empty((n, 0), dtype=np.int64)
-    schema = [VariableSchema(f"x{j}", CONTINUOUS) for j in range(cont.shape[1])]
-    schema += [
-        VariableSchema(f"c{j}", CATEGORICAL, tuple(f"v{v}" for v in range(l)))
-        for j, l in enumerate(levels)
-    ]
-    return MixedDataset(schema=tuple(schema), continuous=cont, categorical=cat)
 
 
 def _log_kernel(ds, bw):
@@ -138,7 +115,7 @@ def test_bandwidths_validation():
         Bandwidths(s=np.inf)
     with pytest.raises(ValueError):
         Bandwidths(s=1.0, lam=[-0.1])
-    ds = _dataset(continuous=[[0.0], [1.0]], categorical=[0, 1], levels=(3,))
+    ds = make_dataset(continuous=[[0.0], [1.0]], categorical=[0, 1], levels=(3,))
     with pytest.raises(SchemaError):
         Bandwidths(s=1.0, lam=[0.1, 0.2]).validate_for(ds)
     with pytest.raises(ValueError):
@@ -162,7 +139,7 @@ def test_bandwidths_s_is_one_scalar():
 
 
 def test_product_kernel_identical_point_mixed():
-    ds = _dataset(continuous=[0.4, 1.3], categorical=[2, 1], levels=(4,))
+    ds = make_dataset(continuous=[0.4, 1.3], categorical=[2, 1], levels=(4,))
     bw = Bandwidths(s=1.0, lam=[0.3])
     # Self-comparison: gaussian at 0 times the categorical match value.
     value = product_kernel_oracle(ds, 0, 0, bw.s, bw.lam)
@@ -170,13 +147,13 @@ def test_product_kernel_identical_point_mixed():
 
 
 def test_product_kernel_all_categorical_full_mismatch():
-    ds = _dataset(categorical=[[0, 1], [2, 3]], levels=(4, 4))
+    ds = make_dataset(categorical=[[0, 1], [2, 3]], levels=(4, 4))
     bw = Bandwidths(s=1.0, lam=[0.3, 0.3])
     assert product_kernel_oracle(ds, 0, 1, bw.s, bw.lam) == pytest.approx(0.01, rel=1e-14)
 
 
 def test_product_kernel_indicator_mismatch_is_zero():
-    ds = _dataset(categorical=[0, 1], levels=(2,))
+    ds = make_dataset(categorical=[0, 1], levels=(2,))
     bw = Bandwidths(s=1.0, lam=[0.0])
     assert product_kernel_oracle(ds, 0, 1, bw.s, bw.lam) == 0.0
     assert np.exp(_log_kernel(ds, bw)[0, 1]) == 0.0
@@ -201,14 +178,14 @@ def test_product_kernel_matches_scalar_oracle_and_symmetry():
 
 
 def test_estimate_conditional_single_point():
-    ds = _dataset(continuous=[3.7])
+    ds = make_dataset(continuous=[3.7])
     density = estimate_conditional(ds, Bandwidths(s=1.0))
     np.testing.assert_array_equal(density.matrix, [[1.0]])
     np.testing.assert_array_equal(density.marginal_y, [1.0])
 
 
 def test_estimate_conditional_identical_observations():
-    ds = _dataset(continuous=[1.0, 1.0])
+    ds = make_dataset(continuous=[1.0, 1.0])
     density = estimate_conditional(ds, Bandwidths(s=2.0))
     np.testing.assert_allclose(density.matrix, [[0.5, 0.5], [0.5, 0.5]], rtol=0, atol=0)
     np.testing.assert_allclose(density.marginal_y, [0.5, 0.5], rtol=0, atol=0)
@@ -217,7 +194,7 @@ def test_estimate_conditional_identical_observations():
 def test_estimate_conditional_three_point_hand_case():
     # Unnormalized row 0 is (K(0), K(1), K(10)); dividing by the sum gives
     # the values below (recomputed with scalar math).
-    ds = _dataset(continuous=[0.0, 1.0, 10.0])
+    ds = make_dataset(continuous=[0.0, 1.0, 10.0])
     density = estimate_conditional(ds, Bandwidths(s=1.0))
     np.testing.assert_allclose(
         density.matrix[0],
@@ -251,12 +228,7 @@ def test_estimate_conditional_agrees_with_pairwise_product_kernel():
 
 
 def test_estimate_conditional_weighted_marginal():
-    ds = MixedDataset(
-        schema=(VariableSchema("x", CONTINUOUS),),
-        continuous=np.array([[0.0], [1.0], [2.0]]),
-        categorical=np.empty((3, 0), dtype=np.int64),
-        weights=np.array([0.5, 0.25, 0.25]),
-    )
+    ds = make_dataset(continuous=[0.0, 1.0, 2.0], weights=[0.5, 0.25, 0.25])
     density = estimate_conditional(ds, Bandwidths(s=1.0))
     np.testing.assert_allclose(
         density.marginal_y,
@@ -266,13 +238,13 @@ def test_estimate_conditional_weighted_marginal():
 
 def test_estimate_conditional_large_s_approaches_uniform():
     rng = np.random.default_rng(3)
-    ds = _dataset(continuous=rng.standard_normal((25, 2)))
+    ds = make_dataset(continuous=rng.standard_normal((25, 2)))
     density = estimate_conditional(ds, Bandwidths(s=1e6))
     np.testing.assert_allclose(density.matrix, 1.0 / 25.0, atol=1e-6)
 
 
 def test_estimate_conditional_size_cap(monkeypatch):
-    ds = _dataset(continuous=np.arange(5.0))
+    ds = make_dataset(continuous=np.arange(5.0))
     monkeypatch.setattr("dibmix.kernels.DEFAULT_MAX_N", 4)
     with pytest.raises(SizeCapError, match="subsample"):
         estimate_conditional(ds, Bandwidths(s=1.0))
@@ -284,7 +256,7 @@ def test_estimate_conditional_no_underflow_with_900_variables():
     # The self term (1/sqrt(2*pi))^900 underflows to zero as a product, but
     # the log-space pass divides it out before exp: identical points share
     # their mass equally.
-    ds = _dataset(continuous=np.zeros((2, 900)))
+    ds = make_dataset(continuous=np.zeros((2, 900)))
     density = estimate_conditional(ds, Bandwidths(s=1.0))
     np.testing.assert_array_equal(density.matrix, [[0.5, 0.5], [0.5, 0.5]])
     np.testing.assert_array_equal(density.marginal_y, [0.5, 0.5])
@@ -298,7 +270,7 @@ def _multi_block_case():
     rows = _block_rows(n)
     assert 2 * rows < n and n % rows, "the case must span several blocks"
     rng = np.random.default_rng(41)
-    ds = _dataset(
+    ds = make_dataset(
         continuous=rng.standard_normal((n, 2)) * [1.0, 3.0],
         categorical=np.column_stack([rng.integers(0, 3, n), rng.integers(0, 5, n)]),
         levels=(3, 5),

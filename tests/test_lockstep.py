@@ -120,12 +120,15 @@ def test_stacks_cover_items_in_order_within_budget(count, per_stack, parts):
     (2, 5, 1, 0, "max_iter must be >= 1, got 0", 0),
     (2, 5, 2.5, 1, "restarts must be an integer, got 2.5", 0),
     (2, 5, 1, 1, "seed must be nonnegative and finite, at most 1e100, got -1", -1),
+    (2.5, 5, 1, 1, "k must be an integer, got 2.5", 0),
+    (0.5, 5, 1, 1, "need 1 <= k <= n, got k=0.5, n=5", 0),  # the range is checked first
+    (2, 5, 1, 1, "seed must be an integer, got 1.5", 1.5),
 ])
 def test_check_refuses_bad_restart_arguments(k, n, restarts, max_iter, message, seed):
     with pytest.raises(ValueError) as info:
         check(k, n, restarts, max_iter, seed)
     assert str(info.value) == message
-    check(min(max(k, 1), n), n, 1, 1, 0)  # the same fit with good arguments passes
+    check(min(max(int(k), 1), n), n, 1, 1, 0)  # the same fit with good arguments passes
 
 
 @pytest.mark.parametrize("name, value, ok", [
@@ -167,6 +170,16 @@ def _mixed():
     pytest.param("gamma", lambda ds: kprototypes_fit(ds, 2, gamma=1e308),
                  id="kprototypes_fit-gamma"),
     pytest.param("beta", lambda ds: BenchmarkPlan(beta=1e308), id="BenchmarkPlan-beta"),
+    # a count or a seed that is not an integer
+    pytest.param("k", lambda ds: kprototypes_fit(ds, 2.5), id="kprototypes_fit-k"),
+    pytest.param("k", lambda ds: kprototypes_chain(ds, 2.5), id="kprototypes_chain-k"),
+    pytest.param("k", lambda ds: pam_fit(gower(ds), 2.5), id="pam_fit-k"),
+    pytest.param("seed", lambda ds: pam_fit(gower(ds), 2, rng_seed=1.5), id="pam_fit-seed-1.5"),
+    pytest.param("k", lambda ds: init_random(50, 2.5, 0), id="init_random-k"),
+    pytest.param("k", lambda ds: BenchmarkPlan(k=2.5), id="BenchmarkPlan-k"),
+    pytest.param("seed", lambda ds: BenchmarkPlan(seed=1.5), id="BenchmarkPlan-seed"),
+    pytest.param("replicates", lambda ds: BenchmarkPlan(replicates=1.5),
+                 id="BenchmarkPlan-replicates"),
 ])
 def test_out_of_range_setting_is_refused_by_name(setting, call):
     ds = _mixed()
