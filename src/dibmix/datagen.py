@@ -8,8 +8,8 @@ summed minimum of the two mass vectors equals the requested level exactly.
 The cluster count is fixed at two.
 
 Phi^{-1} is ``_ndtri``, an exact port of the Cephes ``ndtri`` that SciPy
-ships as ``scipy.special.ndtri``: it returns the same bits, so dibmix
-imports SciPy only for ``scipy.sparse``.
+ships as ``scipy.special.ndtri``: it returns the same bits without importing
+``scipy.special``.  dibmix imports no SciPy subpackage (see ``dib._refresh``).
 """
 
 import math

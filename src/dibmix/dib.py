@@ -42,11 +42,14 @@ Reference: Strouse, DJ and Schwab, D.J. (2017). The deterministic
 information bottleneck. Neural Computation 29.
 """
 
+import importlib.util
+import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
-from scipy import sparse
 
 from . import lockstep
 from .dataset import MixedDataset
@@ -97,34 +100,78 @@ class Encoder:
 
     @classmethod
     def from_assignment(cls, assign, k: int, density: ConditionalDensity, weights) -> "Encoder":
-        assign = np.asarray(assign, dtype=np.int64)
-        weights = np.asarray(weights, dtype=float)
+        """The encoder of the labels ``assign``, n integers in 0..k-1, refreshed
+        against ``density`` with observation ``weights``; the arguments are
+        checked before the unchecked kernel of ``_refresh`` reads them."""
+        k = lockstep.check_count("k", k)
+        weights = _check_weights(weights, density.n)
+        assign = np.asarray(assign)
+        if assign.shape != (density.n,):
+            raise ValueError(f"assign has shape {assign.shape}, expected ({density.n},)")
+        if assign.dtype.kind not in "iu":
+            raise ValueError(f"assign must hold integer labels, got dtype {assign.dtype}")
+        low, high = (int(assign.min()), int(assign.max())) if assign.size else (0, 0)
+        if not 0 <= low <= high < k:
+            raise ValueError(f"assign must hold labels in 0..{k - 1}, got {low}..{high}")
+        assign = assign.astype(np.int64)
         masses, decoder = _refresh(assign[None, :], k, density.matrix, weights)
         return cls(assign=assign, masses=masses[0], decoder=decoder[0])
+
+
+def _load_sparsetools():
+    """SciPy's compiled sparse kernels, loaded from their file so that
+    ``scipy.sparse`` (some 300 modules and 20 MB for the one kernel used
+    here) is never imported.  A copy that ``scipy.sparse`` already loaded is
+    reused.  Otherwise the extension registers itself in ``sys.modules`` and
+    is taken out again, so a later ``import scipy.sparse`` binds it as usual."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("dibmix needs SciPy, which is not installed", name="scipy")
+    stems = [os.path.join(root, "sparse", "_sparsetools")
+             for root in scipy_spec.submodule_search_locations]
+    for path in (stem + suffix for stem in stems for suffix in EXTENSION_SUFFIXES):
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(name, None)
+            return module
+    raise ImportError(f"SciPy's compiled sparse kernels are missing: no {' or '.join(stems)}"
+                      f" with a suffix in {EXTENSION_SUFFIXES}", name=name)
+
+
+_sparsetools = _load_sparsetools()
 
 
 def _refresh(assign, k, p_matrix, weights):
     """Masses and decoders of a stack of C hard encoders, ``assign`` (C, n).
 
     q_r(t) = sum_x w(x) [t_r(x)=t];  q_r(y|t) = sum_x w(x) p(y|x) [t_r(x)=t] / q_r(t).
-    Row r*k + t of the sparse (C*k, n) one-hot matrix holds w(x) where
-    t_r(x) = t, one entry per chain in each column x, so one product yields
-    every decoder row from C*n^2 multiply-adds.  Returns masses (C, k) and
-    decoders (C, k, n).
+    Row r*k + t of a (C*k, n) one-hot matrix in CSC form holds w(x) where
+    t_r(x) = t, one entry per chain in each column x, so SciPy's compiled
+    ``csc_matvecs`` yields every decoder row from C*n^2 multiply-adds.  It
+    walks the columns x in ascending order and adds w(x) p(x, .) to each
+    chain's row of t_r(x), so every decoder row is summed in x order,
+    bit-identical whatever the stack height; BLAS is not involved.  The
+    kernel checks neither bounds nor shapes: the caller passes labels in
+    0..k-1 and an (n, n) ``p_matrix``.  Returns masses (C, k) and decoders
+    (C, k, n).
     """
     chains, n = assign.shape
-    cols = assign + k * np.arange(chains)[:, None]
+    cols = assign.astype(np.intp) + k * np.arange(chains, dtype=np.intp)[:, None]
+    weights = np.asarray(weights, dtype=np.float64)
     # bincount adds each bin's weights in x order, as a per-chain bincount does.
     masses = np.bincount(cols.ravel(), weights=np.tile(weights, chains), minlength=chains * k)
-    onehot = sparse.csc_matrix(
-        (np.repeat(weights, chains), cols.T.ravel(), np.arange(0, n * chains + 1, chains)),
-        shape=(chains * k, n),
+    decoder = np.zeros((chains * k, n))
+    _sparsetools.csc_matvecs(
+        chains * k, n, n,
+        np.arange(0, n * chains + 1, chains, dtype=np.intp), cols.T.ravel(),
+        np.repeat(weights, chains),
+        np.ascontiguousarray(p_matrix, dtype=np.float64).reshape(-1), decoder.reshape(-1),
     )
-    # CSC times dense walks the columns x in ascending order and adds
-    # w(x) p(x, .) to each chain's row of t_r(x), so every decoder row is
-    # summed in x order, bit-identical whatever the stack height; BLAS is
-    # not involved.
-    decoder = onehot @ p_matrix
     np.divide(decoder, masses[:, None], out=decoder, where=(masses > 0)[:, None])
     return masses.reshape(chains, k), decoder.reshape(chains, k, n)
 
@@ -231,6 +278,10 @@ def _objectives(masses, decoder, p_y, beta):
 def objective(enc: Encoder, density: ConditionalDensity, beta: float, weights):
     """Return (H(T) - beta * I(T, Y), H(T), I(T, Y)) for an encoder refreshed
     against ``density`` with observation ``weights``."""
+    lockstep.check_range("beta", beta)
+    if enc.decoder.shape != (enc.k, density.n):
+        raise ValueError(f"decoder has shape {enc.decoder.shape}, expected (k, n) = "
+                         f"({enc.k}, {density.n})")
     weights = _check_weights(weights, density.n)
     obj, h, i = _objectives(
         enc.masses[None], enc.decoder[None], _marginal(density.matrix, weights), beta

@@ -211,6 +211,24 @@ def _masses_and_decoder_oracle(assign, k, p_matrix, weights):
     return masses, decoder
 
 
+def refresh_oracle(assign, k, p_matrix, weights):
+    """``dib._refresh`` through SciPy's public CSC-by-dense product, which
+    checks its inputs and runs the same compiled kernel: masses (C, k) and
+    decoders (C, k, n) of the stack ``assign`` (C, n)."""
+    from scipy import sparse
+
+    chains, n = assign.shape
+    cols = assign + k * np.arange(chains)[:, None]
+    masses = np.bincount(cols.ravel(), weights=np.tile(weights, chains), minlength=chains * k)
+    onehot = sparse.csc_matrix(
+        (np.repeat(weights, chains), cols.T.ravel(), np.arange(0, n * chains + 1, chains)),
+        shape=(chains * k, n),
+    )
+    decoder = onehot @ p_matrix
+    np.divide(decoder, masses[:, None], out=decoder, where=(masses > 0)[:, None])
+    return masses.reshape(chains, k), decoder.reshape(chains, k, n)
+
+
 def _score_step_oracle(masses, decoder, p_matrix, row_neg_entropy, beta, has_zeros):
     """Scores of one chain's k clusters; returns the argmax assignment."""
     with np.errstate(divide="ignore"):

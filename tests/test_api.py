@@ -1,14 +1,20 @@
 """The public API is declared once, by the package's relative imports, and
-importing it loads no more of SciPy than ``scipy.sparse``."""
+importing it loads no SciPy module beyond a bare ``import scipy``: the
+decoder refresh loads SciPy's compiled sparse kernels from their file."""
 
 import ast
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import dibmix
+from dibmix import dib
 
 
 def test_all_is_the_names_the_package_imports_from_its_modules():
@@ -32,19 +38,28 @@ def test_all_is_the_names_the_package_imports_from_its_modules():
     assert set(namespace) - {"__builtins__"} == imported
 
 
-def test_the_cli_imports_no_scipy_module_beyond_scipy_sparse():
-    # scipy.sparse first, so only modules that it does not load count; an
-    # older SciPy whose sparse loads more only widens what is allowed.
-    probe = ("import sys\n"
-             "import scipy.sparse\n"
-             "def scipy_modules():\n"
-             "    return {m for m in sys.modules if m.split('.')[0] == 'scipy'}\n"
-             "before = scipy_modules()\n"
-             "import dibmix.cli\n"
-             "print(sorted(scipy_modules() - before))\n")
+def test_the_cli_imports_no_scipy_module_beyond_a_bare_import_scipy():
+    probe = Path(__file__).with_name("scipy_import_probe.py")
     src = str(Path(dibmix.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, str(probe)], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.startswith(dibmix.__file__)
+
+
+def test_the_kernel_loader_names_the_file_it_cannot_find(monkeypatch, tmp_path):
+    # a scipy.sparse imported by another test would be reused, not searched for
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools", raising=False)
+    scipy_spec = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy_spec)
+    stem = os.path.join(tmp_path, "sparse", "_sparsetools")
+    with pytest.raises(ImportError, match=f"no {re.escape(stem)} with a suffix in"):
+        dib._load_sparsetools()
+
+
+def test_the_kernel_loader_reuses_the_copy_scipy_sparse_loaded():
+    import scipy.sparse
+
+    assert dib._load_sparsetools() is sys.modules["scipy.sparse._sparsetools"]
+    assert dib._load_sparsetools() is scipy.sparse._sparsetools

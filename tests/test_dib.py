@@ -39,6 +39,7 @@ from conftest import (
     dib_objective_oracle,
     dib_step,
     make_dataset,
+    refresh_oracle,
 )
 
 
@@ -118,6 +119,71 @@ def test_encoder_from_assignment_invariants():
             assert enc.decoder[t].sum() == pytest.approx(1.0, abs=1e-9)
         else:
             np.testing.assert_array_equal(enc.decoder[t], 0.0)
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("chains", [1, 3, 40])
+@pytest.mark.parametrize("n", [1, 7, 200])
+def test_refresh_is_the_public_sparse_product_byte_for_byte(n, chains, k, uniform):
+    from dibmix.dib import _refresh
+
+    rng = np.random.default_rng([n, chains, k, uniform])
+    p = rng.random((n, n))
+    p /= p.sum(axis=1, keepdims=True)
+    weights = np.full(n, 1.0 / n) if uniform else rng.random(n)
+    weights /= weights.sum()
+    assign = rng.integers(0, k, size=(chains, n))
+    assign[0] %= max(k - 1, 1)  # chain 0 leaves cluster k - 1 empty where k > 1
+    got = _refresh(assign, k, p, weights)
+    want = refresh_oracle(assign, k, p, weights)
+    for a, b in zip(got, want):
+        assert (a.shape, a.dtype) == (b.shape, b.dtype)
+        assert a.tobytes() == b.tobytes()
+
+
+def _three_points():
+    """A three-point density and its uniform weights, for argument checks."""
+    return (ConditionalDensity(matrix=np.eye(3) * 0.7 + 0.1, marginal_y=[1 / 3] * 3),
+            np.full(3, 1 / 3))
+
+
+@pytest.mark.parametrize("assign, k, weights, message", [
+    ([0, 5, 1], 2, None, r"labels in 0\.\.1, got 0\.\.5"),
+    ([0, -1, 1], 2, None, r"labels in 0\.\.1, got -1\.\.1"),
+    ([0.5, 1, 0], 2, None, "integer labels, got dtype float64"),
+    ([0.0, 1.0, 0.0], 2, None, "integer labels, got dtype float64"),
+    ([True, False, True], 2, None, "integer labels, got dtype bool"),
+    ([0, 1], 2, None, r"assign has shape \(2,\), expected \(3,\)"),
+    ([[0, 1, 0]], 2, None, r"assign has shape \(1, 3\), expected \(3,\)"),
+    ([0, 1, 0], 0, None, "k must be >= 1, got 0"),
+    ([0, 1, 0], 2.5, None, "k must be an integer, got 2.5"),
+    ([0, 1, 0], 2, [0.5, 0.5, np.nan], "weights"),
+    ([0, 1, 0], 2, [0.5, 0.5], "weights have length 2, expected 3"),
+])
+def test_from_assignment_refuses_bad_arguments(assign, k, weights, message):
+    density, uniform = _three_points()
+    weights = uniform if weights is None else weights
+    with pytest.raises(ValueError, match=message):
+        Encoder.from_assignment(assign, k, density, weights)
+
+
+def test_from_assignment_refuses_a_far_label_before_the_kernel_reads_it():
+    """The compiled refresh checks no bounds; a label far past k must be
+    refused, not written through.  A fresh interpreter makes a crash a
+    failed assertion rather than the end of the test run."""
+    probe = ("import numpy as np\n"
+             "from dibmix import ConditionalDensity, Encoder\n"
+             "density = ConditionalDensity(matrix=np.eye(3) * 0.7 + 0.1, marginal_y=[1 / 3] * 3)\n"
+             "try:\n"
+             "    Encoder.from_assignment([0, 10**8, 1], 2, density, np.full(3, 1 / 3))\n"
+             "except ValueError as exc:\n"
+             "    print(exc)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "assign must hold labels in 0..1, got 0..100000000\n"
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +304,25 @@ def test_objective_matches_direct_summation_oracle():
         assert i == pytest.approx(o_i, abs=1e-10)
         assert obj == pytest.approx(o_obj, abs=1e-8)
         assert obj == pytest.approx(h - beta * i, abs=1e-9)
+
+
+@pytest.mark.parametrize("beta", [np.nan, -5.0, np.inf, 1e101])
+def test_objective_refuses_beta_out_of_range(beta):
+    density, weights = _three_points()
+    enc = Encoder.from_assignment([0, 1, 0], 2, density, weights)
+    with pytest.raises(ValueError, match="beta must be nonnegative and finite"):
+        objective(enc, density, beta, weights)
+
+
+@pytest.mark.parametrize("masses, decoder, message", [
+    ([0.5, 0.5], np.full((2, 4), 0.25), r"shape \(2, 4\), expected \(k, n\) = \(2, 3\)"),
+    ([0.5, 0.5, 0.0], np.full((2, 3), 1 / 3), r"shape \(2, 3\), expected \(k, n\) = \(3, 3\)"),
+])
+def test_objective_refuses_a_decoder_of_another_shape(masses, decoder, message):
+    density, weights = _three_points()
+    enc = Encoder(assign=[0, 1, 0], masses=masses, decoder=decoder)
+    with pytest.raises(ValueError, match=message):
+        objective(enc, density, 1.0, weights)
 
 
 def test_objective_label_permutation_invariance():
