@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import MixedDataset
 from .errors import SchemaError
-from .kernels import Bandwidths, _block_rows, _scaled_continuous, aitchison_aitken
+from .kernels import Bandwidths, _row_blocks, _scaled_continuous, aitchison_aitken
 from .lockstep import check_range
 
 DEFAULT_S_MULTIPLIER = 3.0
@@ -80,21 +80,19 @@ def kernel_factor_variance_continuous(ds: MixedDataset, s) -> float:
     s = Bandwidths(s=s).s
     n = ds.n
     cols = _scaled_continuous(ds, s)
-    rows = _block_rows(n)
-    tmp = np.empty(min(n, rows) * n)
     variances = np.empty(ds.p_cont)
     # A square of inf is the right limit: expm1(-inf) = -1, an exact zero.
     with np.errstate(over="ignore"):
         for c, col in enumerate(cols):
             total = (0.0, 0.0, 0.0)
-            for lo in range(0, n, rows):
-                hi = min(n, lo + rows)
-                block = tmp[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
-                np.subtract(col[lo:hi, None], col[lo:], out=block)
+            for rows, part in _row_blocks(n):
+                h, lo = len(part), rows.start
+                block = part.reshape(-1)[:h * (n - lo)].reshape(h, n - lo)
+                np.subtract(col[rows, None], col[lo:], out=block)
                 np.square(block, out=block)
                 np.negative(block, out=block)
                 np.expm1(block, out=block)
-                diag, right = block[:, : hi - lo], block[:, hi - lo :]
+                diag, right = block[:, :h], block[:, h:]
                 count = diag.size + 2.0 * right.size
                 mean = (diag.sum() + 2.0 * right.sum()) / count
                 block -= mean

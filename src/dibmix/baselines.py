@@ -17,7 +17,7 @@ import numpy as np
 from . import lockstep
 from .dataset import MixedDataset
 from .errors import DibmixError, ZeroVarianceError
-from .kernels import _block_rows
+from .kernels import _row_blocks
 from .lockstep import DEFAULT_MAX_ITER
 from .seeding import STREAM_RESTART, derive_seed
 
@@ -33,9 +33,9 @@ _KPROTO_BLOCK_ELEMS = 1 << 16
 def gower(ds: MixedDataset) -> np.ndarray:
     """Read-only n x n array d(i,j) = mean over variables of range-scaled
     absolute difference (continuous) and simple mismatch (categorical) in
-    [0,1].  The output is filled one ``kernels._block_rows`` block of rows
-    at a time, each variable's term formed in one block-sized scratch, so
-    the output is the only n x n array."""
+    [0,1].  The output is filled one ``kernels._row_blocks`` block of rows
+    at a time, each variable's term formed in the block's scratch, so the
+    output is the only n x n array."""
     n = ds.n
     p = ds.p_cont + ds.p_cat
     ranges = []
@@ -48,21 +48,18 @@ def gower(ds: MixedDataset) -> np.ndarray:
             )
         ranges.append(rng)
     total = np.empty((n, n))
-    rows = _block_rows(n)
-    scratch = np.empty((min(n, rows), n))
-    for lo in range(0, n, rows):
-        block = total[lo:lo + rows]
-        tmp = scratch[:block.shape[0]]
+    for rows, tmp in _row_blocks(n):
+        block = total[rows]
         block.fill(0.0)
         for j, rng in enumerate(ranges):
             col = ds.continuous[:, j]
-            np.subtract(col[lo:lo + rows, None], col[None, :], out=tmp)
+            np.subtract(col[rows, None], col[None, :], out=tmp)
             np.abs(tmp, out=tmp)
             tmp /= rng
             block += tmp
         for j in range(ds.p_cat):
             col = ds.categorical[:, j]
-            block += np.not_equal(col[lo:lo + rows, None], col[None, :], out=tmp)
+            block += np.not_equal(col[rows, None], col[None, :], out=tmp)
         block /= p
     total.flags.writeable = False
     return total
@@ -87,18 +84,14 @@ def _build_gains(d, nearest):
 
     Each entry is added over i in row order, so its bytes equal those of
     ``np.maximum(nearest[:, None] - d, 0).sum(axis=0)``.  The terms are
-    formed one ``kernels._block_rows`` block of rows at a time in one
+    formed one ``kernels._row_blocks`` block of rows at a time in its
     scratch, each block's first row carrying the rows above, as in
     ``_swap_costs``."""
-    n = d.shape[0]
-    rows = _block_rows(n)
-    block = np.empty((min(n, rows), n))
-    gains = np.empty(n)
-    for i in range(0, n, rows):
-        part = block[:min(rows, n - i)]
-        np.subtract(nearest[i:i + rows, None], d[i:i + rows], out=part)
+    gains = np.empty(d.shape[0])
+    for rows, part in _row_blocks(d.shape[0]):
+        np.subtract(nearest[rows, None], d[rows], out=part)
         np.maximum(part, 0.0, out=part)
-        if i:
+        if rows.start:
             part[0] += gains
         part.sum(axis=0, out=gains)
     return gains
@@ -117,26 +110,21 @@ def _swap_costs(d, rests):
 
     Each entry is added over i in row order, so its bytes equal those of
     ``np.minimum(e[:, None], d).sum(axis=0)``.  The sweep takes the rows of
-    ``d`` in ``kernels._block_rows`` blocks, small enough to stay in cache
+    ``d`` in ``kernels._row_blocks`` blocks, small enough to stay in cache
     while every set reads them.  Each block's e_vi and terms are formed in
-    scratch the size of a block, so the output, one n-vector per set, is
+    arrays the size of a block, so the output, one n-vector per set, is
     the only array that grows with n.
     """
     n, m = d.shape[0], len(rests)
     members = np.array(rests).T
     out = np.empty((m, n))
-    rows = _block_rows(n)
-    block = np.empty((min(n, rows), n))
-    nearest = np.empty((m, min(n, rows)))
-    for i in range(0, n, rows):
-        part = block[:min(rows, n - i)]
-        e = nearest[:, :len(part)]
-        e.fill(np.inf)
+    for rows, part in _row_blocks(n):
+        e = np.full((m, len(part)), np.inf)
         for medoid in members:
-            np.minimum(e, d[i:i + rows, medoid].T, out=e)
+            np.minimum(e, d[rows, medoid].T, out=e)
         for v in range(m):
-            np.minimum(e[v, :, None], d[i:i + rows], out=part)
-            if i:
+            np.minimum(e[v, :, None], d[rows], out=part)
+            if rows.start:
                 part[0] += out[v]  # the rows above, then this block's rows in order
             part.sum(axis=0, out=out[v])
     return out

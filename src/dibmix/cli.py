@@ -2,10 +2,13 @@
 benchmark, sweep, and scoring runs.
 
 Every run writes a ``manifest.json`` capturing the resolved parameters, the
-seed, and library versions — enough to reproduce the outputs bit-for-bit.
-Worker counts are deliberately excluded: results are identical for any
-``--threads`` value.  Errors surface as one-line JSON objects on stderr with
-exit code 2 for usage/input problems and 1 for internal failures.
+seed, and library versions but no worker count — enough to reproduce the
+outputs bit-for-bit on one host class (CPU features and OpenBLAS core) at
+any ``--threads``.  Across host classes ``np.exp``'s dispatch and the BLAS
+dot kernel change the last bits of floats; labels are expected, not
+guaranteed, to match (see the README).  Errors surface as one-line JSON
+objects on stderr with exit code 2 for usage/input problems and 1 for
+internal failures.
 """
 
 import argparse

@@ -152,11 +152,12 @@ class MixedDataset:
 
 def _read_rows(path, what) -> list:
     """``(line number, cells)`` for every non-blank row of a UTF-8 CSV file,
-    cells stripped; a row's line number is that of its last line, counted
-    from 1.  ``what`` names the file in the error for a missing one."""
+    a leading byte-order mark dropped and cells stripped; a row's line number
+    is that of its last line, counted from 1.  ``what`` names the file in the
+    error for a missing one."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"{what} not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, [c.strip() for c in row]) for row in reader]
     return [(line_no, row) for line_no, row in rows if any(row)]

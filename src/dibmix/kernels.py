@@ -54,6 +54,16 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ELEMS // n)
 
 
+def _row_blocks(n: int):
+    """Rows 0..n-1 in order, ``_block_rows(n)`` at a time: each block's
+    ``slice`` and a (block rows, n) view of one scratch array they share."""
+    rows = _block_rows(n)
+    scratch = np.empty((min(n, rows), n))
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        yield slice(lo, hi), scratch[:hi - lo]
+
+
 def gaussian_kernel(diff, s):
     """Gaussian kernel value exp(-diff^2 / (2 s^2)) / sqrt(2 pi).
 
@@ -156,10 +166,9 @@ class ConditionalDensity:
     @cached_property
     def has_zeros(self) -> bool:
         """Whether some p(y|x) is exactly zero, which makes KL terms
-        infinite.  Scanned once per density, a block of ``_block_rows`` rows
-        at a time, so no n x n temporary is made."""
-        rows = _block_rows(self.n)
-        return any(bool((self.matrix[lo:lo + rows] == 0).any()) for lo in range(0, self.n, rows))
+        infinite.  Scanned once per density, one ``_row_blocks`` block at a
+        time, so no n x n temporary is made."""
+        return any((self.matrix[rows] == 0).any() for rows, _ in _row_blocks(self.n))
 
 
 def _scaled_continuous(ds: MixedDataset, s: float) -> np.ndarray:
@@ -182,7 +191,6 @@ def _log_kernel_blocks(ds: MixedDataset, bw: Bandwidths, out: np.ndarray):
     The diagonal is exactly 0: its distances are 0 and it never mismatches.
     ``bw`` must already be validated for ``ds``.
     """
-    n = ds.n
     cont = _scaled_continuous(ds, bw.s)
     # Per categorical variable, row l holds the log term of every j against
     # level l: 0 where j has level l, log(mismatch / match) elsewhere.
@@ -193,19 +201,16 @@ def _log_kernel_blocks(ds: MixedDataset, bw: Bandwidths, out: np.ndarray):
                                / aitchison_aitken(True, lam, var.n_levels))
             levels = np.arange(var.n_levels)[:, None]
             tables.append((col, np.where(levels == col, 0.0, log_ratio)))
-    rows = _block_rows(n)
-    tmp = np.empty((min(n, rows), n))
-    for lo in range(0, n, rows):
-        block = out[lo:lo + rows]
-        term = tmp[:block.shape[0]]
+    for rows, term in _row_blocks(ds.n):
+        block = out[rows]
         block.fill(0.0)
         with np.errstate(over="ignore"):  # a square of inf gives log K = -inf, an exact zero
             for col in cont:
-                np.subtract(col[lo:lo + rows, None], col, out=term)
+                np.subtract(col[rows, None], col, out=term)
                 np.square(term, out=term)
                 block -= term
         for col, table in tables:
-            np.take(table, col[lo:lo + rows], axis=0, out=term)
+            np.take(table, col[rows], axis=0, out=term)
             block += term
         yield block
 

@@ -120,11 +120,14 @@ def _gower_oracle(ds):
 
 
 @pytest.mark.parametrize("n", [200, 500])
-def test_gower_matches_textbook_formula_bytes(n):
+def test_gower_matches_textbook_formula_bytes(n, monkeypatch):
+    # At the default block size and at others, as for the PAM sweeps below.
     rng = np.random.default_rng(n)
-    for p_cont, p_cat in ((6, 6), (0, 3), (2, 0)):
-        ds = random_mixed_dataset(rng, n=n, p_cont=p_cont, p_cat=p_cat)
-        assert np.array_equal(gower(ds), _gower_oracle(ds))
+    for elems in (kernels._BLOCK_ELEMS, 1, 7, 1 << 20):
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMS", elems)
+        for p_cont, p_cat in ((6, 6), (0, 3), (2, 0)):
+            ds = random_mixed_dataset(rng, n=n, p_cont=p_cont, p_cat=p_cat)
+            assert gower(ds).tobytes() == _gower_oracle(ds).tobytes()
 
 
 def _traced_peak(fn, *args, **kwargs):

@@ -83,6 +83,23 @@ def separated_csv(tmp_path):
 # cluster
 
 
+def test_cluster_reads_a_file_with_a_byte_order_mark_like_one_without(tmp_path, mixed_csv):
+    # Excel's "CSV UTF-8" starts the file with a BOM; it must not stick to
+    # the first header cell, here a categorical column named by the flag.
+    lines = [line.split(",") for line in mixed_csv.read_text().splitlines()]
+    assert lines[0] == ["x1", "x2", "c1", "c2"]
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text("".join(f"{c},{x1},{x2},{d}\n" for x1, x2, c, d in lines))
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, bom):
+        out = tmp_path / path.stem
+        assert main(["cluster", "--input", str(path), "--categorical", "c1,c2", "--k", "3",
+                     "--restarts", "2", "--seed", "4", "--output-dir", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("result.json", "assignment.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_cluster_happy_path(tmp_path, separated_csv, capsys):
     data, truth_path, _ = separated_csv
     out = tmp_path / "out"
@@ -625,3 +642,10 @@ def test_score_json(tmp_path, capsys):
     assert payload["ari"] == -0.5
 
 
+def test_score_reads_a_truth_column_after_a_byte_order_mark(tmp_path, capsys):
+    truth, pred = tmp_path / "t.csv", tmp_path / "p.csv"
+    truth.write_bytes(b"\xef\xbb\xbftruth,id\n0,1\n0,2\n1,3\n1,4\n")
+    _write_labels(pred, ["a", "a", "b", "b"], column="pred")
+    assert main(["score", "--truth", str(truth), "--truth-column", "truth",
+                 "--pred", str(pred)]) == 0
+    assert json.loads(capsys.readouterr().out.strip()) == {"ari": 1.0, "n": 4}

@@ -248,6 +248,12 @@ def test_schema_file_and_labels(tmp_path):
         load_labels(tmp_path / "absent.csv")
 
 
+def test_load_labels_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"\xef\xbb\xbfcls,id\nx,1\ny,2\n")
+    np.testing.assert_array_equal(load_labels(path, column="cls"), ["x", "y"])
+
+
 @pytest.mark.parametrize("text, column, line", [
     ("id,cls\n1,x\n\n2\n", "cls", 4),  # short; the blank line still counts
     ("truth\na\nb,c\n", None, 3),  # long

@@ -17,7 +17,8 @@ from dibmix import (
     estimate_conditional,
     gaussian_kernel,
 )
-from dibmix.kernels import ConditionalDensity, _block_rows, _log_kernel_blocks
+from dibmix import kernels
+from dibmix.kernels import ConditionalDensity, _block_rows, _log_kernel_blocks, _row_blocks
 
 from conftest import (
     make_dataset,
@@ -264,6 +265,20 @@ def test_estimate_conditional_no_underflow_with_900_variables():
 
 # ---------------------------------------------------------------------------
 # several row blocks
+
+@pytest.mark.parametrize("elems", [1, 7, 1 << 10, kernels._BLOCK_ELEMS])
+@pytest.mark.parametrize("n", [1, 2, 7, 333, 4097])
+def test_row_blocks_cover_every_row_in_order_in_one_scratch(n, elems, monkeypatch):
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", elems)
+    blocks = list(_row_blocks(n))
+    starts = [rows.start for rows, _ in blocks]
+    stops = [rows.stop for rows, _ in blocks]
+    assert starts == [0] + stops[:-1] and stops[-1] == n
+    scratch = blocks[0][1].base
+    for rows, part in blocks:
+        assert 0 < rows.stop - rows.start <= _block_rows(n) and rows.step is None
+        assert part.shape == (rows.stop - rows.start, n) and part.flags.c_contiguous
+        assert part.base is scratch and np.shares_memory(part, scratch)
 
 def _multi_block_case():
     n = 301  # odd, and more than two blocks of rows with a partial last block
